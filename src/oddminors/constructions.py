@@ -581,7 +581,9 @@ def direct_general_model(t: int, s: int) -> OddExpansionModel:
     are colored 1 and path middles 2, except the two-vertex tree which is
     colored 1 at (u_2, v_2) and 2 at (u_3, v_1).  Trailing columns beyond
     the last full triple stay unused.  Connectors are the least
-    monochromatic cross edges, found per pair.
+    monochromatic cross edges, one `least_monochromatic_edge` call per
+    pair: every tree has at most three vertices and the host is dense, so a
+    call tests at most nine vertex pairs against the host edge set.
     """
     if t < 4 or s < 3:
         raise ParameterError(f"needs t >= 4 and s >= 3, got ({t}, {s})")

@@ -129,6 +129,11 @@ def _fail(clause, trees=(), vertices=(), edges=(), message=""):
     return Verdict("fail", clause, tuple(trees), tuple(vertices), tuple(edges), message)
 
 
+def _is_color(c) -> bool:
+    # bool is an int subclass, but True would serialize as "True"
+    return type(c) is int and c in (1, 2)
+
+
 def _tree_connected(tree: BranchTree) -> bool:
     verts = tree.sorted_vertices
     if not verts:
@@ -154,7 +159,8 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
     Checks run in a fixed order and the first failure is reported, with the
     lowest tree/vertex/edge ids first: disjointness, tree shape, tree-edge
     membership in the host, coloring totality on used vertices, properness
-    on every tree edge, then connectors pair by pair.
+    on every tree edge, stored connector keys in range, then connectors pair
+    by pair.
 
     strict=True additionally requires a stored connector for every pair;
     stored connectors are always checked literally.
@@ -196,14 +202,14 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
     coloring = model.coloring
     for i, t in enumerate(trees):
         for v in t.sorted_vertices:
-            if coloring.get(v) not in (1, 2):
+            if not _is_color(coloring.get(v)):
                 return _fail("coloring_missing", trees=(i,), vertices=(v,),
                              message=f"vertex {v} of tree {i} has no valid color")
     for v in sorted(coloring):
         if not (0 <= v < g.n):
             return _fail("coloring_missing", vertices=(v,),
                          message=f"colored vertex {v} is outside the host")
-        if coloring[v] not in (1, 2):
+        if not _is_color(coloring[v]):
             return _fail("coloring_missing", vertices=(v,),
                          message=f"vertex {v} has color {coloring[v]!r}, expected 1 or 2")
 
@@ -213,10 +219,15 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
                 return _fail("properness", trees=(i,), edges=((u, v),),
                              message=f"tree {i} edge {u}-{v} is monochromatic")
 
-    stored = model.connectors
+    stored = model.connectors or {}
+    bad_key = min((key for key in stored if not 0 <= key[0] < key[1] < r), default=None)
+    if bad_key is not None:
+        i, j = bad_key
+        return _fail("connector_invalid", trees=(i, j), edges=(stored[i, j],),
+                     message=f"stored connector key ({i},{j}) is not a pair of the {r} trees")
     for i in range(r):
         for j in range(i + 1, r):
-            edge = stored.get((i, j)) if stored is not None else None
+            edge = stored.get((i, j))
             if edge is not None:
                 u, v = edge
                 in_i = u in trees[i].vertices and v in trees[j].vertices
@@ -234,53 +245,55 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
             if strict:
                 return _fail("connector_missing", trees=(i, j),
                              message=f"strict mode: no stored connector for pair ({i},{j})")
-            if _search_connector(g, trees[i], trees[j], coloring) is None:
+            if least_monochromatic_edge(g, trees[i], trees[j], coloring) is None:
                 return _fail("connector_missing", trees=(i, j),
                              message=f"no monochromatic edge between trees {i} and {j}")
 
     return Verdict("pass", message=f"order={r}")
 
 
-def _search_connector(g, tree_i, tree_j, coloring):
-    for u in tree_i.sorted_vertices:
+def least_monochromatic_edge(g: Graph, tree_a: BranchTree, tree_b: BranchTree,
+                             coloring: Mapping[int, int]) -> Optional[Edge]:
+    """The lexicographically least host edge with one endpoint in each tree
+    and equal colors at both ends, or None when there is none.
+
+    Takes whichever loop does fewer set lookups.  When the larger tree has at
+    most the host's average degree 2m/n vertices, it tests the |Ta|*|Tb|
+    vertex pairs against the host edge set, without building adjacency
+    lists.  Otherwise it walks the neighbours of the smaller tree's vertices
+    and tests membership in the other tree, so large trees in a sparse host
+    cost their degree sum, not the product of their sizes.
+    """
+    small, large = sorted((tree_a.vertices, tree_b.vertices), key=len)
+    pair_scan = len(large) * g.n <= 2 * g.m
+    best = None
+    for u in small:
         cu = coloring[u]
-        for v in g.neighbors(u):
-            if v in tree_j.vertices and coloring[v] == cu:
-                return norm_edge(u, v)
-    return None
+        for v in large if pair_scan else g.neighbors(u):
+            # the pair scan needs only the edge test and the walk only the
+            # membership test; testing both keeps one loop body
+            if v in large and coloring[v] == cu:
+                e = norm_edge(u, v)
+                if e in g.edges and (best is None or e < best):
+                    best = e
+    return best
 
 
 def monochromatic_connector(g: Graph, model: OddExpansionModel, i: int, j: int) -> tuple[int, int]:
     """Connector edge for tree pair (i, j), oriented tree-i endpoint first.
 
-    Prefers the stored connector; otherwise returns the lexicographically
-    least monochromatic cross edge under vertex ids.  Raises LookupError when
-    no such edge exists.
+    Prefers the stored connector; otherwise returns the
+    `least_monochromatic_edge` of the two trees.  Raises LookupError when no
+    such edge exists.
     """
-    if i > j:
-        u, v = monochromatic_connector(g, model, j, i)
-        return v, u
     trees = model.trees
-    coloring = model.coloring
-    if model.connectors is not None and (i, j) in model.connectors:
-        u, v = model.connectors[(i, j)]
-        if u in trees[i].vertices:
-            return u, v
-        return v, u
-    best = None
-    for u in trees[i].sorted_vertices:
-        cu = coloring[u]
-        for v in g.neighbors(u):
-            if v in trees[j].vertices and coloring[v] == cu:
-                e = norm_edge(u, v)
-                if best is None or e < best:
-                    best = e
-    if best is None:
+    edge = (model.connectors or {}).get((min(i, j), max(i, j)))
+    if edge is None:
+        edge = least_monochromatic_edge(g, trees[i], trees[j], model.coloring)
+    if edge is None:
         raise LookupError(f"no monochromatic edge between trees {i} and {j}")
-    u, v = best
-    if u in trees[i].vertices:
-        return u, v
-    return v, u
+    u, v = edge
+    return (u, v) if u in trees[i].vertices else (v, u)
 
 
 # ----------------------------------------------------------------------

@@ -83,7 +83,12 @@ class Graph:
         return "\n".join(lines) + "\n"
 
     def content_hash(self) -> str:
-        """SHA-256 hex digest of the canonical text form."""
+        """SHA-256 hex digest of the canonical text form, computed once per
+        graph."""
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("ascii")).hexdigest()
 
 
@@ -372,6 +377,9 @@ def read_graph_text(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError("header values must be integers", field="header", line=1, offset=0)
+    if n < 0:
+        raise ParseError(f"vertex count must be non-negative, got {n}", field="header",
+                         line=1, offset=0)
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:
         raise ParseError(f"expected {m} edge lines, found {len(body)}", field="edges", line=2)

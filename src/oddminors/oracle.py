@@ -24,8 +24,8 @@ from typing import Optional
 
 from .constructions import odd_cycle_model, single_edge_model, singleton_model
 from .errors import ParameterError, SearchTimeout
-from .expansion import OddExpansionModel, Verdict, branch_tree, verify_odd_expansion
-from .graphs import Graph, is_bipartite, norm_edge, spanning_tree
+from .expansion import OddExpansionModel, branch_tree, least_monochromatic_edge
+from .graphs import Graph, is_bipartite, spanning_tree
 
 
 @dataclass(frozen=True)
@@ -280,18 +280,8 @@ class _Search:
                         bi_edges.append((u, w))
             sub = Graph(self.n, frozenset(bi_edges))
             trees.append(branch_tree(verts, spanning_tree(sub, verts)))
-        connectors = {}
-        for i in range(len(trees)):
-            for j in range(i + 1, len(trees)):
-                best = None
-                for u in trees[i].sorted_vertices:
-                    cu = coloring[u]
-                    for w in _bits(self.adj[u] & masks[j]):
-                        if coloring[w] == cu:
-                            e = norm_edge(u, w)
-                            if best is None or e < best:
-                                best = e
-                connectors[(i, j)] = best
+        connectors = {(i, j): least_monochromatic_edge(self.g, trees[i], trees[j], coloring)
+                      for i in range(len(trees)) for j in range(i + 1, len(trees))}
         return OddExpansionModel(tuple(trees), coloring, connectors)
 
 
@@ -351,8 +341,3 @@ def odd_hadwiger(g: Graph, budget: Optional[SearchBudget] = None) -> ExactResult
         r += 1
     return ExactResult("exact", best_value, best_cert, g.n + 1,
                        shared.nodes, time.monotonic() - t0)
-
-
-def check_result(g: Graph, result: ExactResult) -> Verdict:
-    """Re-verify the certificate carried by an ExactResult."""
-    return verify_odd_expansion(g, result.certificate)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oddminors import constructions as cons
@@ -6,6 +8,7 @@ from oddminors.errors import (ColoringMissingError, FactorModelError,
                               ParameterError)
 from oddminors.expansion import (OddExpansionModel, branch_tree,
                                  serialize_model, verify_odd_expansion)
+from oddminors.oracle import odd_hadwiger
 
 C5 = gr.cycle(5)
 C5_K3 = OddExpansionModel(
@@ -373,3 +376,30 @@ def test_constructions_are_byte_deterministic():
     a = serialize_model(cons.cartesian_lift(C5, C5_K3, C5, C5_K3), host2.content_hash())
     b = serialize_model(cons.cartesian_lift(C5, C5_K3, C5, C5_K3), host2.content_hash())
     assert a == b
+
+
+def _c5_strong_c3_exact():
+    host = gr.product("strong", gr.cycle(5), gr.cycle(3))
+    return host, odd_hadwiger(host).certificate
+
+
+# SHA-256 of serialize_model(model, host.content_hash()).  Connector
+# selection may change how it searches, never which edge it picks, so these
+# bytes stay fixed.
+PINNED_CERTIFICATES = [
+    (lambda: (gr.product("direct", gr.complete(12), gr.complete(3)), cons.direct_k3_model(12)),
+     "6b905d60a92af07c44d62a6f54799081469b7a937214fd6f97139dd645a05e6d"),
+    (lambda: (gr.product("direct", gr.complete(12), gr.complete(9)),
+              cons.direct_general_model(12, 9)),
+     "c0cd375ec9596baa19c72bb56cd6d7397bda823f2e556a8fa10957e9c827fe5a"),
+    (_c5_strong_c3_exact,
+     "1ecd91e69ab3acd4c3cee6d1b6da8957fa624ca68c7ccd9b8713237ffa430851"),
+]
+
+
+@pytest.mark.parametrize("build, digest", PINNED_CERTIFICATES,
+                         ids=["direct-k3-12", "direct-general-12-9", "exact-c5-strong-c3"])
+def test_certificate_bytes_are_pinned(build, digest):
+    host, model = build()
+    text = serialize_model(model, host.content_hash())
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest

@@ -1,12 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oddminors import graphs as gr
 from oddminors.errors import ParseError
 from oddminors.expansion import (OddExpansionModel, branch_tree,
+                                 least_monochromatic_edge,
                                  monochromatic_connector, parse_model,
                                  serialize_model, verify_odd_expansion)
+from oddminors.oracle import has_odd_clique_minor
 
 C5 = gr.cycle(5)
 C5_MODEL = OddExpansionModel(
@@ -266,3 +270,114 @@ def test_connector_lookup_orientation():
         broken = OddExpansionModel(
             (branch_tree([0]), branch_tree([2])), {0: 1, 2: 1})
         monochromatic_connector(C5, broken, 0, 1)
+
+
+# ----------------------------------------------------------------------
+# Connector kernel
+
+
+@st.composite
+def connector_cases(draw):
+    """A host on up to 10 vertices, two disjoint non-empty trees (vertex sets
+    only: the kernel reads nothing else) and a coloring of the tree vertices."""
+    n = draw(st.integers(2, 10))
+    edges = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
+    order = draw(st.permutations(range(n)))
+    size_a = draw(st.integers(1, n - 1))
+    a, b = order[:size_a], order[size_a:size_a + draw(st.integers(1, n - size_a))]
+    coloring = {v: draw(st.sampled_from((1, 2))) for v in a + b}
+    return gr.Graph(n, frozenset(edges)), branch_tree(a), branch_tree(b), coloring
+
+
+def brute_least_monochromatic_edge(g, a, b, coloring):
+    return min((e for e in g.edges
+                if {e[0] in a.vertices, e[1] in a.vertices} == {True, False}
+                and (e[0] in b.vertices or e[1] in b.vertices)
+                and coloring[e[0]] == coloring[e[1]]), default=None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connector_cases())
+# a dense host with small trees: the pair scan
+@example((gr.complete(6), branch_tree([0, 4]), branch_tree([1, 5]),
+          {0: 1, 4: 2, 1: 2, 5: 2}))
+# a sparse host with large trees: the neighbour walk
+@example((gr.path(8), branch_tree([4, 5, 6, 7]), branch_tree([0, 1, 2, 3]),
+          {v: 1 + v % 2 for v in range(8)}))
+def test_least_monochromatic_edge_matches_brute_force(case):
+    g, a, b, coloring = case
+    want = brute_least_monochromatic_edge(g, a, b, coloring)
+    assert least_monochromatic_edge(g, a, b, coloring) == want
+    assert least_monochromatic_edge(g, b, a, coloring) == want
+    # adjacency lists are built only by the neighbour walk, which is taken
+    # when the larger tree has more vertices than the host's average degree
+    walked = "_adj" in vars(g)
+    assert walked == (max(len(a.vertices), len(b.vertices)) * g.n > 2 * g.m)
+
+
+def test_connector_kernel_picks_its_loop_by_size():
+    dense = gr.product("direct", gr.complete(6), gr.complete(6))
+    pair = (branch_tree([0, 7]), branch_tree([14, 21]))
+    assert least_monochromatic_edge(dense, *pair, {0: 1, 7: 2, 14: 1, 21: 2}) == (0, 14)
+    assert "_adj" not in vars(dense)
+    sparse = gr.cycle(40)
+    halves = (branch_tree(range(20)), branch_tree(range(20, 40)))
+    assert least_monochromatic_edge(sparse, *halves, {v: 1 for v in range(40)}) == (0, 39)
+    assert "_adj" in vars(sparse)
+
+
+# ----------------------------------------------------------------------
+# Verifier contract: a passing certificate survives its serialized form
+
+
+def test_verifier_rejects_connector_key_outside_tree_pairs():
+    model = OddExpansionModel(C5_MODEL.trees, dict(C5_MODEL.coloring), {(0, 7): (0, 1)})
+    verdict = verify_odd_expansion(C5, model)
+    assert verdict.clause == "connector_invalid" and verdict.trees == (0, 7)
+    with pytest.raises(ParseError):
+        parse_model(serialize_model(model, C5.content_hash()))
+
+
+@pytest.mark.parametrize("vertex", [0, 1])
+def test_verifier_rejects_bool_colors(vertex):
+    coloring = dict(C5_MODEL.coloring)
+    coloring[vertex] = True  # equal to 1, but serializes as "True"
+    verdict = verify_odd_expansion(C5, OddExpansionModel(C5_MODEL.trees, coloring))
+    assert verdict.clause == "coloring_missing" and verdict.vertices == (vertex,)
+
+
+def test_verifier_rejects_bool_color_outside_trees():
+    model = OddExpansionModel((branch_tree([0]),), {0: 1, 3: True})
+    assert verify_odd_expansion(C5, model).clause == "coloring_missing"
+
+
+@st.composite
+def perturbed_certificates(draw):
+    """An oracle certificate on a small host with an odd cycle, then
+    perturbed: stored connectors dropped or given keys out of range, colors
+    replaced by values of other types, extra colored vertices."""
+    n = draw(st.integers(3, 7))
+    extra = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
+    g = gr.graph_from_edges(n, extra | {(0, 1), (1, 2), (0, 2)})
+    model = has_odd_clique_minor(g, draw(st.integers(1, 3)))
+    r = model.clique_order
+    coloring = dict(model.coloring)
+    connectors = None if draw(st.booleans()) else dict(model.connectors)
+    if connectors is not None and draw(st.booleans()):
+        i, j = draw(st.integers(0, r + 2)), draw(st.integers(0, r + 2))
+        connectors[(i, j)] = draw(st.sampled_from(sorted(g.edges)))
+    for _ in range(draw(st.integers(0, 2))):
+        v = draw(st.integers(-1, n + 1))
+        coloring[v] = draw(st.sampled_from((1, 2, True, False, 0, 3, 1.0)))
+    return g, OddExpansionModel(model.trees, coloring, connectors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_certificates(), st.booleans())
+def test_passing_certificate_survives_round_trip(case, strict):
+    g, model = case
+    if not verify_odd_expansion(g, model, strict).passed:
+        return
+    parsed, graph_hash = parse_model(serialize_model(model, g.content_hash()))
+    assert graph_hash == g.content_hash()
+    assert verify_odd_expansion(g, parsed, strict).passed

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -192,6 +193,13 @@ def test_graph_text_round_trip_and_canonical_bytes():
     assert text.splitlines()[0] == f"{g.n} {g.m}"
 
 
+def test_content_hash_is_computed_once():
+    g = gr.complete(5)
+    first = g.content_hash()
+    assert first == hashlib.sha256(g.canonical_text().encode("ascii")).hexdigest()
+    assert g.content_hash() is first
+
+
 def test_graph_text_parse_errors():
     with pytest.raises(ParseError):
         gr.read_graph_text("")
@@ -201,6 +209,8 @@ def test_graph_text_parse_errors():
         gr.read_graph_text("2 1\n0 0\n")
     with pytest.raises(ParseError):
         gr.read_graph_text("2 2\n0 1\n")
+    with pytest.raises(ParseError):
+        gr.read_graph_text("-1 0")
     err = None
     try:
         gr.read_graph_text("3 1\n0 5\n")
