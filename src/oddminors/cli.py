@@ -13,6 +13,7 @@ timing lines so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -76,17 +77,14 @@ def _write_text(path: str, text: str):
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            return range(int(lo), int(hi) + 1)
-        except ValueError:
-            raise _CliError(f"bad range {text!r}, expected 'a..b'")
+    lo, dots, hi = text.partition("..")
     try:
-        v = int(text)
+        values = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise _CliError(f"bad range {text!r}, expected 'a..b' or a single integer")
-    return range(v, v + 1)
+    if not values:
+        raise _CliError(f"bad range {text!r}, it is empty")
+    return values
 
 
 def _budget_from_args(args) -> SearchBudget:
@@ -129,62 +127,27 @@ def _need(args, name):
     return value
 
 
+def _load_base(path: str, mg: OddExpansionModel, mh: OddExpansionModel) -> cons.BaseModel:
+    model, stored_hash = _load_certificate(path)
+    base = cons.BaseModel(mg.clique_order, mh.clique_order, model)
+    if stored_hash != base.host().content_hash():
+        raise _CliError("--base hash does not match the factor-order host", EXIT_HASH_MISMATCH)
+    return base
+
+
 def cmd_construct(args) -> int:
     t0 = time.monotonic()
-    theorem = args.theorem
-    if theorem == "cartesian-complete":
-        s, t = _need(args, "s"), _need(args, "t")
-        model = cons.cartesian_complete_model(s, t).model
-        host = product("cartesian", make_named_graph("complete", [s]),
-                       make_named_graph("complete", [t]))
-    elif theorem == "direct-k3":
-        t = _need(args, "t")
-        model = cons.direct_k3_model(t)
-        host = product("direct", make_named_graph("complete", [t]),
-                       make_named_graph("complete", [3]))
-    elif theorem == "direct-general":
-        t, s = _need(args, "t"), _need(args, "s")
-        model = cons.direct_general_model(t, s)
-        host = product("direct", make_named_graph("complete", [t]),
-                       make_named_graph("complete", [s]))
-    elif theorem == "hamming":
-        n, d = _need(args, "n"), _need(args, "d")
-        model = cons.hamming_model(n, d)
-        host = make_named_graph("hamming", [n, d])
-    elif theorem == "stars":
-        r, t = _need(args, "r"), _need(args, "t")
-        model = cons.star_model(r, t)
-        host = product("strong", make_named_graph("star", [r]),
-                       make_named_graph("star", [t]))
-    elif theorem in ("strong", "lex"):
-        g, mg, h, mh = _factor_inputs(args)
-        kind = "strong" if theorem == "strong" else "lexicographic"
-        model = cons.strong_model(g, mg, h, mh, kind)
-        host = product(kind, g, h)
-    elif theorem == "cartesian-lift":
-        g, mg, h, mh = _factor_inputs(args)
-        base = None
-        if args.base is not None:
-            bmodel, bhash = _load_certificate(args.base)
-            s, t = mg.clique_order, mh.clique_order
-            base = cons.BaseModel(s, t, bmodel)
-            if bhash != base.host().content_hash():
-                raise _CliError("--base hash does not match the factor-order host",
-                                EXIT_HASH_MISMATCH)
-        model = cons.cartesian_lift(g, mg, h, mh, base)
-        host = product("cartesian", g, h)
-    elif theorem == "best":
-        g, mg, h, mh = _factor_inputs(args)
-        if args.kind is None:
-            raise _CliError("theorem 'best' needs --kind")
-        found = cons.best_lower_bound(g, mg, h, mh, args.kind)
-        if found is None:
-            print("no construction applies")
-            return EXIT_OK
-        _, model = found
-        host = product(args.kind, g, h)
-    else:
-        raise _CliError(f"unknown theorem id {theorem!r}")
+    theorem = cons.THEOREMS[args.theorem]
+    inputs, options = (), {}
+    if theorem.factors:
+        inputs = _factor_inputs(args)
+        if theorem.base and args.base is not None:
+            options["base"] = _load_base(args.base, inputs[1], inputs[3])
+    values = [_need(args, name) for name in theorem.params]
+    model, host = theorem.build(*inputs, *values, **options)
+    if model is None:
+        print("no construction applies")
+        return EXIT_OK
 
     text = serialize_model(model, host.content_hash())
     _write_text(args.out, text)
@@ -193,7 +156,7 @@ def cmd_construct(args) -> int:
     reparsed, _ = parse_model(Path(args.out).read_text())
     verdict = verify_odd_expansion(host, reparsed, strict=True)
 
-    print(f"command: construct {theorem}")
+    print(f"command: construct {args.theorem}")
     print(f"host: n={host.n} m={host.m} hash={host.content_hash()}")
     print(f"order: {model.clique_order}")
     print(f"verdict: {verdict.summary()}")
@@ -241,75 +204,19 @@ def cmd_exact(args) -> int:
     return EXIT_TIMEOUT if result.status == "timeout" else EXIT_OK
 
 
-_TABLE_BUILDERS = {
-    "cartesian-complete": {
-        "params": ("s", "t"),
-        "defaults": ("2..6", "2..6"),
-    },
-    "direct-k3": {
-        "params": ("t",),
-        "defaults": ("6..10",),
-    },
-    "direct-general": {
-        "params": ("t", "s"),
-        "defaults": ("4..6", "3..6"),
-    },
-    "stars": {
-        "params": ("r", "t"),
-        "defaults": ("1..4", "1..4"),
-    },
-}
-
-
-def _table_row(which, values):
-    if which == "cartesian-complete":
-        s, t = values
-        model = cons.cartesian_complete_model(s, t).model
-        host = product("cartesian", make_named_graph("complete", [s]),
-                       make_named_graph("complete", [t]))
-    elif which == "direct-k3":
-        (t,) = values
-        model = cons.direct_k3_model(t)
-        host = product("direct", make_named_graph("complete", [t]),
-                       make_named_graph("complete", [3]))
-    elif which == "direct-general":
-        t, s = values
-        model = cons.direct_general_model(t, s)
-        host = product("direct", make_named_graph("complete", [t]),
-                       make_named_graph("complete", [s]))
-    else:
-        r, t = values
-        model = cons.star_model(r, t)
-        host = product("strong", make_named_graph("star", [r]),
-                       make_named_graph("star", [t]))
-    return model, host
-
-
 def cmd_table(args) -> int:
-    spec = _TABLE_BUILDERS.get(args.which)
-    if spec is None:
-        raise _CliError(f"unknown table family {args.which!r}")
+    theorem = cons.THEOREMS[args.which]
     ranges = []
-    for name, default in zip(spec["params"], spec["defaults"]):
+    for name, default in zip(theorem.params, theorem.table):
         given = getattr(args, name)
-        ranges.append(_parse_range(given if given is not None else default))
-    header = list(spec["params"]) + ["order", "verdict"]
+        ranges.append(_parse_range(default if given is None else given))
+    header = list(theorem.params) + ["order", "verdict"]
     if args.oracle:
         header.append("oracle")
     print(" ".join(header))
     any_fail = False
-
-    def rows(rs):
-        if len(rs) == 1:
-            for a in rs[0]:
-                yield (a,)
-        else:
-            for a in rs[0]:
-                for b in rs[1]:
-                    yield (a, b)
-
-    for values in rows(ranges):
-        model, host = _table_row(args.which, values)
+    for values in itertools.product(*ranges):
+        model, host = theorem.build(*values)
         verdict = verify_odd_expansion(host, model, strict=True)
         cells = [str(v) for v in values] + [str(model.clique_order),
                                             "PASS" if verdict.passed else "FAIL"]
@@ -350,9 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("construct", help="emit and self-verify a certificate")
-    p.add_argument("theorem", choices=("cartesian-complete", "cartesian-lift",
-                                       "strong", "lex", "stars", "direct-k3",
-                                       "direct-general", "hamming", "best"))
+    p.add_argument("theorem", choices=tuple(cons.THEOREMS))
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--n", type=int)
@@ -384,12 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=100_000_000)
     p.add_argument("--max-n", dest="max_n", type=int, default=16)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved; the canonical-order search runs single-threaded")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("table", help="reproduce a bound family as a text table")
-    p.add_argument("which", choices=tuple(_TABLE_BUILDERS))
+    p.add_argument("which", choices=tuple(k for k, th in cons.THEOREMS.items() if th.table))
     p.add_argument("--s")
     p.add_argument("--t")
     p.add_argument("--r")
@@ -406,9 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_PARAM
     try:
         return args.func(args)
     except _CliError as e:

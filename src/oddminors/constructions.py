@@ -17,8 +17,8 @@ from .errors import (ColoringMissingError, ConsistencyError, FactorModelError,
                      ParameterError)
 from .expansion import (BranchTree, OddExpansionModel, branch_tree,
                         monochromatic_connector, verify_odd_expansion)
-from .graphs import (Edge, Graph, complete, flatten, norm_edge,
-                     find_odd_cycle, product, spanning_tree)
+from .graphs import (Edge, Graph, complete, flatten, hamming, norm_edge,
+                     find_odd_cycle, product, spanning_tree, star)
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +135,7 @@ def _require_valid_factor(g: Graph, model: OddExpansionModel, name: str):
 
 
 def product_grid_forest(g: Graph, mg: OddExpansionModel,
-                        h: Graph, mh: OddExpansionModel,
-                        mode: str = "cartesian") -> GridForest:
+                        h: Graph, mh: OddExpansionModel) -> GridForest:
     """Build the cell grid shared by the box-product and strong-product
     constructions.
 
@@ -147,8 +146,6 @@ def product_grid_forest(g: Graph, mg: OddExpansionModel,
     both choices realize the lexicographically least monochromatic edge of
     their candidate family.
     """
-    if mode not in ("cartesian", "strong"):
-        raise ParameterError(f"grid mode must be cartesian or strong, got {mode!r}")
     _require_valid_factor(g, mg, "first")
     _require_valid_factor(h, mh, "second")
     s, t = mg.clique_order, mh.clique_order
@@ -263,7 +260,7 @@ def cartesian_lift(g: Graph, mg: OddExpansionModel,
     swapped coloring where it is colored 2, which makes the joining edges
     bichromatic and the pair connectors monochromatic again.
     """
-    gf = product_grid_forest(g, mg, h, mh, "cartesian")
+    gf = product_grid_forest(g, mg, h, mh)
     s, t = gf.s, gf.t
     if base is None:
         base = cartesian_complete_model(s, t)
@@ -335,7 +332,7 @@ def strong_model(g: Graph, mg: OddExpansionModel,
     """
     if kind not in ("strong", "lexicographic"):
         raise ParameterError(f"kind must be strong or lexicographic, got {kind!r}")
-    gf = product_grid_forest(g, mg, h, mh, "strong")
+    gf = product_grid_forest(g, mg, h, mh)
     s, t = gf.s, gf.t
     nh = h.n
     trees = tuple(gf.cells[(i, j)] for i in range(s) for j in range(t))
@@ -698,3 +695,73 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
     if cyc_model is not None:
         return 3, cyc_model
     return 2, single_edge_model(host)
+
+
+# ----------------------------------------------------------------------
+# Theorem registry: the construction families by their command-line ids
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One construction family as `construct` and `table` name it.
+
+    `build` takes the certified factors (g, mg, h, mh) first when `factors`
+    is set, then one value per name in `params`, and returns the
+    certificate and its host.  It builds the certificate first, so that the
+    family's preconditions are reported before any host is built; `best`
+    returns (None, None) when no construction applies.  `base` marks the
+    family whose `build` also takes `base=`, a certificate on the box
+    product of the factor-order cliques.  `table` holds the default 'a..b'
+    range of each param for the families `table` reproduces.
+
+    Builders call the construction functions and `product` through this
+    module's globals at call time, so that patching them (as the
+    benchmark's tracer does) reaches every theorem.
+    """
+
+    params: tuple[str, ...]
+    build: Callable[..., tuple[Optional[OddExpansionModel], Optional[Graph]]]
+    factors: bool = False
+    base: bool = False
+    table: tuple[str, ...] = ()
+
+
+def _complete_host(kind: str, a: int, b: int) -> Graph:
+    return product(kind, complete(a), complete(b))
+
+
+def _grid_theorem(kind: str) -> Theorem:
+    return Theorem((), lambda g, mg, h, mh: (strong_model(g, mg, h, mh, kind),
+                                             product(kind, g, h)), factors=True)
+
+
+def _best(g, mg, h, mh, kind):
+    found = best_lower_bound(g, mg, h, mh, kind)
+    if found is None:
+        return None, None
+    return found[1], product(kind, g, h)
+
+
+THEOREMS: dict[str, Theorem] = {
+    "cartesian-complete": Theorem(
+        ("s", "t"), lambda s, t: (cartesian_complete_model(s, t).model,
+                                  _complete_host("cartesian", s, t)),
+        table=("2..6", "2..6")),
+    "cartesian-lift": Theorem(
+        (), lambda g, mg, h, mh, base=None: (cartesian_lift(g, mg, h, mh, base),
+                                             product("cartesian", g, h)),
+        factors=True, base=True),
+    "strong": _grid_theorem("strong"),
+    "lex": _grid_theorem("lexicographic"),
+    "stars": Theorem(
+        ("r", "t"), lambda r, t: (star_model(r, t), product("strong", star(r), star(t))),
+        table=("1..4", "1..4")),
+    "direct-k3": Theorem(
+        ("t",), lambda t: (direct_k3_model(t), _complete_host("direct", t, 3)),
+        table=("6..10",)),
+    "direct-general": Theorem(
+        ("t", "s"), lambda t, s: (direct_general_model(t, s), _complete_host("direct", t, s)),
+        table=("4..6", "3..6")),
+    "hamming": Theorem(("n", "d"), lambda n, d: (hamming_model(n, d), hamming(n, d))),
+    "best": Theorem(("kind",), _best, factors=True),
+}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .errors import ParseError
+from .errors import ParameterError, ParseError
 from .graphs import Edge, Graph, norm_edge
 
 FAIL_CLAUSES = (
@@ -61,7 +61,8 @@ class OddExpansionModel:
     connectors: optional map (i, j) with i < j -> stored host edge for that
         tree pair.  When a pair has a stored edge the verifier checks exactly
         that edge; otherwise it searches all cross edges.
-    notes: free-text provenance flags carried into the serialized form.
+    notes: free-text provenance flags carried into the serialized form, one
+        `meta:` line each, so a note may not contain a line break.
     """
 
     trees: tuple[BranchTree, ...]
@@ -79,6 +80,9 @@ class OddExpansionModel:
                 fixed[(i, j)] = norm_edge(u, v)
             object.__setattr__(self, "connectors", fixed)
         object.__setattr__(self, "notes", tuple(self.notes))
+        for note in self.notes:
+            if note.splitlines() not in ([], [note]):
+                raise ParameterError(f"note {note!r} contains a line break")
 
     @property
     def clique_order(self) -> int:
@@ -129,9 +133,15 @@ def _fail(clause, trees=(), vertices=(), edges=(), message=""):
     return Verdict("fail", clause, tuple(trees), tuple(vertices), tuple(edges), message)
 
 
+# Vertex ids, colors and connector keys must be plain ints.  True == 1 and
+# 1.0 == 1 pass every check by value, but serialize as "True" and "1.0",
+# which the parser rejects.
 def _is_color(c) -> bool:
-    # bool is an int subclass, but True would serialize as "True"
     return type(c) is int and c in (1, 2)
+
+
+def _is_vertex(v, g: Graph) -> bool:
+    return type(v) is int and 0 <= v < g.n
 
 
 def _tree_connected(tree: BranchTree) -> bool:
@@ -160,7 +170,8 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
     lowest tree/vertex/edge ids first: disjointness, tree shape, tree-edge
     membership in the host, coloring totality on used vertices, properness
     on every tree edge, stored connector keys in range, then connectors pair
-    by pair.
+    by pair.  Vertex ids and connector keys must be plain ints: a bool or a
+    float fails the clause that checks it.
 
     strict=True additionally requires a stored connector for every pair;
     stored connectors are always checked literally.
@@ -182,13 +193,13 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
         if not t.vertices:
             return _fail("tree_shape", trees=(i,), message=f"tree {i} is empty")
         for v in t.sorted_vertices:
-            if not (0 <= v < g.n):
+            if not _is_vertex(v, g):
                 return _fail("tree_shape", trees=(i,), vertices=(v,),
-                             message=f"tree {i} uses vertex {v} outside host of order {g.n}")
+                             message=f"tree {i} uses vertex {v!r} outside host of order {g.n}")
         for u, v in t.sorted_edges:
-            if u not in t.vertices or v not in t.vertices:
+            if not (type(u) is type(v) is int and u in t.vertices and v in t.vertices):
                 return _fail("tree_shape", trees=(i,), edges=((u, v),),
-                             message=f"tree {i} edge {u}-{v} leaves its vertex set")
+                             message=f"tree {i} edge {u!r}-{v!r} leaves its vertex set")
         if len(t.edges) != len(t.vertices) - 1 or not _tree_connected(t):
             return _fail("tree_shape", trees=(i,),
                          message=f"tree {i} edges do not form a spanning tree of its vertex set")
@@ -206,9 +217,9 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
                 return _fail("coloring_missing", trees=(i,), vertices=(v,),
                              message=f"vertex {v} of tree {i} has no valid color")
     for v in sorted(coloring):
-        if not (0 <= v < g.n):
+        if not _is_vertex(v, g):
             return _fail("coloring_missing", vertices=(v,),
-                         message=f"colored vertex {v} is outside the host")
+                         message=f"colored vertex {v!r} is outside the host")
         if not _is_color(coloring[v]):
             return _fail("coloring_missing", vertices=(v,),
                          message=f"vertex {v} has color {coloring[v]!r}, expected 1 or 2")
@@ -220,7 +231,9 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
                              message=f"tree {i} edge {u}-{v} is monochromatic")
 
     stored = model.connectors or {}
-    bad_key = min((key for key in stored if not 0 <= key[0] < key[1] < r), default=None)
+    bad_key = min((key for key in stored if not (type(key[0]) is type(key[1]) is int
+                                                 and 0 <= key[0] < key[1] < r)),
+                  default=None)
     if bad_key is not None:
         i, j = bad_key
         return _fail("connector_invalid", trees=(i, j), edges=(stored[i, j],),
@@ -230,6 +243,9 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
             edge = stored.get((i, j))
             if edge is not None:
                 u, v = edge
+                if not type(u) is type(v) is int:
+                    return _fail("connector_invalid", trees=(i, j), edges=(edge,),
+                                 message=f"stored connector {u!r}-{v!r} is not a pair of int ids")
                 in_i = u in trees[i].vertices and v in trees[j].vertices
                 in_j = v in trees[i].vertices and u in trees[j].vertices
                 if not (in_i or in_j):

@@ -186,3 +186,11 @@ def test_unknown_inline_spec(capsys, tmp_path):
     code, _, stderr = run(capsys, "product", "direct", "blah:2", "complete:2",
                           "--out", str(tmp_path / "x.graph"))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["direct-k3", "--t", "3..1"],
+                                  ["stars", "--r", "1..2", "--t", "5..4"]])
+def test_table_empty_range_is_an_error(capsys, argv):
+    code, stdout, stderr = run(capsys, "table", *argv)
+    assert code == 2 and "bad range" in stderr
+    assert stdout == ""

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddminors import graphs as gr
-from oddminors.errors import ParseError
-from oddminors.expansion import (OddExpansionModel, branch_tree,
+from oddminors.errors import ParameterError, ParseError
+from oddminors.expansion import (BranchTree, OddExpansionModel, branch_tree,
                                  least_monochromatic_edge,
                                  monochromatic_connector, parse_model,
                                  serialize_model, verify_odd_expansion)
@@ -351,11 +351,48 @@ def test_verifier_rejects_bool_color_outside_trees():
     assert verify_odd_expansion(C5, model).clause == "coloring_missing"
 
 
+def _c5_with(trees=C5_MODEL.trees, coloring=C5_MODEL.coloring, connectors=None):
+    return OddExpansionModel(trees, coloring, connectors)
+
+
+# Each of these equals a passing certificate by value, but serializes an id
+# as "True" or "2.0", which the parser rejects.
+@pytest.mark.parametrize("model, clause", [
+    (_c5_with(trees=(C5_MODEL.trees[0], branch_tree([True, 2], [(1, 2)]), C5_MODEL.trees[2])),
+     "tree_shape"),
+    (_c5_with(trees=(C5_MODEL.trees[0], branch_tree([1, 2.0], [(1, 2)]), C5_MODEL.trees[2])),
+     "tree_shape"),
+    (_c5_with(trees=(C5_MODEL.trees[0], branch_tree([1, 2], [(True, 2)]), C5_MODEL.trees[2])),
+     "tree_shape"),
+    (_c5_with(coloring={0: 1, True: 1, 2: 2, 3: 2, 4: 1}), "coloring_missing"),
+    (_c5_with(connectors={(0, 1): (0, True)}), "connector_invalid"),
+    (_c5_with(connectors={(0, True): (0, 1)}), "connector_invalid"),
+])
+def test_verifier_rejects_ids_that_are_not_plain_ints(model, clause):
+    assert verify_odd_expansion(C5, model).clause == clause
+    with pytest.raises(ParseError):
+        parse_model(serialize_model(model, C5.content_hash()))
+
+
+@pytest.mark.parametrize("note", ["a\nb", "a\r\nb", "x\u2028y", "end\n", "\x0b", "\n"])
+def test_note_with_a_line_break_is_refused(note):
+    with pytest.raises(ParameterError):
+        OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring, None, (note,))
+
+
+def test_note_round_trips():
+    model = OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring, None, ("from: a = b", ""))
+    assert parse_model(serialize_model(model, C5.content_hash()))[0] == model
+
+
 @st.composite
 def perturbed_certificates(draw):
     """An oracle certificate on a small host with an odd cycle, then
     perturbed: stored connectors dropped or given keys out of range, colors
-    replaced by values of other types, extra colored vertices."""
+    replaced by values of other types, extra colored vertices, vertex 1
+    renamed True, notes drawn with and without line breaks.  Returns the
+    host and the model's fields, since a note with a line break is refused
+    when the model is made."""
     n = draw(st.integers(3, 7))
     extra = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
     g = gr.graph_from_edges(n, extra | {(0, 1), (1, 2), (0, 2)})
@@ -367,15 +404,26 @@ def perturbed_certificates(draw):
         i, j = draw(st.integers(0, r + 2)), draw(st.integers(0, r + 2))
         connectors[(i, j)] = draw(st.sampled_from(sorted(g.edges)))
     for _ in range(draw(st.integers(0, 2))):
-        v = draw(st.integers(-1, n + 1))
+        v = draw(st.one_of(st.integers(-1, n + 1), st.just(True)))
         coloring[v] = draw(st.sampled_from((1, 2, True, False, 0, 3, 1.0)))
-    return g, OddExpansionModel(model.trees, coloring, connectors)
+    trees = model.trees
+    if draw(st.booleans()):
+        trees = tuple(BranchTree(frozenset(True if v == 1 else v for v in t.vertices), t.edges)
+                      for t in trees)
+    notes = draw(st.lists(st.text(st.sampled_from("a :=\n\r\u2028\x85"), max_size=3),
+                          max_size=2))
+    return g, (trees, coloring, connectors, tuple(notes))
 
 
 @settings(max_examples=100, deadline=None)
 @given(perturbed_certificates(), st.booleans())
 def test_passing_certificate_survives_round_trip(case, strict):
-    g, model = case
+    g, fields = case
+    try:
+        model = OddExpansionModel(*fields)
+    except ParameterError:
+        assert any(note.splitlines() not in ([], [note]) for note in fields[3])
+        return
     if not verify_odd_expansion(g, model, strict).passed:
         return
     parsed, graph_hash = parse_model(serialize_model(model, g.content_hash()))
