@@ -23,8 +23,8 @@ from .errors import (ColoringMissingError, ConsistencyError, FactorModelError,
                      ParameterError, ParseError, SearchTimeout, StructureError)
 from .expansion import (OddExpansionModel, parse_model, serialize_model,
                         verify_odd_expansion)
-from .graphs import (Graph, make_named_graph, product, read_graph_text,
-                     write_graph_text)
+from .graphs import (PRODUCT_KINDS, Graph, make_named_graph, product,
+                     read_graph_text, write_graph_text)
 from .oracle import SearchBudget, has_odd_clique_minor, odd_hadwiger
 
 EXIT_OK = 0
@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("product", help="write a product graph in canonical text form")
-    p.add_argument("kind", choices=("cartesian", "direct", "lexicographic", "strong"))
+    p.add_argument("kind", choices=PRODUCT_KINDS)
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--out", required=True)
@@ -263,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--kind", choices=("cartesian", "direct", "lexicographic", "strong"))
+    p.add_argument("--kind", choices=PRODUCT_KINDS)
     p.add_argument("--factor-a", dest="factor_a")
     p.add_argument("--model-a", dest="model_a")
     p.add_argument("--factor-b", dest="factor_b")

@@ -17,8 +17,8 @@ from .errors import (ColoringMissingError, ConsistencyError, FactorModelError,
                      ParameterError)
 from .expansion import (BranchTree, OddExpansionModel, branch_tree,
                         monochromatic_connector, verify_odd_expansion)
-from .graphs import (Edge, Graph, complete, flatten, hamming, norm_edge,
-                     find_odd_cycle, product, spanning_tree, star)
+from .graphs import (PRODUCT_KINDS, Edge, Graph, complete, flatten, hamming,
+                     norm_edge, find_odd_cycle, product, spanning_tree, star)
 
 
 # ----------------------------------------------------------------------
@@ -653,7 +653,7 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
     coordinate swap when needed); otherwise only what bipartiteness or an
     odd cycle of the product yields.  Returns None when nothing applies.
     """
-    if kind not in ("cartesian", "direct", "lexicographic", "strong"):
+    if kind not in PRODUCT_KINDS:
         raise ParameterError(f"unknown product kind {kind!r}")
     _require_valid_factor(g, mg, "first")
     _require_valid_factor(h, mh, "second")

@@ -27,6 +27,24 @@ FAIL_CLAUSES = (
 )
 
 
+def _id_key(x):
+    """Sort key for ids of any type: numbers by value, then the rest by repr.
+    Plain ints keep their order, and a stray 'a' among them fails the clause
+    that checks it instead of raising TypeError on comparison."""
+    return (0, x) if isinstance(x, (int, float)) else (1, repr(x))
+
+
+def _pair_key(pair):
+    return tuple(map(_id_key, pair))
+
+
+def _ordered(u, v) -> tuple:
+    """The pair in `_id_key` order, as `norm_edge` orders ints."""
+    if type(u) is type(v) is int:
+        return (u, v) if u < v else (v, u)
+    return (u, v) if _id_key(u) <= _id_key(v) else (v, u)
+
+
 @dataclass(frozen=True)
 class BranchTree:
     """One branch tree: a vertex set plus the tree edges inside it.
@@ -41,15 +59,15 @@ class BranchTree:
 
     @property
     def sorted_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.vertices))
+        return tuple(sorted(self.vertices, key=_id_key))
 
     @property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
+        return tuple(sorted(self.edges, key=_pair_key))
 
 
 def branch_tree(vertices: Iterable[int], edges: Iterable[Edge] = ()) -> BranchTree:
-    return BranchTree(frozenset(vertices), frozenset(norm_edge(u, v) for u, v in edges))
+    return BranchTree(frozenset(vertices), frozenset(_ordered(u, v) for u, v in edges))
 
 
 @dataclass(frozen=True, eq=True)
@@ -75,9 +93,7 @@ class OddExpansionModel:
         if self.connectors is not None:
             fixed = {}
             for (i, j), (u, v) in self.connectors.items():
-                if i > j:
-                    i, j = j, i
-                fixed[(i, j)] = norm_edge(u, v)
+                fixed[_ordered(i, j)] = _ordered(u, v)
             object.__setattr__(self, "connectors", fixed)
         object.__setattr__(self, "notes", tuple(self.notes))
         for note in self.notes:
@@ -216,7 +232,7 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
             if not _is_color(coloring.get(v)):
                 return _fail("coloring_missing", trees=(i,), vertices=(v,),
                              message=f"vertex {v} of tree {i} has no valid color")
-    for v in sorted(coloring):
+    for v in sorted(coloring, key=_id_key):
         if not _is_vertex(v, g):
             return _fail("coloring_missing", vertices=(v,),
                          message=f"colored vertex {v!r} is outside the host")
@@ -233,7 +249,7 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
     stored = model.connectors or {}
     bad_key = min((key for key in stored if not (type(key[0]) is type(key[1]) is int
                                                  and 0 <= key[0] < key[1] < r)),
-                  default=None)
+                  key=_pair_key, default=None)
     if bad_key is not None:
         i, j = bad_key
         return _fail("connector_invalid", trees=(i, j), edges=(stored[i, j],),

@@ -1,6 +1,7 @@
-"""Immutable simple graphs, named families, the four graph products, and
-basic structural routines (bipartiteness, components, deterministic BFS
-spanning trees), plus the canonical text format and a graph6 reader.
+"""Immutable simple graphs, named families, the four graph products (one
+edge rule; `hamming` is the iterated Cartesian product), structural routines
+read off one deterministic BFS forest (bipartiteness, components, odd cycles,
+spanning trees), the canonical text format and a graph6 reader.
 
 Vertices are the integers 0..n-1.  Product vertices (a, b) are flattened to
 a * |V(H)| + b, with the first factor most significant; every certificate in
@@ -20,8 +21,6 @@ Edge = tuple[int, int]
 ProductVertex = tuple[int, int]
 
 PRODUCT_KINDS = ("cartesian", "direct", "lexicographic", "strong")
-
-NAMED_FAMILIES = ("complete", "star", "cycle", "path", "hamming")
 
 
 def norm_edge(u: int, v: int) -> Edge:
@@ -133,54 +132,34 @@ def path(n: int) -> Graph:
 
 
 def hamming(n: int, d: int) -> Graph:
-    """d-fold Cartesian power of the complete graph on n vertices.
-
-    Vertices are d-tuples over 0..n-1 flattened in mixed radix n with the
-    first coordinate most significant, matching iterated `product`.
+    """d-fold Cartesian power of K_n, built as the iterated
+    `product("cartesian", ., K_n)`: vertices are d-tuples over 0..n-1
+    flattened in mixed radix n with the first coordinate most significant.
     """
     if n < 1 or d < 1:
         raise ParameterError(f"hamming needs n >= 1 and d >= 1, got ({n}, {d})")
-    total = n ** d
-    edges = set()
-    for x in range(total):
-        digits = []
-        y = x
-        for _ in range(d):
-            digits.append(y % n)
-            y //= n
-        digits.reverse()
-        for pos in range(d):
-            weight = n ** (d - 1 - pos)
-            for val in range(digits[pos] + 1, n):
-                edges.add((x, x + (val - digits[pos]) * weight))
-    return Graph(total, frozenset(edges))
+    g = k = complete(n)
+    for _ in range(d - 1):
+        g = product("cartesian", g, k)
+    return g
+
+
+# family -> (builder, number of integer parameters)
+_FAMILIES = {"complete": (complete, 1), "star": (star, 1), "cycle": (cycle, 1),
+             "path": (path, 1), "hamming": (hamming, 2)}
+
+NAMED_FAMILIES = tuple(_FAMILIES)
 
 
 def make_named_graph(family: str, params: Sequence[int]) -> Graph:
     """Build a named graph; see each family builder for vertex numbering."""
-    if family == "complete":
-        (n,) = _take_params(family, params, 1)
-        return complete(n)
-    if family == "star":
-        (k,) = _take_params(family, params, 1)
-        return star(k)
-    if family == "cycle":
-        (n,) = _take_params(family, params, 1)
-        return cycle(n)
-    if family == "path":
-        (n,) = _take_params(family, params, 1)
-        return path(n)
-    if family == "hamming":
-        n, d = _take_params(family, params, 2)
-        return hamming(n, d)
-    raise ParameterError(f"unknown graph family {family!r} (expected one of {NAMED_FAMILIES})")
-
-
-def _take_params(family, params, count):
+    if family not in _FAMILIES:
+        raise ParameterError(f"unknown graph family {family!r} (expected one of {NAMED_FAMILIES})")
+    build, count = _FAMILIES[family]
     params = list(params)
     if len(params) != count:
         raise ParameterError(f"{family} takes {count} parameter(s), got {params!r}")
-    return params
+    return build(*params)
 
 
 # ----------------------------------------------------------------------
@@ -195,90 +174,94 @@ def unflatten(x: int, n_second: int) -> ProductVertex:
     return divmod(x, n_second)
 
 
+# kind -> the second-coordinate pairs (b1, b2) joined across a first-factor
+# edge a1 < a2
+_ACROSS = {
+    "cartesian": lambda h: [(b, b) for b in range(h.n)],
+    "direct": lambda h: [*h.edges, *((b2, b1) for b1, b2 in h.edges)],
+    "lexicographic": lambda h: [(b1, b2) for b1 in range(h.n) for b2 in range(h.n)],
+    "strong": lambda h: _ACROSS["cartesian"](h) + _ACROSS["direct"](h),
+}
+
+
 def product(kind: str, g: Graph, h: Graph) -> Graph:
     """Product of g and h on |V(g)|*|V(h)| vertices under the fixed flattening.
 
-    cartesian: one coordinate fixed, the other moves along a factor edge.
-    direct: both coordinates move along factor edges.
-    strong: union of the cartesian and direct edge sets.
-    lexicographic: first coordinates adjacent, or equal with the second
-    coordinates adjacent.
+    One rule serves all four kinds: across each edge a1 < a2 of g, (a1, b1)
+    joins (a2, b2) for the kind's pairs in `_ACROSS`, and every kind except
+    direct joins (a, b1) to (a, b2) for each edge b1 < b2 of h.  So every
+    flattened pair is already ordered, and none is produced twice.
     """
     if kind not in PRODUCT_KINDS:
         raise ParameterError(f"unknown product kind {kind!r} (expected one of {PRODUCT_KINDS})")
     nh = h.n
-    edges: set[Edge] = set()
-    if kind in ("cartesian", "strong"):
-        for a in range(g.n):
-            for b1, b2 in h.edges:
-                edges.add(norm_edge(flatten(a, b1, nh), flatten(a, b2, nh)))
-        for a1, a2 in g.edges:
-            for b in range(h.n):
-                edges.add(norm_edge(flatten(a1, b, nh), flatten(a2, b, nh)))
-    if kind in ("direct", "strong"):
-        for a1, a2 in g.edges:
-            for b1, b2 in h.edges:
-                edges.add(norm_edge(flatten(a1, b1, nh), flatten(a2, b2, nh)))
-                edges.add(norm_edge(flatten(a1, b2, nh), flatten(a2, b1, nh)))
-    if kind == "lexicographic":
-        for a1, a2 in g.edges:
-            for b1 in range(h.n):
-                for b2 in range(h.n):
-                    edges.add(norm_edge(flatten(a1, b1, nh), flatten(a2, b2, nh)))
-        for a in range(g.n):
-            for b1, b2 in h.edges:
-                edges.add(norm_edge(flatten(a, b1, nh), flatten(a, b2, nh)))
-    return Graph(g.n * h.n, frozenset(edges))
+    blocks = [(g.edges, _ACROSS[kind](h))]
+    if kind != "direct":
+        blocks.append(([(a, a) for a in range(g.n)], h.edges))
+    return Graph(g.n * nh, frozenset((a1 * nh + b1, a2 * nh + b2)
+                                     for firsts, seconds in blocks
+                                     for a1, a2 in firsts for b1, b2 in seconds))
 
 
 # ----------------------------------------------------------------------
 # Structural routines
 
 
+def _bfs_forest(g: Graph, vertices: Sequence[int]) -> dict[int, tuple[Optional[int], int]]:
+    """BFS forest of the subgraph induced on the ascending `vertices`: each
+    tree is rooted at the lowest vertex not yet reached and visits neighbors
+    in ascending order.  Returns {vertex: (parent, depth)} in visit order; a
+    root's parent is None."""
+    inside = set(vertices)
+    reach: dict[int, tuple[Optional[int], int]] = {}
+    for root in vertices:
+        if root in reach:
+            continue
+        reach[root] = (None, 0)
+        queue = [root]
+        for u in queue:
+            depth = reach[u][1] + 1
+            for w in g.neighbors(u):
+                if w not in reach and w in inside:
+                    reach[w] = (u, depth)
+                    queue.append(w)
+    return reach
+
+
+def _odd_edge(g: Graph) -> tuple[dict[int, tuple[Optional[int], int]], Optional[Edge]]:
+    """The BFS forest of g and its least edge whose ends have depths of equal
+    parity, or None in its place when there is none (g is bipartite)."""
+    forest = _bfs_forest(g, range(g.n))
+    for u in range(g.n):
+        side = forest[u][1] & 1
+        for w in g.neighbors(u):
+            if w > u and forest[w][1] & 1 == side:
+                return forest, (u, w)
+    return forest, None
+
+
 def components(g: Graph) -> list[tuple[int, ...]]:
     """Connected components as sorted vertex tuples, ordered by lowest vertex."""
-    seen = [False] * g.n
-    out = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(tuple(sorted(comp)))
-    return out
+    comps: list[list[int]] = []
+    for v, (parent, _) in _bfs_forest(g, range(g.n)).items():
+        if parent is None:
+            comps.append([])
+        comps[-1].append(v)
+    return [tuple(sorted(c)) for c in comps]
 
 
 def is_bipartite(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Return a bipartition (part1, part2) or None if an odd cycle exists.
 
-    Deterministic: BFS from the lowest-id vertex of each component, neighbors
-    in ascending order, component roots (and isolated vertices) in part 1.
+    Deterministic: the parts are the even and odd depths of the BFS forest
+    (lowest-id root of each component, neighbors in ascending order), so
+    component roots and isolated vertices are in part 1.
     """
-    side = [0] * g.n  # 0 unvisited, 1 or 2
-    for root in range(g.n):
-        if side[root]:
-            continue
-        side[root] = 1
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in g.neighbors(u):
-                if side[w] == 0:
-                    side[w] = 3 - side[u]
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return None
-    part1 = tuple(v for v in range(g.n) if side[v] == 1)
-    part2 = tuple(v for v in range(g.n) if side[v] == 2)
-    return part1, part2
+    forest, edge = _odd_edge(g)
+    if edge is not None:
+        return None
+    return (tuple(v for v in range(g.n) if not forest[v][1] & 1),
+            tuple(v for v in range(g.n) if forest[v][1] & 1))
 
 
 def find_odd_cycle(g: Graph) -> Optional[list[int]]:
@@ -288,42 +271,19 @@ def find_odd_cycle(g: Graph) -> Optional[list[int]]:
     edge in ascending edge order; the cycle is closed through the nearest
     common ancestor.
     """
-    side = [0] * g.n
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    for root in range(g.n):
-        if side[root]:
-            continue
-        side[root] = 1
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in g.neighbors(u):
-                if side[w] == 0:
-                    side[w] = 3 - side[u]
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
-                    queue.append(w)
-    for u, v in sorted(g.edges):
-        if side[u] != side[v]:
-            continue
-        # Same BFS color: close an odd cycle through the common ancestor.
-        cu, cv = u, v
-        up_u, up_v = [], []
-        while depth[cu] > depth[cv]:
-            up_u.append(cu)
-            cu = parent[cu]
-        while depth[cv] > depth[cu]:
-            up_v.append(cv)
-            cv = parent[cv]
-        while cu != cv:
-            up_u.append(cu)
-            up_v.append(cv)
-            cu = parent[cu]
-            cv = parent[cv]
-        # Ancestor, down to u, across the conflict edge, back up from v.
-        return [cu] + up_u[::-1] + up_v
-    return None
+    forest, edge = _odd_edge(g)
+    if edge is None:
+        return None
+    # The ends of an edge differ in BFS depth by at most one, so a conflict
+    # edge joins equal depths: climb both ends in step to their ancestor.
+    u, v = edge
+    up_u, up_v = [], []
+    while u != v:
+        up_u.append(u)
+        up_v.append(v)
+        u, v = forest[u][0], forest[v][0]
+    # Ancestor, down to u, across the conflict edge, back up from v.
+    return [u] + up_u[::-1] + up_v
 
 
 def spanning_tree(g: Graph, vertices: Iterable[int]) -> frozenset[Edge]:
@@ -339,22 +299,11 @@ def spanning_tree(g: Graph, vertices: Iterable[int]) -> frozenset[Edge]:
     for v in verts:
         if not (0 <= v < g.n):
             raise ParameterError(f"vertex {v} outside host graph of order {g.n}")
-    vset = set(verts)
-    root = verts[0]
-    seen = {root}
-    queue = [root]
-    tree: set[Edge] = set()
-    while queue:
-        u = queue.pop(0)
-        for w in g.neighbors(u):
-            if w in vset and w not in seen:
-                seen.add(w)
-                tree.add(norm_edge(u, w))
-                queue.append(w)
-    if len(seen) != len(verts):
-        missing = min(v for v in verts if v not in seen)
-        raise StructureError(f"vertex {missing} is separated from {root} within the requested set")
-    return frozenset(tree)
+    forest = _bfs_forest(g, verts)
+    roots = [v for v, (parent, _) in forest.items() if parent is None]
+    if len(roots) > 1:
+        raise StructureError(f"vertex {roots[1]} is separated from {roots[0]} within the requested set")
+    return frozenset(norm_edge(parent, w) for w, (parent, _) in forest.items() if parent is not None)
 
 
 # ----------------------------------------------------------------------

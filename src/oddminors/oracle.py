@@ -25,7 +25,7 @@ from typing import Optional
 from .constructions import odd_cycle_model, single_edge_model, singleton_model
 from .errors import ParameterError, SearchTimeout
 from .expansion import OddExpansionModel, branch_tree, least_monochromatic_edge
-from .graphs import Graph, is_bipartite, spanning_tree
+from .graphs import Graph, spanning_tree
 
 
 @dataclass(frozen=True)
@@ -306,9 +306,10 @@ def has_odd_clique_minor(g: Graph, r: int,
 def odd_hadwiger(g: Graph, budget: Optional[SearchBudget] = None) -> ExactResult:
     """Exact odd clique minor number with certificate.
 
-    Fast paths: an edgeless graph has value 1 and a bipartite graph with an
-    edge has value 2, both without search.  Otherwise the value is at least
-    3 (odd cycle); instances within the size cap run iterative deepening
+    Fast paths: an edgeless graph has value 1, and a graph with an edge but
+    no odd cycle (`odd_cycle_model` returns None, so it is bipartite) has
+    value 2, both without search.  Otherwise the odd cycle's certificate
+    gives at least 3; instances within the size cap run iterative deepening
     until some order is exhaustively refuted.
     """
     if g.n < 1:
@@ -318,10 +319,10 @@ def odd_hadwiger(g: Graph, budget: Optional[SearchBudget] = None) -> ExactResult
     if g.m == 0:
         return ExactResult("exact", 1, singleton_model(g), None, 0,
                            time.monotonic() - t0)
-    if is_bipartite(g) is not None:
+    cycle_cert = odd_cycle_model(g)
+    if cycle_cert is None:
         return ExactResult("exact", 2, single_edge_model(g), None, 0,
                            time.monotonic() - t0)
-    cycle_cert = odd_cycle_model(g)
     if g.n > budget.max_vertices:
         return ExactResult("lower_bound_only", 3, cycle_cert, None, 0,
                            time.monotonic() - t0)

@@ -374,6 +374,27 @@ def test_verifier_rejects_ids_that_are_not_plain_ints(model, clause):
         parse_model(serialize_model(model, C5.content_hash()))
 
 
+# Ids that do not compare with ints: the verifier raised TypeError while
+# sorting them, and the model while ordering a connector key or endpoint.
+@pytest.mark.parametrize("make, clause, trees, vertices", [
+    (lambda: OddExpansionModel((branch_tree(["a", 1]),), {1: 1}), "tree_shape", (0,), ("a",)),
+    (lambda: OddExpansionModel((BranchTree(frozenset({"a", 1, 2}), frozenset({(1, 2), ("a", 1)})),),
+                               {1: 1, 2: 2}), "tree_shape", (0,), ("a",)),
+    (lambda: OddExpansionModel((branch_tree(["a", 1], [("a", 1)]),), {1: 1}),
+     "tree_shape", (0,), ("a",)),
+    (lambda: OddExpansionModel((branch_tree([0]), branch_tree([2])), {0: 1, "x": 1, 2: 1}),
+     "coloring_missing", (), ("x",)),
+    (lambda: _c5_with(connectors={(0, "b"): (0, 1)}), "connector_invalid", (0, "b"), ()),
+    (lambda: _c5_with(connectors={("b", 0): (0, 1), (7, 0): (0, 1)}),
+     "connector_invalid", (0, 7), ()),
+    (lambda: _c5_with(connectors={(0, 1): (0, "b")}), "connector_invalid", (0, 1), ()),
+], ids=["tree-vertex", "tree-edge-as-stored", "tree-edge", "color-key", "connector-key",
+        "connector-keys-str-and-int", "connector-endpoint"])
+def test_verifier_gives_a_verdict_on_ids_of_mixed_types(make, clause, trees, vertices):
+    verdict = verify_odd_expansion(C5, make())
+    assert (verdict.clause, verdict.trees, verdict.vertices) == (clause, trees, vertices)
+
+
 @pytest.mark.parametrize("note", ["a\nb", "a\r\nb", "x\u2028y", "end\n", "\x0b", "\n"])
 def test_note_with_a_line_break_is_refused(note):
     with pytest.raises(ParameterError):
@@ -388,9 +409,10 @@ def test_note_round_trips():
 @st.composite
 def perturbed_certificates(draw):
     """An oracle certificate on a small host with an odd cycle, then
-    perturbed: stored connectors dropped or given keys out of range, colors
-    replaced by values of other types, extra colored vertices, vertex 1
-    renamed True, notes drawn with and without line breaks.  Returns the
+    perturbed: stored connectors dropped or given keys out of range or of
+    type str, colors replaced by values of other types, extra colored
+    vertices (True and "x" among them), vertex 1 renamed True or "a", notes
+    drawn with and without line breaks.  Returns the
     host and the model's fields, since a note with a line break is refused
     when the model is made."""
     n = draw(st.integers(3, 7))
@@ -401,15 +423,16 @@ def perturbed_certificates(draw):
     coloring = dict(model.coloring)
     connectors = None if draw(st.booleans()) else dict(model.connectors)
     if connectors is not None and draw(st.booleans()):
-        i, j = draw(st.integers(0, r + 2)), draw(st.integers(0, r + 2))
+        key = st.one_of(st.integers(0, r + 2), st.just("b"))
+        i, j = draw(key), draw(key)
         connectors[(i, j)] = draw(st.sampled_from(sorted(g.edges)))
     for _ in range(draw(st.integers(0, 2))):
-        v = draw(st.one_of(st.integers(-1, n + 1), st.just(True)))
+        v = draw(st.one_of(st.integers(-1, n + 1), st.sampled_from((True, "x"))))
         coloring[v] = draw(st.sampled_from((1, 2, True, False, 0, 3, 1.0)))
     trees = model.trees
-    if draw(st.booleans()):
-        trees = tuple(BranchTree(frozenset(True if v == 1 else v for v in t.vertices), t.edges)
-                      for t in trees)
+    rename = draw(st.sampled_from((1, True, "a")))
+    trees = tuple(BranchTree(frozenset(rename if v == 1 else v for v in t.vertices), t.edges)
+                  for t in trees)
     notes = draw(st.lists(st.text(st.sampled_from("a :=\n\r\u2028\x85"), max_size=3),
                           max_size=2))
     return g, (trees, coloring, connectors, tuple(notes))
