@@ -28,9 +28,7 @@ FAIL_CLAUSES = (
 
 
 def _id_key(x):
-    """Sort key for ids of any type: numbers by value, then the rest by repr.
-    Plain ints keep their order, and a stray 'a' among them fails the clause
-    that checks it instead of raising TypeError on comparison."""
+    """Numbers by value, then the rest by repr: a total order on ids of any type."""
     return (0, x) if isinstance(x, (int, float)) else (1, repr(x))
 
 
@@ -38,11 +36,23 @@ def _pair_key(pair):
     return tuple(map(_id_key, pair))
 
 
+def _sorted_ids(ids, key=_id_key) -> list:
+    """The one ordering rule for ids: their own order where they compare (int
+    ids sort with no key function), `key` order where they do not (a str
+    among ints), so that such an id fails the clause that checks it instead
+    of raising TypeError."""
+    try:
+        return sorted(ids)
+    except TypeError:
+        return sorted(ids, key=key)
+
+
 def _ordered(u, v) -> tuple:
-    """The pair in `_id_key` order, as `norm_edge` orders ints."""
-    if type(u) is type(v) is int:
+    """The pair in `_sorted_ids` order, as `norm_edge` orders ints."""
+    try:
         return (u, v) if u < v else (v, u)
-    return (u, v) if _id_key(u) <= _id_key(v) else (v, u)
+    except TypeError:
+        return (u, v) if _id_key(u) <= _id_key(v) else (v, u)
 
 
 @dataclass(frozen=True)
@@ -59,11 +69,11 @@ class BranchTree:
 
     @property
     def sorted_vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.vertices, key=_id_key))
+        return tuple(_sorted_ids(self.vertices))
 
     @property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges, key=_pair_key))
+        return tuple(_sorted_ids(self.edges, _pair_key))
 
 
 def branch_tree(vertices: Iterable[int], edges: Iterable[Edge] = ()) -> BranchTree:
@@ -232,7 +242,7 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
             if not _is_color(coloring.get(v)):
                 return _fail("coloring_missing", trees=(i,), vertices=(v,),
                              message=f"vertex {v} of tree {i} has no valid color")
-    for v in sorted(coloring, key=_id_key):
+    for v in _sorted_ids(coloring):
         if not _is_vertex(v, g):
             return _fail("coloring_missing", vertices=(v,),
                          message=f"colored vertex {v!r} is outside the host")
@@ -247,11 +257,10 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
                              message=f"tree {i} edge {u}-{v} is monochromatic")
 
     stored = model.connectors or {}
-    bad_key = min((key for key in stored if not (type(key[0]) is type(key[1]) is int
-                                                 and 0 <= key[0] < key[1] < r)),
-                  key=_pair_key, default=None)
-    if bad_key is not None:
-        i, j = bad_key
+    bad_keys = _sorted_ids([key for key in stored if not (type(key[0]) is type(key[1]) is int
+                                                          and 0 <= key[0] < key[1] < r)], _pair_key)
+    if bad_keys:
+        i, j = bad_keys[0]
         return _fail("connector_invalid", trees=(i, j), edges=(stored[i, j],),
                      message=f"stored connector key ({i},{j}) is not a pair of the {r} trees")
     for i in range(r):

@@ -109,7 +109,13 @@ def test_bipartite_examples():
     assert gr.is_bipartite(gr.Graph(3, frozenset())) == ((0, 1, 2), ())
 
 
-@pytest.mark.parametrize("g", SAMPLE_FACTORS + [gr.hamming(2, 3), gr.star(5)])
+# One product host per kind on a bipartite and on a non-bipartite factor
+# pair; the direct one of the bipartite pair is disconnected.
+PRODUCT_HOSTS = [gr.product(kind, g, h) for kind in gr.PRODUCT_KINDS
+                 for g, h in [(gr.path(3), gr.cycle(3)), (gr.cycle(4), gr.star(2))]]
+
+
+@pytest.mark.parametrize("g", SAMPLE_FACTORS + [gr.hamming(2, 3), gr.star(5)] + PRODUCT_HOSTS)
 def test_bipartition_has_no_intra_part_edges(g):
     parts = gr.is_bipartite(g)
     if parts is None:
@@ -156,7 +162,7 @@ def test_spanning_tree_examples():
     (gr.complete(5), [1, 2, 4]),
     (gr.hamming(3, 2), range(9)),
     (gr.product("strong", gr.cycle(5), gr.complete(2)), range(10)),
-])
+] + [(g, comp) for g in PRODUCT_HOSTS for comp in gr.components(g)])
 def test_spanning_tree_is_spanning_acyclic_connected(g, verts):
     verts = list(verts)
     tree = gr.spanning_tree(g, verts)
