@@ -395,10 +395,65 @@ PINNED_CERTIFICATES = [
     (_c5_strong_c3_exact,
      "1ecd91e69ab3acd4c3cee6d1b6da8957fa624ca68c7ccd9b8713237ffa430851"),
 ]
+PINNED_IDS = ["direct-k3-12", "direct-general-12-9", "exact-c5-strong-c3"]
 
 
-@pytest.mark.parametrize("build, digest", PINNED_CERTIFICATES,
-                         ids=["direct-k3-12", "direct-general-12-9", "exact-c5-strong-c3"])
+def _grid(kind, first, second):
+    """`kind` product certificate of two certified factors (g, mg), (h, mh)."""
+    (g, mg), (h, mh) = first, second
+    if kind == "cartesian":
+        return gr.product(kind, g, h), cons.cartesian_lift(g, mg, h, mh)
+    return gr.product(kind, g, h), cons.strong_model(g, mg, h, mh, kind)
+
+
+def _cycle(n):
+    return gr.cycle(n), cons.odd_cycle_model(gr.cycle(n))
+
+
+def _base_3_3():
+    base = cons.cartesian_complete_model(3, 3)
+    return base.host(), base.model
+
+
+def _best_direct_k3_k7():
+    k3, k7 = gr.complete(3), gr.complete(7)
+    found = cons.best_lower_bound(k3, cons.identity_model(k3), k7, cons.identity_model(k7), "direct")
+    return gr.product("direct", k3, k7), found[1]
+
+
+# Cells that are real grids, with same-row, same-column and diagonal joints,
+# the t == 6 substitutions and the coordinate swaps.
+PINNED_CERTIFICATES += [
+    (lambda: _grid("strong", _cycle(9), _cycle(7)),
+     "306a730851be0b283b3ea8210f07df58e33201cae9e994c484ee9f08f5d4d415"),
+    (lambda: _grid("lexicographic", _cycle(9), _cycle(7)),
+     "d6b6d1311c2cf269855906f4777e992de7828f567772f484802e6feb5b9272cf"),
+    (lambda: _grid("strong", _base_3_3(), _cycle(5)),
+     "886181e0a936554822c9c170ed7e128ad47aa8e18828d9249e839118e836537a"),
+    (lambda: _grid("cartesian", _cycle(7), _cycle(9)),
+     "d8adb70b8437024a7e3636214b19d8afa248f074589cec4e074eab7ea6b2d58d"),
+    (lambda: (gr.hamming(4, 3), cons.hamming_model(4, 3)),
+     "621d775203bf1738ff98a1709c658165af81d8f4619679da4848015c4dd32305"),
+    (lambda: (gr.product("direct", gr.complete(6), gr.complete(3)), cons.direct_k3_model(6)),
+     "c2fdd04506f89c04b94ef8148278619c86d68fb94fa2e62459293aedcafc886f"),
+    (lambda: (gr.product("direct", gr.complete(9), gr.complete(3)), cons.direct_k3_model(9)),
+     "860f27a5fc5297772bf3b9b4d70ea229b587d99f0c02a2da6277e4fec2cc8896"),
+    (lambda: (gr.product("direct", gr.complete(5), gr.complete(7)),
+              cons.direct_general_model(5, 7)),
+     "7f56e82869b2cfe91cdc077576c77806beaedceff634fe6166519d9bccce9755"),
+    (lambda: (gr.product("strong", gr.star(4), gr.star(7)), cons.star_model(4, 7)),
+     "a9c35b41086dc42f1bdb2ea47369e1c70b24ae760a4561dbf71afe897161622c"),
+    (lambda: (gr.product("strong", gr.star(7), gr.star(4)), cons.star_model(7, 4)),
+     "f40006774f1a9193c08217565742b3a93a9673ffe8776f3b1aafda1130565100"),
+    (_best_direct_k3_k7,
+     "51e8b2193d0a7b5f5d7a4cdeb6dac3e42a4c84d256a5fe72668e9ac57efce53c"),
+]
+PINNED_IDS += ["strong-c9-c7", "lex-c9-c7", "strong-k3k3-c5", "lift-c7-c9", "hamming-4-3",
+               "direct-k3-6", "direct-k3-9", "direct-general-5-7", "stars-4-7", "stars-7-4",
+               "best-direct-k3-k7"]
+
+
+@pytest.mark.parametrize("build, digest", PINNED_CERTIFICATES, ids=PINNED_IDS)
 def test_certificate_bytes_are_pinned(build, digest):
     host, model = build()
     text = serialize_model(model, host.content_hash())
