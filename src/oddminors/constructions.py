@@ -11,14 +11,15 @@ boundary only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Mapping, Optional
 
 from .errors import (ColoringMissingError, ConsistencyError, FactorModelError,
                      ParameterError)
 from .expansion import (BranchTree, OddExpansionModel, branch_tree,
                         monochromatic_connector, verify_odd_expansion)
-from .graphs import (PRODUCT_KINDS, Edge, Graph, complete, flatten, hamming,
-                     norm_edge, find_odd_cycle, product, spanning_tree, star)
+from .graphs import (PRODUCT_KINDS, Edge, Graph, complete, find_odd_cycle, flatten,
+                     graph_from_edges, hamming, product, spanning_tree, star)
 
 
 # ----------------------------------------------------------------------
@@ -74,9 +75,9 @@ def odd_cycle_model(g: Graph) -> Optional[OddExpansionModel]:
         branch_tree(right, zip(right, right[1:])),
     )
     connectors = {
-        (0, 1): norm_edge(anchor, left[0]),
-        (0, 2): norm_edge(anchor, right[-1]),
-        (1, 2): norm_edge(left[-1], right[0]),
+        (0, 1): (anchor, left[0]),
+        (0, 2): (anchor, right[-1]),
+        (1, 2): (left[-1], right[0]),
     }
     return OddExpansionModel(trees, coloring, connectors)
 
@@ -112,84 +113,87 @@ class GridForest:
 
     Cell (i, j) spans tree i of the first factor times tree j of the second,
     connected through factor tree edges only; the coloring combines the two
-    witness colorings; cross_edges stores one monochromatic host edge for
-    every same-row or same-column cell pair, keyed by the sorted cell pair.
+    witness colorings.  `first[i1, i2]` is the joint of first-factor trees
+    i1 and i2, tree i1's end first: their connector when i1 != i2, the
+    tree's least vertex twice when i1 == i2; `second` is the same table for
+    the second factor.  `cell_edge` pairs a first joint with a second joint,
+    so one rule joins every two cells, whether they share a row, a column
+    or neither.
     """
 
     s: int
     t: int
     cells: Mapping[tuple[int, int], BranchTree]
     coloring: Mapping[int, int]
-    cross_edges: Mapping[tuple[tuple[int, int], tuple[int, int]], Edge]
+    first: Mapping[tuple[int, int], Edge]
+    second: Mapping[tuple[int, int], Edge]
+    n_second: int
 
-    def cell_pair_edge(self, a: tuple[int, int], b: tuple[int, int]) -> Edge:
-        key = (a, b) if a < b else (b, a)
-        return self.cross_edges[key]
+    def cell_edge(self, a: tuple[int, int], b: tuple[int, int]) -> Edge:
+        """The monochromatic host edge joining cell a to cell b, cell a's end
+        first.  It is a box-product edge when the cells share a row or a
+        column, and a strong-product edge in every case."""
+        (a1, a2), (b1, b2) = self.first[a[0], b[0]], self.second[a[1], b[1]]
+        u, v = flatten(a1, b1, self.n_second), flatten(a2, b2, self.n_second)
+        if self.coloring[u] != self.coloring[v]:
+            raise ConsistencyError(f"cell edge {u}-{v} for {a}, {b} is not monochromatic")
+        return u, v
 
 
-def _require_valid_factor(g: Graph, model: OddExpansionModel, name: str):
+def _require_valid(g: Graph, model: OddExpansionModel, name: str):
     verdict = verify_odd_expansion(g, model)
     if not verdict.passed:
-        raise FactorModelError(f"{name} factor model fails verification: {verdict.summary()}",
+        raise FactorModelError(f"{name} model fails verification: {verdict.summary()}",
                                verdict=verdict)
+
+
+def _joints(g: Graph, model: OddExpansionModel) -> dict[tuple[int, int], Edge]:
+    """The joint table of one factor: one connector per tree pair, stored in
+    both orientations, and the least vertex twice for a tree with itself."""
+    joints = {}
+    for i, tree in enumerate(model.trees):
+        low = min(tree.vertices)
+        joints[i, i] = (low, low)
+        for j in range(i):
+            u, v = monochromatic_connector(g, model, j, i)
+            joints[j, i], joints[i, j] = (u, v), (v, u)
+    return joints
+
+
+def _ranked(tree: BranchTree) -> tuple[tuple[int, ...], Graph]:
+    """The tree's vertices ascending, and the tree relabelled to their ranks."""
+    verts = tree.sorted_vertices
+    rank = {v: k for k, v in enumerate(verts)}
+    return verts, graph_from_edges(len(verts), ((rank[u], rank[v]) for u, v in tree.edges))
 
 
 def product_grid_forest(g: Graph, mg: OddExpansionModel,
                         h: Graph, mh: OddExpansionModel) -> GridForest:
-    """Build the cell grid shared by the box-product and strong-product
-    constructions.
+    """Build the cell grid shared by the box-product, strong-product and
+    lexicographic constructions.
 
-    Each cell is the deterministic BFS spanning tree of the grid formed by
-    the two factor trees (those edges exist in both product modes).  Cross
-    edges for same-row pairs ride the second factor's connector at the
-    lowest first-factor vertex of the row, and symmetrically for columns;
-    both choices realize the lexicographically least monochromatic edge of
-    their candidate family.
+    Each cell is the deterministic BFS spanning tree of the box product of
+    its two factor trees, built on the trees relabelled to ranks and mapped
+    back to host ids; ranks keep the order of the flattened ids, so the BFS
+    is the one the host would run on the cell.  Each factor's connectors
+    are selected once per tree pair, for the joint tables.
     """
-    _require_valid_factor(g, mg, "first")
-    _require_valid_factor(h, mh, "second")
-    s, t = mg.clique_order, mh.clique_order
+    _require_valid(g, mg, "first factor")
+    _require_valid(h, mh, "second factor")
     nh = h.n
-    n_host = g.n * h.n
-
+    rows = [_ranked(tree) for tree in mg.trees]
+    cols = [_ranked(tree) for tree in mh.trees]
     cells = {}
-    for i, si in enumerate(mg.trees):
-        for j, tj in enumerate(mh.trees):
-            verts = frozenset(flatten(a, b, nh)
-                              for a in si.vertices for b in tj.vertices)
-            grid_edges = set()
-            for a in si.vertices:
-                for b1, b2 in tj.edges:
-                    grid_edges.add(norm_edge(flatten(a, b1, nh), flatten(a, b2, nh)))
-            for a1, a2 in si.edges:
-                for b in tj.vertices:
-                    grid_edges.add(norm_edge(flatten(a1, b, nh), flatten(a2, b, nh)))
-            grid = Graph(n_host, frozenset(grid_edges))
-            cells[(i, j)] = BranchTree(verts, spanning_tree(grid, verts))
-
-    domain = [(a, b) for i, si in enumerate(mg.trees) for a in si.vertices
-              for j, tj in enumerate(mh.trees) for b in tj.vertices]
+    for i, (va, ta) in enumerate(rows):
+        for j, (vb, tb) in enumerate(cols):
+            ids = [flatten(a, b, nh) for a in va for b in vb]
+            grid = product("cartesian", ta, tb)
+            cells[i, j] = BranchTree(frozenset(ids), frozenset(
+                (ids[x], ids[y]) for x, y in spanning_tree(grid, range(grid.n))))
+    domain = [(a, b) for va, _ in rows for a in va for vb, _ in cols for b in vb]
     coloring = witness_product_coloring(mg.coloring, mh.coloring, domain, nh)
-
-    cross = {}
-    for i, si in enumerate(mg.trees):
-        row_anchor = min(si.vertices)
-        for j1 in range(t):
-            for j2 in range(j1 + 1, t):
-                b1, b2 = monochromatic_connector(h, mh, j1, j2)
-                e = norm_edge(flatten(row_anchor, b1, nh), flatten(row_anchor, b2, nh))
-                cross[((i, j1), (i, j2))] = e
-    for j, tj in enumerate(mh.trees):
-        col_anchor = min(tj.vertices)
-        for i1 in range(s):
-            for i2 in range(i1 + 1, s):
-                a1, a2 = monochromatic_connector(g, mg, i1, i2)
-                e = norm_edge(flatten(a1, col_anchor, nh), flatten(a2, col_anchor, nh))
-                cross[((i1, j), (i2, j))] = e
-    for key, (u, v) in cross.items():
-        if coloring[u] != coloring[v]:
-            raise ConsistencyError(f"cell cross edge {u}-{v} for {key} is not monochromatic")
-    return GridForest(s, t, cells, coloring, cross)
+    return GridForest(len(rows), len(cols), cells, coloring,
+                      _joints(g, mg), _joints(h, mh), nh)
 
 
 # ----------------------------------------------------------------------
@@ -254,11 +258,12 @@ def cartesian_lift(g: Graph, mg: OddExpansionModel,
     cliques to the box product of the actual factors.
 
     Each base tree pulls back to the union of its grid cells, joined by the
-    stored monochromatic cross edges (base trees only use box-product edges,
-    so every joint is a same-row or same-column pair).  A cell keeps the
-    combined coloring where its base vertex is colored 1 and takes the
-    swapped coloring where it is colored 2, which makes the joining edges
-    bichromatic and the pair connectors monochromatic again.
+    grid's `cell_edge`s, which also serve as the pair connectors (base trees
+    and connectors only use box-product edges, so every pair of cells is a
+    same-row or same-column pair).  A cell keeps the combined coloring where
+    its base vertex is colored 1 and takes the swapped coloring where it is
+    colored 2, which makes the joining edges bichromatic and the pair
+    connectors monochromatic again.
     """
     gf = product_grid_forest(g, mg, h, mh)
     s, t = gf.s, gf.t
@@ -268,12 +273,9 @@ def cartesian_lift(g: Graph, mg: OddExpansionModel,
         raise ParameterError(
             f"base is for factor orders ({base.s}, {base.t}), models have ({s}, {t})")
     base_host = base.host()
-    verdict = verify_odd_expansion(base_host, base.model)
-    if not verdict.passed:
-        raise FactorModelError(f"base model fails verification: {verdict.summary()}",
-                               verdict=verdict)
+    _require_valid(base_host, base.model, "base")
 
-    cell_of = lambda x: (x // t, x % t)
+    cell_of = lambda x: divmod(x, t)
     trees = []
     coloring: dict[int, int] = {}
     for rk in base.model.trees:
@@ -286,16 +288,13 @@ def cartesian_lift(g: Graph, mg: OddExpansionModel,
             keep = base.model.coloring[x] == 1
             for v in cell.vertices:
                 coloring[v] = gf.coloring[v] if keep else 3 - gf.coloring[v]
-        for x, y in rk.sorted_edges:
-            edges.add(gf.cell_pair_edge(cell_of(x), cell_of(y)))
-        trees.append(BranchTree(frozenset(verts), frozenset(edges)))
+        edges.update(gf.cell_edge(cell_of(x), cell_of(y)) for x, y in rk.edges)
+        trees.append(branch_tree(verts, edges))
 
-    m = base.model.clique_order
     connectors = {}
-    for k1 in range(m):
-        for k2 in range(k1 + 1, m):
-            x, y = monochromatic_connector(base_host, base.model, k1, k2)
-            connectors[(k1, k2)] = gf.cell_pair_edge(cell_of(x), cell_of(y))
+    for k1, k2 in combinations(range(base.model.clique_order), 2):
+        x, y = monochromatic_connector(base_host, base.model, k1, k2)
+        connectors[k1, k2] = gf.cell_edge(cell_of(x), cell_of(y))
     return OddExpansionModel(tuple(trees), coloring, connectors)
 
 
@@ -307,11 +306,9 @@ def hamming_model(n: int, d: int) -> OddExpansionModel:
         raise ParameterError(f"needs n >= 2 and d >= 1, got ({n}, {d})")
     kn = complete(n)
     model = identity_model(kn)
-    host = kn
-    for _ in range(d - 1):
-        model = cartesian_lift(host, model, kn, identity_model(kn),
+    for k in range(1, d):
+        model = cartesian_lift(hamming(n, k), model, kn, identity_model(kn),
                                base=cartesian_complete_model(model.clique_order, n))
-        host = product("cartesian", host, kn)
     return model
 
 
@@ -324,36 +321,21 @@ def strong_model(g: Graph, mg: OddExpansionModel,
                  kind: str = "strong") -> OddExpansionModel:
     """Order s*t certificate on the strong (or lexicographic) product.
 
-    All s*t grid cells become trees under the combined coloring.  Same-row
-    and same-column pairs use the grid cross edges; for pairs differing in
-    both coordinates the two factor connectors combine into one diagonal
-    edge whose endpoints agree in color.  The strong-product edge set is
-    contained in the lexicographic one, so the same certificate serves both.
+    All s*t grid cells become trees under the combined coloring, in row-major
+    order, and every pair of cells is joined by the grid's `cell_edge`: a
+    same-row or same-column edge, or a diagonal one whose endpoints agree in
+    color.  The strong-product edge set is contained in the lexicographic
+    one, so the same certificate serves both.
     """
     if kind not in ("strong", "lexicographic"):
         raise ParameterError(f"kind must be strong or lexicographic, got {kind!r}")
     gf = product_grid_forest(g, mg, h, mh)
-    s, t = gf.s, gf.t
-    nh = h.n
-    trees = tuple(gf.cells[(i, j)] for i in range(s) for j in range(t))
-    connectors = {}
-    for i1 in range(s):
-        for j1 in range(t):
-            k1 = i1 * t + j1
-            for i2 in range(s):
-                for j2 in range(t):
-                    k2 = i2 * t + j2
-                    if k2 <= k1:
-                        continue
-                    if i1 == i2 or j1 == j2:
-                        connectors[(k1, k2)] = gf.cell_pair_edge((i1, j1), (i2, j2))
-                    else:
-                        a1, a2 = monochromatic_connector(g, mg, i1, i2)
-                        b1, b2 = monochromatic_connector(h, mh, j1, j2)
-                        connectors[(k1, k2)] = norm_edge(flatten(a1, b1, nh),
-                                                         flatten(a2, b2, nh))
+    cells = sorted(gf.cells)
+    trees = tuple(gf.cells[c] for c in cells)
+    connectors = {(k1, k2): gf.cell_edge(a, b)
+                  for (k1, a), (k2, b) in combinations(enumerate(cells), 2)}
     notes = ()
-    if s < 2 or t < 2:
+    if gf.s < 2 or gf.t < 2:
         notes = ("degenerate factor: an input certificate has order below 2",)
     return OddExpansionModel(trees, dict(gf.coloring), connectors, notes)
 
@@ -391,12 +373,12 @@ def star_model(r: int, t: int) -> OddExpansionModel:
     connectors = {}
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            connectors[(i - 1, j - 1)] = norm_edge(fl(i, 0), fl(0, j))
-        connectors[(i - 1, r)] = norm_edge(fl(i, 0), center)
+            connectors[(i - 1, j - 1)] = (fl(i, 0), fl(0, j))
+        connectors[(i - 1, r)] = (fl(i, 0), center)
         if t > r:
-            connectors[(i - 1, r + 1)] = norm_edge(fl(i, 0), fl(0, t))
+            connectors[(i - 1, r + 1)] = (fl(i, 0), fl(0, t))
     if t > r:
-        connectors[(r, r + 1)] = norm_edge(center, fl(0, t))
+        connectors[(r, r + 1)] = (center, fl(0, t))
     return OddExpansionModel(tuple(trees), coloring, connectors)
 
 
@@ -404,14 +386,13 @@ def _swap_product_model(model: OddExpansionModel, n1: int, n2: int) -> OddExpans
     """Transport a certificate across the coordinate swap between A * B and
     B * A (valid for the coordinate-symmetric products)."""
     remap = lambda x: (x % n2) * n1 + (x // n2)
-    trees = tuple(BranchTree(frozenset(remap(v) for v in t.vertices),
-                             frozenset(norm_edge(remap(u), remap(v)) for u, v in t.edges))
+    trees = tuple(branch_tree(map(remap, t.vertices),
+                              ((remap(u), remap(v)) for u, v in t.edges))
                   for t in model.trees)
     coloring = {remap(v): c for v, c in model.coloring.items()}
     connectors = None
     if model.connectors is not None:
-        connectors = {pair: norm_edge(remap(u), remap(v))
-                      for pair, (u, v) in model.connectors.items()}
+        connectors = {pair: (remap(u), remap(v)) for pair, (u, v) in model.connectors.items()}
     return OddExpansionModel(trees, coloring, connectors, model.notes)
 
 
@@ -494,14 +475,37 @@ def _alternate_path_coloring(ids: list[int], anchor: int, color: int) -> dict[in
     return {v: color if (k - at) % 2 == 0 else 3 - color for k, v in enumerate(ids)}
 
 
+def _path_model(host: Graph, specs, fixed: Mapping[tuple[int, int], Edge]) -> OddExpansionModel:
+    """Certificate whose trees are the paths of `specs`, (ids, anchor, color)
+    each, colored by alternation from the anchor's color.  Connectors are
+    the entries of `fixed`, keyed by 0-based tree pair, then the least
+    monochromatic edge for every other pair; a pair with none raises
+    ConsistencyError."""
+    trees = []
+    coloring: dict[int, int] = {}
+    for ids, anchor, color in specs:
+        trees.append(branch_tree(ids, zip(ids, ids[1:])))
+        coloring.update(_alternate_path_coloring(ids, anchor, color))
+    model = OddExpansionModel(tuple(trees), coloring)
+    connectors = dict(fixed)
+    for a, b in combinations(range(len(trees)), 2):
+        if (a, b) not in connectors:
+            try:
+                connectors[a, b] = monochromatic_connector(host, model, a, b)
+            except LookupError:
+                raise ConsistencyError(f"no monochromatic edge between trees {a} and {b}")
+    return OddExpansionModel(model.trees, coloring, connectors)
+
+
 def direct_k3_model(t: int) -> OddExpansionModel:
     """Order t+2 certificate on the direct product K_t x K_3, t >= 6.
 
     Eight catalogued trees cover the first rows; trees 9..t+2 are paths laid
     out by parity (odd rows route through column 1, even rows through column
-    2, the last row doubles back on row t).  Connectors: the catalogue for
-    pairs among the first eight, the inner vertices for parity paths of
-    different parity, and the least monochromatic cross edge otherwise,
+    2, the last row doubles back on row t).  Connectors, fixed before the
+    shared path builder fills in the rest: the catalogue for pairs among
+    the first eight, and the inner vertices for parity paths of different
+    parity.  Every other pair takes the least monochromatic cross edge,
     which is an end-to-end edge for equal parity and realizes the prose
     rules for mixed pairs.
     """
@@ -515,39 +519,15 @@ def direct_k3_model(t: int) -> OddExpansionModel:
         specs[7] = _K3_TREE8_SMALL
     for i in range(9, t + 3):
         specs.append(_k3_parity_tree(i, t))
+    specs = [([fl(*p) for p in pairs], fl(*anchor), color) for pairs, anchor, color in specs]
 
-    trees = []
-    coloring: dict[int, int] = {}
-    mids = {}
-    for idx, (pairs, anchor, color) in enumerate(specs):
-        ids = [fl(*p) for p in pairs]
-        trees.append(branch_tree(ids, zip(ids, ids[1:])))
-        coloring.update(_alternate_path_coloring(ids, fl(*anchor), color))
-        if len(ids) == 3:
-            mids[idx + 1] = ids[1]
-
-    order = t + 2
-    connectors: dict[tuple[int, int], Edge] = {}
-    for (a, b), (x, y) in _K3_PAIR_EDGES.items():
-        if t == 6 and (a, b) == (6, 8):
-            x, y = _K3_PAIR_68_SMALL
-        connectors[(a - 1, b - 1)] = norm_edge(fl(*x), fl(*y))
-
-    interim = OddExpansionModel(tuple(trees), coloring)
-    for a in range(1, order + 1):
-        for b in range(a + 1, order + 1):
-            if b <= 8:
-                continue
-            if a >= 9 and (a % 2) != (b % 2):
-                e = norm_edge(mids[a], mids[b])
-            else:
-                try:
-                    u, v = monochromatic_connector(host, interim, a - 1, b - 1)
-                except LookupError:
-                    raise ConsistencyError(f"no monochromatic edge between trees {a} and {b}")
-                e = norm_edge(u, v)
-            connectors[(a - 1, b - 1)] = e
-    return OddExpansionModel(tuple(trees), coloring, connectors)
+    fixed = {(a - 1, b - 1): (fl(*x), fl(*y)) for (a, b), (x, y) in _K3_PAIR_EDGES.items()}
+    if t == 6:
+        fixed[5, 7] = tuple(fl(*p) for p in _K3_PAIR_68_SMALL)
+    for a, b in combinations(range(8, t + 2), 2):
+        if (b - a) % 2:
+            fixed[a, b] = (specs[a][0][1], specs[b][0][1])
+    return _path_model(host, specs, fixed)
 
 
 def direct_k3_upper_bound(t: int) -> int:
@@ -577,10 +557,11 @@ def direct_general_model(t: int, s: int) -> OddExpansionModel:
     paths reaching back into the previous triple.  Path ends and singletons
     are colored 1 and path middles 2, except the two-vertex tree which is
     colored 1 at (u_2, v_2) and 2 at (u_3, v_1).  Trailing columns beyond
-    the last full triple stay unused.  Connectors are the least
-    monochromatic cross edges, one `least_monochromatic_edge` call per
-    pair: every tree has at most three vertices and the host is dense, so a
-    call tests at most nine vertex pairs against the host edge set.
+    the last full triple stay unused.  The shared path builder colors the
+    paths by alternation and takes the least monochromatic cross edge for
+    every pair, one `least_monochromatic_edge` call per pair: every tree has
+    at most three vertices and the host is dense, so a call tests at most
+    nine vertex pairs against the host edge set.
     """
     if t < 4 or s < 3:
         raise ParameterError(f"needs t >= 4 and s >= 3, got ({t}, {s})")
@@ -609,32 +590,10 @@ def direct_general_model(t: int, s: int) -> OddExpansionModel:
                 else:
                     paths.append([(i, col(ell, 3)), (i - 2, col(ell, 2)), (i - 1, col(ell, 1))])
 
-    trees = []
-    coloring: dict[int, int] = {}
-    for pidx, pairs in enumerate(paths):
-        ids = [fl(*p) for p in pairs]
-        trees.append(branch_tree(ids, zip(ids, ids[1:])))
-        if pidx == 1:  # the two-vertex tree of the first triple
-            coloring[fl(3, 1)] = 2
-            coloring[fl(2, 2)] = 1
-        elif len(ids) == 1:
-            coloring[ids[0]] = 1
-        else:
-            coloring[ids[0]] = 1
-            coloring[ids[1]] = 2
-            coloring[ids[2]] = 1
-
-    order = t * m
-    interim = OddExpansionModel(tuple(trees), coloring)
-    connectors = {}
-    for a in range(order):
-        for b in range(a + 1, order):
-            try:
-                u, v = monochromatic_connector(host, interim, a, b)
-            except LookupError:
-                raise ConsistencyError(f"no monochromatic edge between trees {a} and {b}")
-            connectors[(a, b)] = norm_edge(u, v)
-    return OddExpansionModel(tuple(trees), coloring, connectors)
+    # the two-vertex tree of the first triple is colored 1 at (u_2, v_2)
+    specs = [([fl(*p) for p in pairs], fl(2, 2) if k == 1 else fl(*pairs[0]), 1)
+             for k, pairs in enumerate(paths)]
+    return _path_model(host, specs, {})
 
 
 # ----------------------------------------------------------------------
@@ -655,8 +614,8 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
     """
     if kind not in PRODUCT_KINDS:
         raise ParameterError(f"unknown product kind {kind!r}")
-    _require_valid_factor(g, mg, "first")
-    _require_valid_factor(h, mh, "second")
+    _require_valid(g, mg, "first factor")
+    _require_valid(h, mh, "second factor")
     s, t = mg.clique_order, mh.clique_order
 
     if kind == "cartesian":

@@ -342,7 +342,8 @@ def monochromatic_connector(g: Graph, model: OddExpansionModel, i: int, j: int) 
 #
 # Line-oriented key-value text.  Two structurally equal models serialize to
 # identical bytes: vertex and edge lists are sorted, coloring is sorted by
-# vertex, connectors by tree pair.  Tree order is semantic and preserved.
+# vertex, connectors by tree pair, all in the one `_sorted_ids` order.  Tree
+# order is semantic and preserved.
 
 
 def serialize_model(model: OddExpansionModel, graph_hash: str) -> str:
@@ -357,11 +358,13 @@ def serialize_model(model: OddExpansionModel, graph_hash: str) -> str:
         es = " ".join(f"{u}-{v}" for u, v in t.sorted_edges)
         lines.append(f"tree: {vs}" if vs else "tree:")
         lines.append(f"edges: {es}" if es else "edges:")
-    cs = " ".join(f"{v}={c}" for v, c in sorted(model.coloring.items()))
+    by_id = lambda item: _id_key(item[0])
+    cs = " ".join(f"{v}={c}" for v, c in _sorted_ids(model.coloring.items(), by_id))
     lines.append(f"coloring: {cs}" if cs else "coloring:")
     if model.connectors is not None:
+        by_pair = lambda item: _pair_key(item[0])
         ks = " ".join(f"{i},{j}={u}-{v}"
-                      for (i, j), (u, v) in sorted(model.connectors.items()))
+                      for (i, j), (u, v) in _sorted_ids(model.connectors.items(), by_pair))
         lines.append(f"connectors: {ks}" if ks else "connectors:")
     for note in model.notes:
         lines.append(f"meta: {note}")

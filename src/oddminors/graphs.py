@@ -22,10 +22,23 @@ ProductVertex = tuple[int, int]
 
 PRODUCT_KINDS = ("cartesian", "direct", "lexicographic", "strong")
 
+# The most edges a named family or a product may have.  An edge costs about
+# 130 bytes in a complete graph and 150-170 bytes in a direct product while
+# it is built (CPython 3.11), so the cap is about 1.7 GB of edge set, before
+# the adjacency lists and canonical text a command adds.  It admits K60 x K60
+# direct (6.3M edges).
+MAX_EDGES = 10_000_000
+
 
 def norm_edge(u: int, v: int) -> Edge:
     """Order an edge's endpoints as (min, max)."""
     return (u, v) if u < v else (v, u)
+
+
+def _require_size(m: int, what: str):
+    """Refuse a graph with more than MAX_EDGES edges before building it."""
+    if m > MAX_EDGES:
+        raise ParameterError(f"{what} would have at least {m} edges, more than {MAX_EDGES}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +122,7 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
 def complete(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"complete graph needs n >= 1, got {n}")
+    _require_size(n * (n - 1) // 2, f"complete:{n}")
     return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
@@ -116,18 +130,21 @@ def star(k: int) -> Graph:
     """Star with k leaves; the center is vertex 0, leaves are 1..k."""
     if k < 0:
         raise ParameterError(f"star needs k >= 0 leaves, got {k}")
+    _require_size(k, f"star:{k}")
     return Graph(k + 1, frozenset((0, i) for i in range(1, k + 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3, got {n}")
+    _require_size(n, f"cycle:{n}")
     return Graph(n, frozenset(norm_edge(i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"path needs n >= 1, got {n}")
+    _require_size(n - 1, f"path:{n}")
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
 
 
@@ -138,6 +155,9 @@ def hamming(n: int, d: int) -> Graph:
     """
     if n < 1 or d < 1:
         raise ParameterError(f"hamming needs n >= 1 and d >= 1, got ({n}, {d})")
+    # d(n-1)n^d/2 edges; n^64 alone exceeds the cap for n >= 2, so a larger
+    # power need not be computed
+    _require_size(d * (n - 1) * n ** min(d, 64) // 2, f"hamming:{n},{d}")
     g = k = complete(n)
     for _ in range(d - 1):
         g = product("cartesian", g, k)
@@ -190,7 +210,8 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
     One rule serves all four kinds: across each edge a1 < a2 of g, (a1, b1)
     joins (a2, b2) for the kind's pairs in `_ACROSS`, and every kind except
     direct joins (a, b1) to (a, b2) for each edge b1 < b2 of h.  So every
-    flattened pair is already ordered, and none is produced twice.
+    flattened pair is already ordered, and none is produced twice, and the
+    edge count is known before any is built.
     """
     if kind not in PRODUCT_KINDS:
         raise ParameterError(f"unknown product kind {kind!r} (expected one of {PRODUCT_KINDS})")
@@ -198,6 +219,8 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
     blocks = [(g.edges, _ACROSS[kind](h))]
     if kind != "direct":
         blocks.append(([(a, a) for a in range(g.n)], h.edges))
+    _require_size(sum(len(firsts) * len(seconds) for firsts, seconds in blocks),
+                  f"{kind} product")
     return Graph(g.n * nh, frozenset((a1 * nh + b1, a2 * nh + b2)
                                      for firsts, seconds in blocks
                                      for a1, a2 in firsts for b1, b2 in seconds))

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,26 @@ def test_product_parse_failure_exit_code(tmp_path, capsys):
     code, _, stderr = run(capsys, "product", "direct", str(bad), "complete:2",
                           "--out", str(tmp_path / "x.graph"))
     assert code == 2 and "bad.graph" in stderr
+
+
+# complete:300 factors (44,850 edges each) stand in for complete:3000 ones,
+# which are under the cap themselves and take seconds to build.
+@pytest.mark.parametrize("first, second", [
+    ("complete:100000", "complete:2"),  # 5.0e9 edges
+    ("hamming:100,5", "complete:2"),  # 2.5e12 edges
+    ("hamming:2,1000000000", "complete:2"),  # too large to compute 2^d
+    ("complete:300", "complete:300"),  # a direct product of 4.0e9 edges
+])
+def test_hostile_sizes_fail_before_allocating(tmp_path, capsys, first, second):
+    out = tmp_path / "x.graph"
+    tracemalloc.start()
+    try:
+        code, _, stderr = run(capsys, "product", "direct", first, second, "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "edges, more than" in stderr
+    assert peak < 64 * 2**20 and not out.exists()
 
 
 def test_construct_and_verify_round_trip(tmp_path, capsys):

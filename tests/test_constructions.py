@@ -6,7 +6,7 @@ from oddminors import constructions as cons
 from oddminors import graphs as gr
 from oddminors.errors import (ColoringMissingError, FactorModelError,
                               ParameterError)
-from oddminors.expansion import (OddExpansionModel, branch_tree,
+from oddminors.expansion import (BranchTree, OddExpansionModel, branch_tree,
                                  serialize_model, verify_odd_expansion)
 from oddminors.oracle import odd_hadwiger
 
@@ -92,27 +92,33 @@ def test_witness_product_coloring_missing_coordinate():
 # Grid forest
 
 
-def test_grid_forest_cells_and_cross_edges():
-    k2 = gr.complete(2)
-    mk2 = cons.identity_model(k2)
-    gf = cons.product_grid_forest(C5, C5_K3, k2, mk2)
-    assert gf.s == 3 and gf.t == 2
-    assert len(gf.cells) == 6
-    # every required same-row or same-column pair has a stored edge
-    assert len(gf.cross_edges) == 3 * 1 + 2 * 3
-    for (u, v) in gf.cross_edges.values():
-        assert gf.coloring[u] == gf.coloring[v]
+def test_grid_forest_cells_and_cell_edges():
+    gf = cons.product_grid_forest(C5, C5_K3, C5, C5_K3)
+    assert gf.s == 3 and gf.t == 3
+    assert len(gf.cells) == 9
+    box, strong = gr.product("cartesian", C5, C5), gr.product("strong", C5, C5)
+    for a in gf.cells:
+        for b in gf.cells:
+            if a == b:
+                continue
+            u, v = gf.cell_edge(a, b)
+            assert u in gf.cells[a].vertices and v in gf.cells[b].vertices
+            # every cell pair is joined by a monochromatic strong-product edge
+            assert strong.has_edge(u, v)
+            assert gf.coloring[u] == gf.coloring[v]
+            # and a same-row or same-column pair by a box-product edge
+            if a[0] == b[0] or a[1] == b[1]:
+                assert box.has_edge(u, v)
     # combined coloring is proper on every cell tree
     for cell in gf.cells.values():
         for u, v in cell.edges:
             assert gf.coloring[u] != gf.coloring[v]
+            assert box.has_edge(u, v)
     # cell sizes multiply the factor tree sizes
-    sizes = {(i, j): len(gf.cells[(i, j)].vertices)
-             for i in range(3) for j in range(2)}
     factor_sizes = [1, 2, 2]
-    for i in range(3):
-        for j in range(2):
-            assert sizes[(i, j)] == factor_sizes[i] * 1
+    for (i, j), cell in gf.cells.items():
+        assert len(cell.vertices) == factor_sizes[i] * factor_sizes[j]
+        assert len(cell.edges) == len(cell.vertices) - 1
 
 
 def test_grid_forest_all_singleton_factors():
@@ -121,6 +127,15 @@ def test_grid_forest_all_singleton_factors():
     gf = cons.product_grid_forest(k2, mk2, k2, mk2)
     assert all(len(c.vertices) == 1 for c in gf.cells.values())
     assert set(gf.coloring.values()) == {1}
+
+
+def test_grid_forest_reads_tree_edges_in_either_orientation():
+    # a library caller may store a tree edge high end first; the verifier
+    # accepts it, and the cells must not depend on it
+    flipped = OddExpansionModel(
+        tuple(BranchTree(t.vertices, frozenset((v, u) for u, v in t.edges)) for t in C5_K3.trees),
+        C5_K3.coloring)
+    assert cons.strong_model(C5, flipped, C5, flipped) == cons.strong_model(C5, C5_K3, C5, C5_K3)
 
 
 def test_grid_forest_rejects_invalid_factor():

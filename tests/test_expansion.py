@@ -395,6 +395,21 @@ def test_verifier_gives_a_verdict_on_ids_of_mixed_types(make, clause, trees, ver
     assert (verdict.clause, verdict.trees, verdict.vertices) == (clause, trees, vertices)
 
 
+# serialize_model raised TypeError while sorting such coloring keys or
+# connector keys; it orders them by the verifier's rule, and the parser then
+# rejects the text.
+@pytest.mark.parametrize("model, line", [
+    (OddExpansionModel((branch_tree([0]), branch_tree([2])), {0: 1, "x": 1, 2: 1}),
+     "coloring: 0=1 2=1 x=1"),
+    (_c5_with(connectors={(0, 1): (0, 1), (0, "b"): (0, 1)}), "connectors: 0,1=0-1 0,b=0-1"),
+], ids=["color-key", "connector-key"])
+def test_serializer_orders_ids_of_mixed_types(model, line):
+    text = serialize_model(model, C5.content_hash())
+    assert line in text.splitlines()
+    with pytest.raises(ParseError):
+        parse_model(text)
+
+
 @pytest.mark.parametrize("note", ["a\nb", "a\r\nb", "x\u2028y", "end\n", "\x0b", "\n"])
 def test_note_with_a_line_break_is_refused(note):
     with pytest.raises(ParameterError):

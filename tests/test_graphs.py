@@ -67,6 +67,28 @@ def test_product_kind_error():
         gr.product("box", gr.complete(2), gr.complete(2))
 
 
+# Each family and product knows its edge count before it builds an edge.
+CAPPED = {
+    "complete": lambda: gr.complete(9),
+    "star": lambda: gr.star(7),
+    "cycle": lambda: gr.cycle(7),
+    "path": lambda: gr.path(8),
+    "hamming": lambda: gr.hamming(3, 3),
+    **{kind: (lambda kind=kind: gr.product(kind, gr.cycle(5), gr.path(3)))
+       for kind in gr.PRODUCT_KINDS},
+}
+
+
+@pytest.mark.parametrize("build", CAPPED.values(), ids=CAPPED.keys())
+def test_edge_cap_counts_exactly(monkeypatch, build):
+    m = build().m
+    monkeypatch.setattr(gr, "MAX_EDGES", m)
+    assert build().m == m
+    monkeypatch.setattr(gr, "MAX_EDGES", m - 1)
+    with pytest.raises(ParameterError):
+        build()
+
+
 SAMPLE_FACTORS = [
     gr.complete(2), gr.complete(3), gr.cycle(4), gr.cycle(5),
     gr.path(3), gr.star(2),

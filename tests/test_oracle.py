@@ -1,6 +1,8 @@
 import itertools
+import os
 import random
 
+import networkx as nx
 import pytest
 
 from oddminors import constructions as cons
@@ -204,3 +206,70 @@ def test_constructions_cross_validate_on_tiny_hosts():
         found = has_odd_clique_minor(host, model.clique_order)
         assert found is not None
         assert verify_odd_expansion(host, found, strict=True).passed
+
+
+def brute_odd_hadwiger(n, edges):
+    """The odd clique minor number by the definition alone: the most disjoint
+    vertex sets, under some 2-coloring, each connected by its own
+    bichromatic edges (so a proper spanning tree exists), with a
+    monochromatic edge between every two."""
+    best = 0
+    for colors in itertools.product((1, 2), repeat=n):
+        bichromatic = [(u, v) for u, v in edges if colors[u] != colors[v]]
+        mono = {frozenset(e) for e in edges if colors[e[0]] == colors[e[1]]}
+
+        def connected(block):
+            seen, stack = {min(block)}, [min(block)]
+            while stack:
+                u = stack.pop()
+                for a, b in bichromatic:
+                    for x, y in ((a, b), (b, a)):
+                        if x == u and y in block and y not in seen:
+                            seen.add(y)
+                            stack.append(y)
+            return seen == block
+
+        blocks = [set(c) for k in range(1, n + 1)
+                  for c in itertools.combinations(range(n), k) if connected(set(c))]
+
+        def grow(chosen, start):
+            nonlocal best
+            best = max(best, len(chosen))
+            for k in range(start, len(blocks)):
+                b = blocks[k]
+                if all(not b & c and any(frozenset((u, v)) in mono for u in b for v in c)
+                       for c in chosen):
+                    grow(chosen + [b], k + 1)
+
+        grow([], 0)
+    return best
+
+
+ATLAS = nx.graph_atlas_g()
+
+
+def check_against_brute_force(atlas):
+    g = gr.graph_from_edges(len(atlas), atlas.edges)
+    if g.n == 0:
+        with pytest.raises(ParameterError):
+            odd_hadwiger(g)
+        return
+    result = odd_hadwiger(g)
+    assert result.status == "exact"
+    assert result.value == brute_odd_hadwiger(g.n, sorted(g.edges))
+    assert verify_odd_expansion(g, result.certificate).passed
+
+
+# Every graph of at most five vertices in the networkx atlas: 53 graphs, the
+# empty one included.
+@pytest.mark.parametrize("index", [k for k, a in enumerate(ATLAS) if len(a) <= 5])
+def test_odd_hadwiger_matches_brute_force_on_graph_atlas(index):
+    check_against_brute_force(ATLAS[index])
+
+
+@pytest.mark.skipif(not os.environ.get("ODDMINORS_LONG"),
+                    reason="156 graphs, about 20 s; set ODDMINORS_LONG=1 to run")
+def test_odd_hadwiger_matches_brute_force_on_six_vertex_atlas():
+    for atlas in ATLAS:
+        if len(atlas) == 6:
+            check_against_brute_force(atlas)
