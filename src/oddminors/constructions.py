@@ -614,19 +614,20 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
     """
     if kind not in PRODUCT_KINDS:
         raise ParameterError(f"unknown product kind {kind!r}")
-    _require_valid(g, mg, "first factor")
-    _require_valid(h, mh, "second factor")
     s, t = mg.clique_order, mh.clique_order
 
-    if kind == "cartesian":
-        if s < 2 or t < 2:
-            return None
-        model = cartesian_lift(g, mg, h, mh)
-        return model.clique_order, model
-
+    # strong_model and cartesian_lift verify the factor certificates
+    # themselves; every other path verifies them here
     if kind in ("strong", "lexicographic"):
         model = strong_model(g, mg, h, mh, kind)
         return model.clique_order, model
+    if kind == "cartesian" and s >= 2 and t >= 2:
+        model = cartesian_lift(g, mg, h, mh)
+        return model.clique_order, model
+    _require_valid(g, mg, "first factor")
+    _require_valid(h, mh, "second factor")
+    if kind == "cartesian":
+        return None
 
     # direct product
     if g.is_complete() and h.is_complete() and g.n >= 1 and h.n >= 1:
@@ -667,11 +668,12 @@ class Theorem:
     `build` takes the certified factors (g, mg, h, mh) first when `factors`
     is set, then one value per name in `params`, and returns the
     certificate and its host.  It builds the certificate first, so that the
-    family's preconditions are reported before any host is built; `best`
-    returns (None, None) when no construction applies.  `base` marks the
-    family whose `build` also takes `base=`, a certificate on the box
-    product of the factor-order cliques.  `table` holds the default 'a..b'
-    range of each param for the families `table` reproduces.
+    family's preconditions are reported before any host is built, except
+    where `_host_first` says otherwise; `best` returns (None, None) when no
+    construction applies.  `base` marks the family whose `build` also takes
+    `base=`, a certificate on the box product of the factor-order cliques.
+    `table` holds the default 'a..b' range of each param for the families
+    `table` reproduces.
 
     Builders call the construction functions and `product` through this
     module's globals at call time, so that patching them (as the
@@ -689,6 +691,13 @@ def _complete_host(kind: str, a: int, b: int) -> Graph:
     return product(kind, complete(a), complete(b))
 
 
+def _host_first(host: Graph, model: Callable[[], OddExpansionModel]):
+    """(certificate, host), building the host first: for the families whose
+    certificate builder builds no host of its own, so that the edge cap
+    refuses an oversized host before any connector is made."""
+    return model(), host
+
+
 def _grid_theorem(kind: str) -> Theorem:
     return Theorem((), lambda g, mg, h, mh: (strong_model(g, mg, h, mh, kind),
                                              product(kind, g, h)), factors=True)
@@ -703,8 +712,8 @@ def _best(g, mg, h, mh, kind):
 
 THEOREMS: dict[str, Theorem] = {
     "cartesian-complete": Theorem(
-        ("s", "t"), lambda s, t: (cartesian_complete_model(s, t).model,
-                                  _complete_host("cartesian", s, t)),
+        ("s", "t"), lambda s, t: _host_first(_complete_host("cartesian", s, t),
+                                             lambda: cartesian_complete_model(s, t).model),
         table=("2..6", "2..6")),
     "cartesian-lift": Theorem(
         (), lambda g, mg, h, mh, base=None: (cartesian_lift(g, mg, h, mh, base),
@@ -713,7 +722,8 @@ THEOREMS: dict[str, Theorem] = {
     "strong": _grid_theorem("strong"),
     "lex": _grid_theorem("lexicographic"),
     "stars": Theorem(
-        ("r", "t"), lambda r, t: (star_model(r, t), product("strong", star(r), star(t))),
+        ("r", "t"), lambda r, t: _host_first(product("strong", star(r), star(t)),
+                                             lambda: star_model(r, t)),
         table=("1..4", "1..4")),
     "direct-k3": Theorem(
         ("t",), lambda t: (direct_k3_model(t), _complete_host("direct", t, 3)),

@@ -158,6 +158,8 @@ def hamming(n: int, d: int) -> Graph:
     # d(n-1)n^d/2 edges; n^64 alone exceeds the cap for n >= 2, so a larger
     # power need not be computed
     _require_size(d * (n - 1) * n ** min(d, 64) // 2, f"hamming:{n},{d}")
+    if n == 1:
+        return complete(1)  # every power of K1 is K1, and has no edge to cap
     g = k = complete(n)
     for _ in range(d - 1):
         g = product("cartesian", g, k)

@@ -14,6 +14,17 @@ checked with one round of filtering during placement and solved by
 backtracking at the leaves.  Everything is deterministic: no randomness, a
 fixed enumeration order, and the first model found in that order is the one
 reported.
+
+Orbit pruning (after McKay & Piperno, Practical graph isomorphism II, 2014)
+cuts the enumeration by the host's automorphisms.  A stabilizer chain of
+Aut(G) on the base 0, 1, ..., n-1 is computed once per call.  At a search
+node whose placed subsets have largest vertex h, the group fixing 0..h
+pointwise fixes every placed subset, so two candidate subsets in one of its
+orbits lead to isomorphic subtrees; only the first generated is searched.
+A family skipped that way has an image under that group that comes earlier
+in the enumeration order, so the first model in that order is never
+skipped: certificates are the same as without pruning and refutations stay
+exhaustive.
 """
 
 from __future__ import annotations
@@ -62,7 +73,8 @@ class ExactResult:
 
 
 class _Budget:
-    """Shared countdown across deepening rounds."""
+    """Shared countdown across deepening rounds; the stabilizer chain's
+    automorphism search ticks it too."""
 
     def __init__(self, budget: SearchBudget):
         self.node_limit = budget.node_limit
@@ -87,16 +99,112 @@ def _bits(mask: int):
         mask ^= low
 
 
-class _Search:
-    def __init__(self, g: Graph, r: int, budget: _Budget):
-        self.g = g
-        self.r = r
+def _image_tables(perm) -> tuple:
+    """Byte lookup tables that map a vertex mask through a permutation:
+    the image of a mask is the OR of table[c][byte c of the mask]."""
+    tables = []
+    for base in range(0, len(perm), 8):
+        table = [0] * (1 << min(8, len(perm) - base))
+        for byte in range(1, len(table)):
+            low = byte & -byte
+            table[byte] = table[byte ^ low] | 1 << perm[base + low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+class _StabilizerChain:
+    """The host's bitmask adjacency and its automorphism group, as a
+    stabilizer chain on the base 0, 1, ..., n-1.
+
+    levels[k] holds the generators found at level k: automorphisms that fix
+    0..k-1 and move k.  The group fixing 0..k-1 pointwise is generated by the
+    generators of levels k..n-1; orbit_sizes[k] is the size of k's orbit under
+    it, so the product of orbit_sizes is |Aut(G)|.  groups[k] holds those
+    generators as `_image_tables`, for k = 0..n (groups[n] is empty).
+    """
+
+    def __init__(self, g: Graph, budget: _Budget):
         self.n = g.n
-        self.budget = budget
         self.adj = [0] * g.n
         for u, v in g.edges:
             self.adj[u] |= 1 << v
             self.adj[v] |= 1 << u
+        self.levels: list[list[tuple[int, ...]]] = [[] for _ in range(g.n)]
+        self.orbit_sizes = [1] * g.n
+        self.groups: list[tuple] = [()] * (g.n + 1)
+        found: list[tuple[int, ...]] = []  # generators of the levels above k
+        tables: tuple = ()
+        for k in range(g.n - 1, -1, -1):
+            orbit = self._point_orbit(k, found)
+            for x in range(k + 1, g.n):
+                if x in orbit:
+                    continue
+                perm = self._automorphism(k, x, budget)
+                if perm is not None:
+                    self.levels[k].append(perm)
+                    found.append(perm)
+                    tables += (_image_tables(perm),)
+                    orbit = self._point_orbit(k, found)
+            self.orbit_sizes[k] = len(orbit)
+            self.groups[k] = tables
+
+    @staticmethod
+    def _point_orbit(k: int, perms) -> set[int]:
+        orbit = {k}
+        stack = [k]
+        while stack:
+            v = stack.pop()
+            for perm in perms:
+                w = perm[v]
+                if w not in orbit:
+                    orbit.add(w)
+                    stack.append(w)
+        return orbit
+
+    def _automorphism(self, k: int, x: int, budget: _Budget) -> Optional[tuple[int, ...]]:
+        """An automorphism fixing 0..k-1 and mapping k to x, or None, by
+        backtracking over the images of k and then of the other vertices,
+        each next one the vertex with the most neighbours already mapped, so
+        that adjacency cuts the choices early."""
+        adj, n = self.adj, self.n
+        everything = (1 << n) - 1
+        order = [k]
+        domain = (1 << (k + 1)) - 1
+        while domain != everything:
+            v = max(_bits(everything & ~domain), key=lambda u: (adj[u] & domain).bit_count())
+            order.append(v)
+            domain |= 1 << v
+        image = list(range(n))
+
+        def extend(i: int, domain: int, used: int) -> bool:
+            # domain: the vertices mapped so far; used: their images
+            if i == len(order):
+                return True
+            budget.tick()
+            v = order[i]
+            degree = adj[v].bit_count()
+            earlier = 0  # images of v's mapped neighbours
+            for u in _bits(adj[v] & domain):
+                earlier |= 1 << image[u]
+            for w in _bits(1 << x if v == k else everything & ~used):
+                if adj[w].bit_count() == degree and adj[w] & used == earlier:
+                    image[v] = w
+                    if extend(i + 1, domain | 1 << v, used | 1 << w):
+                        return True
+            return False
+
+        fixed = (1 << k) - 1
+        return tuple(image) if extend(0, fixed, fixed) else None
+
+
+class _Search:
+    def __init__(self, g: Graph, r: int, budget: _Budget, chain: _StabilizerChain):
+        self.g = g
+        self.r = r
+        self.n = g.n
+        self.budget = budget
+        self.adj = chain.adj
+        self.groups = chain.groups
         self.full = (1 << g.n) - 1
         # subset mask -> tuple of (ones, ones_nbrs, twos, twos_nbrs)
         self._coloring_cache: dict[int, tuple] = {}
@@ -206,6 +314,9 @@ class _Search:
             return self._solve_csp(masks, domains)
         remaining = self.r - depth
         anchors = unused & ~((1 << (last_anchor + 1)) - 1)
+        # the automorphisms fixing every vertex up to the largest placed one
+        group = self.groups[(self.full ^ unused).bit_length()]
+        seen: set[int] = set()  # orbits of the subsets generated so far
         for m in _bits(anchors):
             above_mask = ~((1 << (m + 1)) - 1)
             if (unused & above_mask).bit_count() < remaining - 1:
@@ -214,6 +325,10 @@ class _Search:
             max_size = unused.bit_count() - (remaining - 1)
             for subset in self._connected_subsets(m, allowed, max_size):
                 self.budget.tick()
+                if group:
+                    if subset in seen:
+                        continue
+                    self._add_orbit(seen, subset, group)
                 rest = unused & ~subset
                 future = rest & above_mask
                 if future.bit_count() < remaining - 1:
@@ -245,6 +360,24 @@ class _Search:
                 if found is not None:
                     return found
         return None
+
+    @staticmethod
+    def _add_orbit(seen: set, mask: int, group) -> None:
+        """Add mask's orbit under the group, the closure under its
+        generators, to `seen`, which holds whole orbits only."""
+        seen.add(mask)
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for tables in group:
+                y = 0
+                rest = x
+                for table in tables:
+                    y |= table[rest & 255]
+                    rest >>= 8
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
 
     def _solve_csp(self, masks, domains):
         r = self.r
@@ -300,7 +433,8 @@ def has_odd_clique_minor(g: Graph, r: int,
         raise ParameterError(
             f"instance has {g.n} vertices, above the budget cap {budget.max_vertices}; "
             f"pass an extended budget to search anyway")
-    return _Search(g, r, _Budget(budget)).run()
+    shared = _Budget(budget)
+    return _Search(g, r, shared, _StabilizerChain(g, shared)).run()
 
 
 def odd_hadwiger(g: Graph, budget: Optional[SearchBudget] = None) -> ExactResult:
@@ -328,17 +462,16 @@ def odd_hadwiger(g: Graph, budget: Optional[SearchBudget] = None) -> ExactResult
                            time.monotonic() - t0)
     shared = _Budget(budget)
     best_value, best_cert = 3, cycle_cert
-    r = 3
-    while r <= g.n:
-        try:
-            model = _Search(g, r, shared).run()
-        except SearchTimeout:
-            return ExactResult("timeout", best_value, best_cert, None,
-                               shared.nodes, time.monotonic() - t0)
-        if model is None:
-            return ExactResult("exact", best_value, best_cert, r,
-                               shared.nodes, time.monotonic() - t0)
-        best_value, best_cert = r, model
-        r += 1
+    try:
+        chain = _StabilizerChain(g, shared)
+        for r in range(3, g.n + 1):
+            model = _Search(g, r, shared, chain).run()
+            if model is None:
+                return ExactResult("exact", best_value, best_cert, r,
+                                   shared.nodes, time.monotonic() - t0)
+            best_value, best_cert = r, model
+    except SearchTimeout:
+        return ExactResult("timeout", best_value, best_cert, None,
+                           shared.nodes, time.monotonic() - t0)
     return ExactResult("exact", best_value, best_cert, g.n + 1,
                        shared.nodes, time.monotonic() - t0)

@@ -1,9 +1,11 @@
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from oddminors import cli
+from oddminors import constructions as cons
 from oddminors import graphs as gr
 from oddminors.expansion import parse_model, verify_odd_expansion
 
@@ -61,6 +63,30 @@ def test_hostile_sizes_fail_before_allocating(tmp_path, capsys, first, second):
         tracemalloc.stop()
     assert code == 2 and "edges, more than" in stderr
     assert peak < 64 * 2**20 and not out.exists()
+
+
+def test_hamming_power_of_k1_is_k1_at_once(tmp_path, capsys):
+    out = tmp_path / "x.graph"
+    start = time.perf_counter()
+    code, _, _ = run(capsys, "product", "direct", "hamming:1,100000000", "complete:2",
+                     "--out", str(out))
+    assert code == 0 and time.perf_counter() - start < 1.0
+    assert gr.read_graph_text(out.read_text()) == gr.Graph(2, frozenset())
+
+
+# (theorem, parameters of a host above the edge cap, its certificate builder)
+@pytest.mark.parametrize("theorem, argv, builder", [
+    ("cartesian-complete", ["--s", "400", "--t", "400"], "cartesian_complete_model"),  # 63.8M edges
+    ("stars", ["--r", "2000", "--t", "2000"], "star_model"),  # 16.0M edges
+], ids=["cartesian-complete", "stars"])
+def test_construct_refuses_an_oversized_host_before_its_certificate(
+        tmp_path, capsys, monkeypatch, theorem, argv, builder):
+    def refuse(*args):
+        raise AssertionError(f"{builder} ran before the edge cap")
+    monkeypatch.setattr(cons, builder, refuse)
+    out = tmp_path / "c.cert"
+    code, _, stderr = run(capsys, "construct", theorem, *argv, "--out", str(out))
+    assert code == 2 and "edges, more than" in stderr and not out.exists()
 
 
 def test_construct_and_verify_round_trip(tmp_path, capsys):

@@ -372,6 +372,32 @@ def test_best_lower_bound_cartesian_degenerate():
     assert cons.best_lower_bound(k2, one, k2, cons.identity_model(k2), "cartesian") is None
 
 
+@pytest.mark.parametrize("kind, calls", [("strong", 2), ("lexicographic", 2),
+                                         ("cartesian", 3), ("direct", 2)])
+def test_best_lower_bound_verifies_each_certificate_once(kind, calls, monkeypatch):
+    # two factor certificates, plus the complete-product base for cartesian
+    made = []
+    verify = cons.verify_odd_expansion
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(cons, "verify_odd_expansion", counting)
+    cons.best_lower_bound(C5, C5_K3, C5, C5_K3, kind)
+    assert len(made) == calls
+
+
+@pytest.mark.parametrize("kind", ["strong", "lexicographic", "cartesian", "direct"])
+def test_best_lower_bound_rejects_invalid_factors(kind):
+    broken = OddExpansionModel(C5_K3.trees, {**C5_K3.coloring, 0: 3 - C5_K3.coloring[0]},
+                               C5_K3.connectors)
+    assert not verify_odd_expansion(C5, broken).passed
+    for first, second in [(broken, C5_K3), (C5_K3, broken)]:
+        with pytest.raises(FactorModelError):
+            cons.best_lower_bound(C5, first, C5, second, kind)
+
+
 def test_best_lower_bound_rejects_bad_kind():
     with pytest.raises(ParameterError):
         cons.best_lower_bound(C5, C5_K3, C5, C5_K3, "tensorish")

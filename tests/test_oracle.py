@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import os
 import random
 
@@ -8,9 +10,14 @@ import pytest
 from oddminors import constructions as cons
 from oddminors import graphs as gr
 from oddminors.errors import ParameterError, SearchTimeout
-from oddminors.expansion import verify_odd_expansion
+from oddminors.expansion import serialize_model, verify_odd_expansion
 from oddminors.oracle import (ExactResult, SearchBudget, _Budget, _Search,
-                              has_odd_clique_minor, odd_hadwiger)
+                              _StabilizerChain, has_odd_clique_minor, odd_hadwiger)
+
+
+def new_search(g, r):
+    budget = _Budget(SearchBudget())
+    return _Search(g, r, budget, _StabilizerChain(g, budget))
 
 
 def brute_connected_subsets(g, anchor, allowed_mask, max_size):
@@ -37,7 +44,7 @@ def brute_connected_subsets(g, anchor, allowed_mask, max_size):
 @pytest.mark.parametrize("g", [gr.cycle(6), gr.complete(5), gr.star(4),
                                gr.product("direct", gr.complete(3), gr.complete(3))])
 def test_connected_subset_enumeration_matches_brute_force(g):
-    search = _Search(g, 1, _Budget(SearchBudget()))
+    search = new_search(g, 1)
     for anchor in (0, 1):
         allowed = (1 << g.n) - 1 - 0b10 if anchor == 0 else (1 << g.n) - 2
         if not allowed >> anchor & 1:
@@ -86,7 +93,7 @@ def test_admissible_colorings_match_spanning_tree_enumeration(g, verts):
     # The search treats a coloring as usable iff its bichromatic edges span
     # the subset connectedly; that must coincide with properness on some
     # explicitly enumerated spanning tree.
-    search = _Search(g, 1, _Budget(SearchBudget()))
+    search = new_search(g, 1)
     mask = sum(1 << v for v in verts)
     got = {frozenset(v for v in verts if c[0] >> v & 1)
            for c in search._admissible_colorings(mask)}
@@ -273,3 +280,135 @@ def test_odd_hadwiger_matches_brute_force_on_six_vertex_atlas():
     for atlas in ATLAS:
         if len(atlas) == 6:
             check_against_brute_force(atlas)
+
+
+def test_k4_box_k4_has_value_seven_under_the_default_budget():
+    host = gr.product("cartesian", gr.complete(4), gr.complete(4))
+    result = odd_hadwiger(host)
+    assert (result.status, result.value, result.refutation_order) == ("exact", 7, 8)
+    assert verify_odd_expansion(host, result.certificate, strict=True).passed
+
+
+# ----------------------------------------------------------------------
+# orbit pruning
+
+# no automorphism but the identity
+RIGID = gr.graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
+
+
+def networkx_automorphism_count(g):
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(range(g.n))
+    return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+
+
+LONG = pytest.mark.skipif(not os.environ.get("ODDMINORS_LONG"),
+                          reason="networkx counts 77760 automorphisms in about 35 s; "
+                                 "set ODDMINORS_LONG=1 to run")
+
+# (host, |Aut| as networkx's GraphMatcher(g, g) counts it).  The counts are
+# rerun below, C5 x C3's under ODDMINORS_LONG only; K4 x K4's 1152 was
+# counted once (1.5 s) and is not rerun.
+CHAIN_HOSTS = [
+    pytest.param(lambda: gr.product("strong", gr.cycle(5), gr.cycle(3)), 77760,
+                 marks=LONG, id="c5-strong-c3"),
+    pytest.param(lambda: gr.product("direct", gr.complete(4), gr.complete(3)), 144,
+                 id="k4-direct-k3"),
+    pytest.param(lambda: gr.product("strong", gr.path(4), gr.cycle(3)), 2592,
+                 id="p4-strong-c3"),
+    pytest.param(lambda: gr.graph_from_edges(10, nx.petersen_graph().edges()), 120,
+                 id="petersen"),
+    pytest.param(lambda: RIGID, 1, id="rigid"),
+]
+
+
+@pytest.mark.parametrize("build, order", CHAIN_HOSTS)
+def test_automorphism_counts_match_networkx(build, order):
+    assert networkx_automorphism_count(build()) == order
+
+
+@pytest.mark.parametrize("build, order", [
+    *[pytest.param(*case.values, id=case.id) for case in CHAIN_HOSTS],
+    pytest.param(lambda: gr.product("direct", gr.complete(4), gr.complete(4)), 1152,
+                 id="k4-direct-k4"),
+])
+def test_stabilizer_chain_generates_the_automorphism_group(build, order):
+    # Every generator at level k is an automorphism fixing 0..k-1, so each
+    # level's orbit is at most the true one; the product of the orbit sizes
+    # equalling |Aut| then makes every level exact.
+    g = build()
+    chain = _StabilizerChain(g, _Budget(SearchBudget()))
+    for k, level in enumerate(chain.levels):
+        for perm in level:
+            assert sorted(perm) == list(range(g.n))
+            assert perm[:k] == tuple(range(k)) and perm[k] != k
+            assert {gr.norm_edge(perm[u], perm[v]) for u, v in g.edges} == g.edges
+    assert math.prod(chain.orbit_sizes) == order
+    assert len(chain.groups) == g.n + 1 and chain.groups[g.n] == ()
+
+
+# a random cubic graph on 20 vertices with no automorphism but the identity
+CUBIC_20 = gr.graph_from_edges(20, [
+    (0, 2), (0, 5), (0, 18), (1, 4), (1, 14), (1, 16), (2, 5), (2, 7), (3, 9), (3, 11),
+    (3, 18), (4, 8), (4, 14), (5, 17), (6, 7), (6, 13), (6, 19), (7, 16), (8, 10), (8, 16),
+    (9, 15), (9, 17), (10, 12), (10, 19), (11, 14), (11, 15), (12, 13), (12, 19), (13, 18),
+    (15, 17)])
+
+
+def test_stabilizer_chain_is_cheap_on_a_rigid_cubic_graph():
+    # Mapping the vertices in index order instead of most-mapped-neighbours
+    # first took 111k ticks here to show that no automorphism exists.
+    budget = _Budget(SearchBudget(max_vertices=20))
+    chain = _StabilizerChain(CUBIC_20, budget)
+    assert chain.orbit_sizes == [1] * 20 and budget.nodes < 2000
+
+
+def test_stabilizer_chain_ticks_the_shared_budget():
+    host = gr.product("strong", gr.cycle(5), gr.cycle(3))
+    with pytest.raises(SearchTimeout):
+        _StabilizerChain(host, _Budget(SearchBudget(node_limit=20)))
+
+
+# SHA-256 of serialize_model(certificate, host.content_hash()) for the exact
+# values and order-7 witnesses of the benchmark's search hosts, recorded
+# before orbit pruning: pruning skips subsets, never the first model.
+PINNED_EXACT = [
+    ("c5-strong-c3", lambda: gr.product("strong", gr.cycle(5), gr.cycle(3)), 9,
+     "1ecd91e69ab3acd4c3cee6d1b6da8957fa624ca68c7ccd9b8713237ffa430851"),
+    ("k4-direct-k3", lambda: gr.product("direct", gr.complete(4), gr.complete(3)), 6,
+     "0d14de6f87de13fa530b691388fe9dc9903a10613575314e4fb2e9ca85214779"),
+    ("c7-strong-k2", lambda: gr.product("strong", gr.cycle(7), gr.complete(2)), 6,
+     "2d4e9b43d6998659ff74114b4378a2f3a797c13a0f6a2e989216dca55f4cbc95"),
+    ("k3-cartesian-k4", lambda: gr.product("cartesian", gr.complete(3), gr.complete(4)), 6,
+     "482b2610ec44e702da0baebafc44d8897d8f22af1c5d80382c067370b6422063"),
+    ("p4-strong-c3", lambda: gr.product("strong", gr.path(4), gr.cycle(3)), 6,
+     "6c4129d02bdc34d6136dd43fc3041f714adb8501f820e5616dada166efeecd17"),
+]
+PINNED_WITNESSES = [
+    ("k4-direct-k4", lambda: gr.product("direct", gr.complete(4), gr.complete(4)),
+     "608fb282afb720b4c8ebc7005da1595cc4e8791e5dd93ef54aab42f35a11817c"),
+    ("k5-direct-k3", lambda: gr.product("direct", gr.complete(5), gr.complete(3)),
+     "58d347c9a4f0b498811b755d7cae5dac0bdb6b8efba46bc3027418844793b099"),
+]
+
+
+def certificate_digest(host, model):
+    text = serialize_model(model, host.content_hash())
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("name, build, value, digest", PINNED_EXACT,
+                         ids=[case[0] for case in PINNED_EXACT])
+def test_exact_certificate_bytes_are_pinned(name, build, value, digest):
+    host = build()
+    result = odd_hadwiger(host)
+    assert (result.status, result.value, result.refutation_order) == ("exact", value, value + 1)
+    assert certificate_digest(host, result.certificate) == digest
+
+
+@pytest.mark.parametrize("name, build, digest", PINNED_WITNESSES,
+                         ids=[case[0] for case in PINNED_WITNESSES])
+def test_witness_certificate_bytes_are_pinned(name, build, digest):
+    host = build()
+    model = has_odd_clique_minor(host, 7, SearchBudget(max_vertices=host.n))
+    assert model is not None and certificate_digest(host, model) == digest
