@@ -11,6 +11,7 @@ boundary only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Mapping, Optional
 
@@ -497,6 +498,14 @@ def _path_model(host: Graph, specs, fixed: Mapping[tuple[int, int], Edge]) -> Od
     return OddExpansionModel(model.trees, coloring, connectors)
 
 
+@lru_cache(maxsize=1)
+def _complete_host(kind: str, a: int, b: int) -> Graph:
+    """K_a <kind> K_b.  The direct constructions search it for connectors and
+    their theorems then serialize and verify against it, so the last host
+    is kept for the second call; one entry keeps at most one host alive."""
+    return product(kind, complete(a), complete(b))
+
+
 def direct_k3_model(t: int) -> OddExpansionModel:
     """Order t+2 certificate on the direct product K_t x K_3, t >= 6.
 
@@ -512,7 +521,7 @@ def direct_k3_model(t: int) -> OddExpansionModel:
     if t < 6:
         raise ParameterError(f"construction needs t >= 6, got {t}")
     fl = lambda row, col: flatten(row - 1, col - 1, 3)
-    host = product("direct", complete(t), complete(3))
+    host = _complete_host("direct", t, 3)
 
     specs = list(_K3_FIXED_TREES)
     if t == 6:
@@ -568,7 +577,7 @@ def direct_general_model(t: int, s: int) -> OddExpansionModel:
     m = s // 3
     fl = lambda row, col: flatten(row - 1, col - 1, s)
     col = lambda ell, j: j + 3 * (ell - 1)
-    host = product("direct", complete(t), complete(s))
+    host = _complete_host("direct", t, s)
 
     paths: list[list[tuple[int, int]]] = []
     for ell in range(1, m + 1):
@@ -685,10 +694,6 @@ class Theorem:
     factors: bool = False
     base: bool = False
     table: tuple[str, ...] = ()
-
-
-def _complete_host(kind: str, a: int, b: int) -> Graph:
-    return product(kind, complete(a), complete(b))
 
 
 def _host_first(host: Graph, model: Callable[[], OddExpansionModel]):

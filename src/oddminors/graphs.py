@@ -53,12 +53,14 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        # plain ints only: True or 1.0 would compare equal to an int id but
+        # render as different text, and so hash differently
+        if type(self.n) is not int or self.n < 0:
             raise ParameterError(f"vertex count must be a non-negative int, got {self.n!r}")
         for e in self.edges:
             u, v = e
-            if not (0 <= u < v < self.n):
-                raise ParameterError(f"bad edge {e!r} for n={self.n} (need 0 <= u < v < n)")
+            if not (type(u) is type(v) is int and 0 <= u < v < self.n):
+                raise ParameterError(f"bad edge {e!r} for n={self.n} (need ints 0 <= u < v < n)")
 
     @property
     def m(self) -> int:
@@ -84,15 +86,27 @@ class Graph:
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
-    @cached_property
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
-
     def canonical_text(self) -> str:
-        """Canonical text form: 'n m' then one 'u v' line per edge, ascending."""
-        lines = [f"{self.n} {self.m}"]
-        lines.extend(f"{u} {v}" for u, v in self.sorted_edges)
-        return "\n".join(lines) + "\n"
+        """Canonical text form: 'n m' then one 'u v' line per edge, ascending;
+        rendered once per graph."""
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # each edge's larger end goes into its smaller end's bucket, so the
+        # lines come out ascending from n sorts of small int lists, not one
+        # sort of m tuples
+        later: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            later[u].append(v)
+        names = [str(v) for v in range(self.n)]
+        parts = [f"{self.n} {self.m}\n"]
+        for u, ends in enumerate(later):
+            if ends:
+                ends.sort()
+                prefix = names[u] + " "
+                parts.append(prefix + ("\n" + prefix).join(map(names.__getitem__, ends)) + "\n")
+        return "".join(parts)
 
     def content_hash(self) -> str:
         """SHA-256 hex digest of the canonical text form, computed once per
@@ -101,7 +115,7 @@ class Graph:
 
     @cached_property
     def _content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("ascii")).hexdigest()
+        return hashlib.sha256(self._text.encode("ascii")).hexdigest()
 
 
 def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:

@@ -41,6 +41,19 @@ def test_graph_validation():
     assert g.edges == frozenset({(0, 2)})
 
 
+@pytest.mark.parametrize("n, edges", [
+    (3, {(False, True)}),  # compares equal to (0, 1) but renders "False True"
+    (3, {(0, True)}),
+    (3, {(0.0, 1.5)}),
+    (3, {(0, 2.0)}),
+    (True, frozenset()),
+    (2.0, frozenset()),
+])
+def test_graph_refuses_ids_that_are_not_ints(n, edges):
+    with pytest.raises(ParameterError):
+        gr.Graph(n, frozenset(edges))
+
+
 def test_hamming_equals_iterated_cartesian_product():
     k3 = gr.complete(3)
     assert gr.hamming(3, 2).edges == gr.product("cartesian", k3, k3).edges

@@ -1,11 +1,15 @@
 """Differential tests of `graphs` against networkx: the four products under
 the flattening a*|V(H)| + b, Hamming graphs against a test-local reference,
-and bipartiteness and components on the product hosts."""
+and bipartiteness and components on the product hosts.  The canonical text
+of those graphs, of the named families and of random graphs is checked
+against a test-local reference renderer."""
 
 import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddminors import graphs as gr
 
@@ -43,6 +47,11 @@ def flattened_edges(prod, nh):
     return {gr.norm_edge(a1 * nh + b1, a2 * nh + b2) for (a1, b1), (a2, b2) in prod.edges}
 
 
+def reference_text(g):
+    """The canonical text from one sort of all edge tuples."""
+    return f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+
+
 @pytest.mark.parametrize("kind", sorted(NX_PRODUCTS))
 @pytest.mark.parametrize("first,second", PAIRS)
 def test_product_matches_networkx(kind, first, second):
@@ -51,6 +60,7 @@ def test_product_matches_networkx(kind, first, second):
     theirs = NX_PRODUCTS[kind](to_nx(g), to_nx(h))
     assert ours.n == theirs.number_of_nodes() == g.n * h.n
     assert ours.edges == flattened_edges(theirs, h.n)
+    assert ours.canonical_text() == reference_text(ours)
 
 
 def hamming_reference(n, d):
@@ -69,6 +79,7 @@ def test_hamming_matches_reference(n, d):
     order, edges = hamming_reference(n, d)
     assert g.n == order
     assert g.edges == edges
+    assert g.canonical_text() == reference_text(g)
 
 
 HOSTS = {f"{kind}-{a}-{b}": gr.product(kind, FACTORS[a], FACTORS[b])
@@ -83,3 +94,24 @@ def test_structure_matches_networkx(name):
     assert (gr.is_bipartite(g) is not None) == nx.is_bipartite(theirs)
     expected = sorted(tuple(sorted(c)) for c in nx.connected_components(theirs))
     assert gr.components(g) == expected
+
+
+@pytest.mark.parametrize("g", [gr.Graph(0, frozenset()), gr.complete(1), gr.Graph(5, frozenset()),
+                               gr.complete(12), gr.star(11), gr.cycle(13), gr.path(12)],
+                         ids=["K0", "K1", "E5", "K12", "S11", "C13", "P12"])
+def test_canonical_text_matches_reference(g):
+    assert g.canonical_text() == reference_text(g)
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(0, 40))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=120)) if pairs else set()
+    return gr.Graph(n, frozenset(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs())
+def test_canonical_text_of_random_graphs_matches_reference(g):
+    assert g.canonical_text() == reference_text(g)

@@ -7,6 +7,7 @@ import hashlib
 import importlib.util
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -149,6 +150,7 @@ def test_benchmark_tracer_sees_every_theorem(capsys, tmp_path, monkeypatch):
     tracing = _load_bench_module(monkeypatch, "tracing")
     witness = _load_bench_module(monkeypatch, "witness")
     assert set(tracing.THEOREM_IDS) == set(cons.THEOREMS)
+    cons._complete_host.cache_clear()  # a host cached by an earlier test hides its product
     tracer = tracing.Tracer()
     tracer.install(cli, cons, gr.Graph, witness)
     try:
@@ -171,3 +173,39 @@ def test_benchmark_tracer_sees_every_theorem(capsys, tmp_path, monkeypatch):
     assert Counter(s.op for s in spans if s.name == "constructions.build"
                    and spans[s.parent].name == "op") == dict.fromkeys(CASES, 1)
     assert {s.op for s in spans if s.name == "graphs.product"} == set(CASES)
+
+
+@pytest.mark.parametrize("theorem, argv, t, s", [
+    ("direct-general", ["--t", "9", "--s", "9"], 9, 9),
+    ("direct-k3", ["--t", "12"], 12, 3),
+])
+def test_construct_builds_and_renders_its_host_once(capsys, tmp_path, monkeypatch,
+                                                    theorem, argv, t, s):
+    """The K_t x K_s host is built once for the connector search, the
+    certificate and the graph file, and its text is rendered once for the
+    hash and `--graph-out`."""
+    cons._complete_host.cache_clear()
+    products, renders = [], []
+    product = cons.product
+    render = gr.Graph.__dict__["_text"].func
+
+    def counted_product(kind, g, h):
+        products.append((kind, g.n, h.n))
+        return product(kind, g, h)
+
+    def counted_render(g):
+        renders.append(g.n)
+        return render(g)
+
+    counted_text = cached_property(counted_render)
+    counted_text.__set_name__(gr.Graph, "_text")
+    monkeypatch.setattr(cons, "product", counted_product)
+    monkeypatch.setattr(gr.Graph, "_text", counted_text)
+    out, graph = tmp_path / "out.cert", tmp_path / "out.graph"
+    code = cli.main(["construct", theorem, *argv, "--out", str(out), "--graph-out", str(graph),
+                     "--strict"])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert products.count(("direct", t, s)) == 1
+    assert renders.count(t * s) == 1
+    assert f"hash={hashlib.sha256(graph.read_bytes()).hexdigest()}" in stdout
