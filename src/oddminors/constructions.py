@@ -308,8 +308,7 @@ def hamming_model(n: int, d: int) -> OddExpansionModel:
     kn = complete(n)
     model = identity_model(kn)
     for k in range(1, d):
-        model = cartesian_lift(hamming(n, k), model, kn, identity_model(kn),
-                               base=cartesian_complete_model(model.clique_order, n))
+        model = cartesian_lift(hamming(n, k), model, kn, identity_model(kn))
     return model
 
 
@@ -674,15 +673,15 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
 class Theorem:
     """One construction family as `construct` and `table` name it.
 
-    `build` takes the certified factors (g, mg, h, mh) first when `factors`
-    is set, then one value per name in `params`, and returns the
-    certificate and its host.  It builds the certificate first, so that the
-    family's preconditions are reported before any host is built, except
-    where `_host_first` says otherwise; `best` returns (None, None) when no
-    construction applies.  `base` marks the family whose `build` also takes
-    `base=`, a certificate on the box product of the factor-order cliques.
-    `table` holds the default 'a..b' range of each param for the families
-    `table` reproduces.
+    `host` and `model` take the certified factors (g, mg, h, mh) first when
+    `factors` is set, then one value per name in `params`; `model` also
+    takes `base=`, a certificate on the box product of the factor-order
+    cliques, when `base` is set.  `build` returns the certificate and its
+    host, and builds the host first, for every family, so that the edge
+    cap refuses an oversized host before any certificate is made; the
+    family's own preconditions are checked by `model`.  `best`'s `model`
+    returns None when no construction applies.  `table` holds the default
+    'a..b' range of each param for the families `table` reproduces.
 
     Builders call the construction functions and `product` through this
     module's globals at call time, so that patching them (as the
@@ -690,52 +689,54 @@ class Theorem:
     """
 
     params: tuple[str, ...]
-    build: Callable[..., tuple[Optional[OddExpansionModel], Optional[Graph]]]
+    host: Callable[..., Graph]
+    model: Callable[..., Optional[OddExpansionModel]]
     factors: bool = False
     base: bool = False
     table: tuple[str, ...] = ()
 
-
-def _host_first(host: Graph, model: Callable[[], OddExpansionModel]):
-    """(certificate, host), building the host first: for the families whose
-    certificate builder builds no host of its own, so that the edge cap
-    refuses an oversized host before any connector is made."""
-    return model(), host
+    def build(self, *args, **options) -> tuple[Optional[OddExpansionModel], Graph]:
+        host = self.host(*args)
+        return self.model(*args, **options), host
 
 
 def _grid_theorem(kind: str) -> Theorem:
-    return Theorem((), lambda g, mg, h, mh: (strong_model(g, mg, h, mh, kind),
-                                             product(kind, g, h)), factors=True)
+    return Theorem((), lambda g, mg, h, mh: product(kind, g, h),
+                   lambda g, mg, h, mh: strong_model(g, mg, h, mh, kind), factors=True)
 
 
-def _best(g, mg, h, mh, kind):
+def _best_host(g, mg, h, mh, kind) -> Graph:
+    """The product host; on complete direct factors, the `_complete_host`
+    entry that the direct constructions search, so it is built once."""
+    if kind == "direct" and g.n and h.n and g.is_complete() and h.is_complete():
+        return _complete_host(kind, g.n, h.n)
+    return product(kind, g, h)
+
+
+def _best_model(g, mg, h, mh, kind) -> Optional[OddExpansionModel]:
     found = best_lower_bound(g, mg, h, mh, kind)
-    if found is None:
-        return None, None
-    return found[1], product(kind, g, h)
+    return None if found is None else found[1]
 
 
 THEOREMS: dict[str, Theorem] = {
     "cartesian-complete": Theorem(
-        ("s", "t"), lambda s, t: _host_first(_complete_host("cartesian", s, t),
-                                             lambda: cartesian_complete_model(s, t).model),
-        table=("2..6", "2..6")),
+        ("s", "t"), lambda s, t: _complete_host("cartesian", s, t),
+        lambda s, t: cartesian_complete_model(s, t).model, table=("2..6", "2..6")),
     "cartesian-lift": Theorem(
-        (), lambda g, mg, h, mh, base=None: (cartesian_lift(g, mg, h, mh, base),
-                                             product("cartesian", g, h)),
+        (), lambda g, mg, h, mh: product("cartesian", g, h),
+        lambda g, mg, h, mh, base=None: cartesian_lift(g, mg, h, mh, base),
         factors=True, base=True),
     "strong": _grid_theorem("strong"),
     "lex": _grid_theorem("lexicographic"),
     "stars": Theorem(
-        ("r", "t"), lambda r, t: _host_first(product("strong", star(r), star(t)),
-                                             lambda: star_model(r, t)),
-        table=("1..4", "1..4")),
+        ("r", "t"), lambda r, t: product("strong", star(r), star(t)),
+        lambda r, t: star_model(r, t), table=("1..4", "1..4")),
     "direct-k3": Theorem(
-        ("t",), lambda t: (direct_k3_model(t), _complete_host("direct", t, 3)),
-        table=("6..10",)),
+        ("t",), lambda t: _complete_host("direct", t, 3),
+        lambda t: direct_k3_model(t), table=("6..10",)),
     "direct-general": Theorem(
-        ("t", "s"), lambda t, s: (direct_general_model(t, s), _complete_host("direct", t, s)),
-        table=("4..6", "3..6")),
-    "hamming": Theorem(("n", "d"), lambda n, d: (hamming_model(n, d), hamming(n, d))),
-    "best": Theorem(("kind",), _best, factors=True),
+        ("t", "s"), lambda t, s: _complete_host("direct", t, s),
+        lambda t, s: direct_general_model(t, s), table=("4..6", "3..6")),
+    "hamming": Theorem(("n", "d"), hamming, lambda n, d: hamming_model(n, d)),
+    "best": Theorem(("kind",), _best_host, _best_model, factors=True),
 }

@@ -11,49 +11,11 @@ be stored explicitly or left to the verifier to find.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 from .errors import ParameterError, ParseError
 from .graphs import Edge, Graph, norm_edge
-
-FAIL_CLAUSES = (
-    "disjointness",
-    "tree_shape",
-    "edge_membership",
-    "coloring_missing",
-    "properness",
-    "connector_missing",
-    "connector_invalid",
-)
-
-
-def _id_key(x):
-    """Numbers by value, then the rest by repr: a total order on ids of any type."""
-    return (0, x) if isinstance(x, (int, float)) else (1, repr(x))
-
-
-def _pair_key(pair):
-    return tuple(map(_id_key, pair))
-
-
-def _sorted_ids(ids, key=_id_key) -> list:
-    """The one ordering rule for ids: their own order where they compare (int
-    ids sort with no key function), `key` order where they do not (a str
-    among ints), so that such an id fails the clause that checks it instead
-    of raising TypeError."""
-    try:
-        return sorted(ids)
-    except TypeError:
-        return sorted(ids, key=key)
-
-
-def _ordered(u, v) -> tuple:
-    """The pair in `_sorted_ids` order, as `norm_edge` orders ints."""
-    try:
-        return (u, v) if u < v else (v, u)
-    except TypeError:
-        return (u, v) if _id_key(u) <= _id_key(v) else (v, u)
-
 
 @dataclass(frozen=True)
 class BranchTree:
@@ -61,7 +23,7 @@ class BranchTree:
 
     Structural validity (spanning-tree shape, host membership) is checked by
     the verifier, not here, so that parsed certificates can carry arbitrary
-    claims.
+    claims; the model that holds the tree refuses ids that are not ints.
     """
 
     vertices: frozenset[int]
@@ -69,15 +31,15 @@ class BranchTree:
 
     @property
     def sorted_vertices(self) -> tuple[int, ...]:
-        return tuple(_sorted_ids(self.vertices))
+        return tuple(sorted(self.vertices))
 
     @property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(_sorted_ids(self.edges, _pair_key))
+        return tuple(sorted(self.edges))
 
 
 def branch_tree(vertices: Iterable[int], edges: Iterable[Edge] = ()) -> BranchTree:
-    return BranchTree(frozenset(vertices), frozenset(_ordered(u, v) for u, v in edges))
+    return BranchTree(frozenset(vertices), frozenset(norm_edge(u, v) for u, v in edges))
 
 
 @dataclass(frozen=True, eq=True)
@@ -86,11 +48,18 @@ class OddExpansionModel:
 
     trees: ordered branch trees, one per clique vertex.
     coloring: partial map vertex -> color in {1, 2}; must cover tree vertices.
-    connectors: optional map (i, j) with i < j -> stored host edge for that
-        tree pair.  When a pair has a stored edge the verifier checks exactly
-        that edge; otherwise it searches all cross edges.
+    connectors: optional map (i, j) with 0 <= i < j < len(trees) -> stored
+        host edge for that tree pair.  When a pair has a stored edge the
+        verifier checks exactly that edge; otherwise it searches all cross
+        edges.
     notes: free-text provenance flags carried into the serialized form, one
         `meta:` line each, so a note may not contain a line break.
+
+    Every id (tree vertex, tree-edge end, coloring key, connector key and
+    end) must be a plain int, the rule `Graph` and `parse_model` apply, and
+    every connector key a pair of trees; the model refuses anything else
+    with ParameterError when it is made.  Everything else it holds is a
+    claim for the verifier.
     """
 
     trees: tuple[BranchTree, ...]
@@ -99,11 +68,24 @@ class OddExpansionModel:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "coloring", dict(self.coloring))
+        coloring = dict(self.coloring)
+        object.__setattr__(self, "coloring", coloring)
+        ids = [coloring]
+        for t in self.trees:
+            ids.append(t.vertices)
+            ids.extend(t.edges)
+        if not set(map(type, chain.from_iterable(ids))) <= {int}:
+            bad = next(x for x in chain.from_iterable(ids) if type(x) is not int)
+            raise ParameterError(f"vertex id {bad!r} is not an int")
         if self.connectors is not None:
+            r = len(self.trees)
             fixed = {}
-            for (i, j), (u, v) in self.connectors.items():
-                fixed[_ordered(i, j)] = _ordered(u, v)
+            for key, (u, v) in self.connectors.items():
+                i, j = key
+                if not (type(i) is type(j) is type(u) is type(v) is int and 0 <= i < j < r):
+                    raise ParameterError(f"connector {i!r},{j!r}={u!r}-{v!r} needs int ids "
+                                         f"and a tree pair 0 <= i < j < {r}")
+                fixed[key] = norm_edge(u, v)
             object.__setattr__(self, "connectors", fixed)
         object.__setattr__(self, "notes", tuple(self.notes))
         for note in self.notes:
@@ -159,15 +141,15 @@ def _fail(clause, trees=(), vertices=(), edges=(), message=""):
     return Verdict("fail", clause, tuple(trees), tuple(vertices), tuple(edges), message)
 
 
-# Vertex ids, colors and connector keys must be plain ints.  True == 1 and
-# 1.0 == 1 pass every check by value, but serialize as "True" and "1.0",
-# which the parser rejects.
+# Colors must be plain ints.  True == 1 and 1.0 == 1 pass every check by
+# value, but serialize as "True" and "1.0", which the parser rejects.  Ids
+# are plain ints by construction of the model.
 def _is_color(c) -> bool:
     return type(c) is int and c in (1, 2)
 
 
 def _is_vertex(v, g: Graph) -> bool:
-    return type(v) is int and 0 <= v < g.n
+    return 0 <= v < g.n
 
 
 def _tree_connected(tree: BranchTree) -> bool:
@@ -195,9 +177,10 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
     Checks run in a fixed order and the first failure is reported, with the
     lowest tree/vertex/edge ids first: disjointness, tree shape, tree-edge
     membership in the host, coloring totality on used vertices, properness
-    on every tree edge, stored connector keys in range, then connectors pair
-    by pair.  Vertex ids and connector keys must be plain ints: a bool or a
-    float fails the clause that checks it.
+    on every tree edge, then connectors pair by pair.  The model has
+    already refused ids that are not plain ints and connector keys that are
+    not tree pairs; a color that is not the int 1 or 2 (a bool, a float)
+    fails `coloring_missing`.
 
     strict=True additionally requires a stored connector for every pair;
     stored connectors are always checked literally.
@@ -223,7 +206,7 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
                 return _fail("tree_shape", trees=(i,), vertices=(v,),
                              message=f"tree {i} uses vertex {v!r} outside host of order {g.n}")
         for u, v in t.sorted_edges:
-            if not (type(u) is type(v) is int and u in t.vertices and v in t.vertices):
+            if not (u in t.vertices and v in t.vertices):
                 return _fail("tree_shape", trees=(i,), edges=((u, v),),
                              message=f"tree {i} edge {u!r}-{v!r} leaves its vertex set")
         if len(t.edges) != len(t.vertices) - 1 or not _tree_connected(t):
@@ -242,7 +225,7 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
             if not _is_color(coloring.get(v)):
                 return _fail("coloring_missing", trees=(i,), vertices=(v,),
                              message=f"vertex {v} of tree {i} has no valid color")
-    for v in _sorted_ids(coloring):
+    for v in sorted(coloring):
         if not _is_vertex(v, g):
             return _fail("coloring_missing", vertices=(v,),
                          message=f"colored vertex {v!r} is outside the host")
@@ -257,20 +240,11 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
                              message=f"tree {i} edge {u}-{v} is monochromatic")
 
     stored = model.connectors or {}
-    bad_keys = _sorted_ids([key for key in stored if not (type(key[0]) is type(key[1]) is int
-                                                          and 0 <= key[0] < key[1] < r)], _pair_key)
-    if bad_keys:
-        i, j = bad_keys[0]
-        return _fail("connector_invalid", trees=(i, j), edges=(stored[i, j],),
-                     message=f"stored connector key ({i},{j}) is not a pair of the {r} trees")
     for i in range(r):
         for j in range(i + 1, r):
             edge = stored.get((i, j))
             if edge is not None:
                 u, v = edge
-                if not type(u) is type(v) is int:
-                    return _fail("connector_invalid", trees=(i, j), edges=(edge,),
-                                 message=f"stored connector {u!r}-{v!r} is not a pair of int ids")
                 in_i = u in trees[i].vertices and v in trees[j].vertices
                 in_j = v in trees[i].vertices and u in trees[j].vertices
                 if not (in_i or in_j):
@@ -342,8 +316,8 @@ def monochromatic_connector(g: Graph, model: OddExpansionModel, i: int, j: int) 
 #
 # Line-oriented key-value text.  Two structurally equal models serialize to
 # identical bytes: vertex and edge lists are sorted, coloring is sorted by
-# vertex, connectors by tree pair, all in the one `_sorted_ids` order.  Tree
-# order is semantic and preserved.
+# vertex, connectors by tree pair; every id is an int, so one plain sort
+# orders each.  Tree order is semantic and preserved.
 
 
 def serialize_model(model: OddExpansionModel, graph_hash: str) -> str:
@@ -358,13 +332,10 @@ def serialize_model(model: OddExpansionModel, graph_hash: str) -> str:
         es = " ".join(f"{u}-{v}" for u, v in t.sorted_edges)
         lines.append(f"tree: {vs}" if vs else "tree:")
         lines.append(f"edges: {es}" if es else "edges:")
-    by_id = lambda item: _id_key(item[0])
-    cs = " ".join(f"{v}={c}" for v, c in _sorted_ids(model.coloring.items(), by_id))
+    cs = " ".join(f"{v}={c}" for v, c in sorted(model.coloring.items()))
     lines.append(f"coloring: {cs}" if cs else "coloring:")
     if model.connectors is not None:
-        by_pair = lambda item: _pair_key(item[0])
-        ks = " ".join(f"{i},{j}={u}-{v}"
-                      for (i, j), (u, v) in _sorted_ids(model.connectors.items(), by_pair))
+        ks = " ".join(f"{i},{j}={u}-{v}" for (i, j), (u, v) in sorted(model.connectors.items()))
         lines.append(f"connectors: {ks}" if ks else "connectors:")
     for note in model.notes:
         lines.append(f"meta: {note}")

@@ -7,7 +7,7 @@ import pytest
 from oddminors import cli
 from oddminors import constructions as cons
 from oddminors import graphs as gr
-from oddminors.expansion import parse_model, verify_odd_expansion
+from oddminors.expansion import parse_model, serialize_model, verify_odd_expansion
 
 
 def run(capsys, *argv):
@@ -74,13 +74,24 @@ def test_hamming_power_of_k1_is_k1_at_once(tmp_path, capsys):
     assert gr.read_graph_text(out.read_text()) == gr.Graph(2, frozenset())
 
 
-# (theorem, parameters of a host above the edge cap, its certificate builder)
-@pytest.mark.parametrize("theorem, argv, builder", [
-    ("cartesian-complete", ["--s", "400", "--t", "400"], "cartesian_complete_model"),  # 63.8M edges
-    ("stars", ["--r", "2000", "--t", "2000"], "star_model"),  # 16.0M edges
-], ids=["cartesian-complete", "stars"])
+# (theorem, parameters of a host above the edge cap, complete factor orders
+# with identity certificates or None, its certificate builder)
+@pytest.mark.parametrize("theorem, argv, factors, builder", [
+    ("cartesian-complete", ["--s", "400", "--t", "400"], None, "cartesian_complete_model"),  # 63.8M edges
+    ("stars", ["--r", "2000", "--t", "2000"], None, "star_model"),  # 16.0M edges
+    ("hamming", ["--n", "2", "--d", "21"], None, "hamming_model"),  # 22.0M edges
+    ("strong", [], (72, 72), "strong_model"),  # 13.4M edges
+    ("lex", [], (72, 72), "strong_model"),  # 13.4M edges
+    ("cartesian-lift", [], (220, 220), "cartesian_lift"),  # 10.6M edges
+    ("best", ["--kind", "strong"], (72, 72), "best_lower_bound"),  # 13.4M edges
+], ids=["cartesian-complete", "stars", "hamming", "strong", "lex", "cartesian-lift", "best"])
 def test_construct_refuses_an_oversized_host_before_its_certificate(
-        tmp_path, capsys, monkeypatch, theorem, argv, builder):
+        tmp_path, capsys, monkeypatch, theorem, argv, factors, builder):
+    for tag, n in zip("ab", factors or ()):
+        k, cert = gr.complete(n), tmp_path / f"{tag}.cert"
+        cert.write_text(serialize_model(cons.identity_model(k), k.content_hash()))
+        argv = [*argv, f"--factor-{tag}", f"complete:{n}", f"--model-{tag}", str(cert)]
+
     def refuse(*args):
         raise AssertionError(f"{builder} ran before the edge cap")
     monkeypatch.setattr(cons, builder, refuse)

@@ -330,14 +330,6 @@ def test_connector_kernel_picks_its_loop_by_size():
 # Verifier contract: a passing certificate survives its serialized form
 
 
-def test_verifier_rejects_connector_key_outside_tree_pairs():
-    model = OddExpansionModel(C5_MODEL.trees, dict(C5_MODEL.coloring), {(0, 7): (0, 1)})
-    verdict = verify_odd_expansion(C5, model)
-    assert verdict.clause == "connector_invalid" and verdict.trees == (0, 7)
-    with pytest.raises(ParseError):
-        parse_model(serialize_model(model, C5.content_hash()))
-
-
 @pytest.mark.parametrize("vertex", [0, 1])
 def test_verifier_rejects_bool_colors(vertex):
     coloring = dict(C5_MODEL.coloring)
@@ -355,59 +347,40 @@ def _c5_with(trees=C5_MODEL.trees, coloring=C5_MODEL.coloring, connectors=None):
     return OddExpansionModel(trees, coloring, connectors)
 
 
-# Each of these equals a passing certificate by value, but serializes an id
-# as "True" or "2.0", which the parser rejects.
-@pytest.mark.parametrize("model, clause", [
-    (_c5_with(trees=(C5_MODEL.trees[0], branch_tree([True, 2], [(1, 2)]), C5_MODEL.trees[2])),
-     "tree_shape"),
-    (_c5_with(trees=(C5_MODEL.trees[0], branch_tree([1, 2.0], [(1, 2)]), C5_MODEL.trees[2])),
-     "tree_shape"),
-    (_c5_with(trees=(C5_MODEL.trees[0], branch_tree([1, 2], [(True, 2)]), C5_MODEL.trees[2])),
-     "tree_shape"),
-    (_c5_with(coloring={0: 1, True: 1, 2: 2, 3: 2, 4: 1}), "coloring_missing"),
-    (_c5_with(connectors={(0, 1): (0, True)}), "connector_invalid"),
-    (_c5_with(connectors={(0, True): (0, 1)}), "connector_invalid"),
-])
-def test_verifier_rejects_ids_that_are_not_plain_ints(model, clause):
-    assert verify_odd_expansion(C5, model).clause == clause
-    with pytest.raises(ParseError):
-        parse_model(serialize_model(model, C5.content_hash()))
-
-
-# Ids that do not compare with ints: the verifier raised TypeError while
-# sorting them, and the model while ordering a connector key or endpoint.
-@pytest.mark.parametrize("make, clause, trees, vertices", [
-    (lambda: OddExpansionModel((branch_tree(["a", 1]),), {1: 1}), "tree_shape", (0,), ("a",)),
-    (lambda: OddExpansionModel((BranchTree(frozenset({"a", 1, 2}), frozenset({(1, 2), ("a", 1)})),),
-                               {1: 1, 2: 2}), "tree_shape", (0,), ("a",)),
-    (lambda: OddExpansionModel((branch_tree(["a", 1], [("a", 1)]),), {1: 1}),
-     "tree_shape", (0,), ("a",)),
-    (lambda: OddExpansionModel((branch_tree([0]), branch_tree([2])), {0: 1, "x": 1, 2: 1}),
-     "coloring_missing", (), ("x",)),
-    (lambda: _c5_with(connectors={(0, "b"): (0, 1)}), "connector_invalid", (0, "b"), ()),
-    (lambda: _c5_with(connectors={("b", 0): (0, 1), (7, 0): (0, 1)}),
-     "connector_invalid", (0, 7), ()),
-    (lambda: _c5_with(connectors={(0, 1): (0, "b")}), "connector_invalid", (0, 1), ()),
-], ids=["tree-vertex", "tree-edge-as-stored", "tree-edge", "color-key", "connector-key",
-        "connector-keys-str-and-int", "connector-endpoint"])
-def test_verifier_gives_a_verdict_on_ids_of_mixed_types(make, clause, trees, vertices):
-    verdict = verify_odd_expansion(C5, make())
-    assert (verdict.clause, verdict.trees, verdict.vertices) == (clause, trees, vertices)
-
-
-# serialize_model raised TypeError while sorting such coloring keys or
-# connector keys; it orders them by the verifier's rule, and the parser then
-# rejects the text.
-@pytest.mark.parametrize("model, line", [
-    (OddExpansionModel((branch_tree([0]), branch_tree([2])), {0: 1, "x": 1, 2: 1}),
-     "coloring: 0=1 2=1 x=1"),
-    (_c5_with(connectors={(0, 1): (0, 1), (0, "b"): (0, 1)}), "connectors: 0,1=0-1 0,b=0-1"),
-], ids=["color-key", "connector-key"])
-def test_serializer_orders_ids_of_mixed_types(model, line):
-    text = serialize_model(model, C5.content_hash())
-    assert line in text.splitlines()
-    with pytest.raises(ParseError):
-        parse_model(text)
+# Ids that are not plain ints, and connector keys that are not tree pairs.
+# Some equal a passing certificate by value but would serialize an id as
+# "True" or "2.0"; some do not compare with ints at all.
+@pytest.mark.parametrize("make", [
+    lambda: _c5_with(trees=(C5_MODEL.trees[0], branch_tree([True, 2], [(1, 2)]),
+                            C5_MODEL.trees[2])),
+    lambda: _c5_with(trees=(C5_MODEL.trees[0], branch_tree([1, 2.0], [(1, 2)]),
+                            C5_MODEL.trees[2])),
+    lambda: _c5_with(trees=(C5_MODEL.trees[0], branch_tree([1, 2], [(True, 2)]),
+                            C5_MODEL.trees[2])),
+    lambda: _c5_with(coloring={0: 1, True: 1, 2: 2, 3: 2, 4: 1}),
+    lambda: _c5_with(connectors={(0, 1): (0, True)}),
+    lambda: _c5_with(connectors={(0, True): (0, 1)}),
+    lambda: OddExpansionModel((branch_tree(["a", 1]),), {1: 1}),
+    lambda: OddExpansionModel((BranchTree(frozenset({"a", 1, 2}), frozenset({(1, 2), ("a", 1)})),),
+                              {1: 1, 2: 2}),
+    lambda: OddExpansionModel((BranchTree(frozenset({"a", 1}), frozenset({("a", 1)})),), {1: 1}),
+    lambda: OddExpansionModel((branch_tree([0]), branch_tree([2])), {0: 1, "x": 1, 2: 1}),
+    lambda: _c5_with(connectors={(0, "b"): (0, 1)}),
+    lambda: _c5_with(connectors={("b", 0): (0, 1), (7, 0): (0, 1)}),
+    lambda: _c5_with(connectors={(0, 1): (0, "b")}),
+    lambda: _c5_with(connectors={(0, 1): (0, 1), (0, "b"): (0, 1)}),
+    lambda: _c5_with(connectors={(0, 7): (0, 1)}),
+    lambda: _c5_with(connectors={(1, 0): (0, 1)}),
+    lambda: _c5_with(connectors={(1, 1): (1, 2)}),
+    lambda: _c5_with(connectors={(-1, 0): (0, 1)}),
+], ids=["bool-tree-vertex", "float-tree-vertex", "bool-tree-edge-end", "bool-color-key",
+        "bool-connector-end", "bool-connector-key", "str-tree-vertex", "str-tree-edge-as-stored",
+        "str-tree-edge", "str-color-key", "str-connector-key", "connector-keys-str-and-int",
+        "str-connector-end", "str-connector-key-among-ints", "connector-key-past-last-tree",
+        "connector-key-reversed", "connector-key-one-tree", "connector-key-negative"])
+def test_model_refuses_ids_that_are_not_ints(make):
+    with pytest.raises(ParameterError):
+        make()
 
 
 @pytest.mark.parametrize("note", ["a\nb", "a\r\nb", "x\u2028y", "end\n", "\x0b", "\n"])
@@ -427,9 +400,10 @@ def perturbed_certificates(draw):
     perturbed: stored connectors dropped or given keys out of range or of
     type str, colors replaced by values of other types, extra colored
     vertices (True and "x" among them), vertex 1 renamed True or "a", notes
-    drawn with and without line breaks.  Returns the
-    host and the model's fields, since a note with a line break is refused
-    when the model is made."""
+    drawn with and without line breaks.  Returns the host, the model's
+    fields, and whether they hold an id that is not an int or a connector
+    key that is not a tree pair, since the model refuses those, and a note
+    with a line break, when it is made."""
     n = draw(st.integers(3, 7))
     extra = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
     g = gr.graph_from_edges(n, extra | {(0, 1), (1, 2), (0, 2)})
@@ -437,10 +411,12 @@ def perturbed_certificates(draw):
     r = model.clique_order
     coloring = dict(model.coloring)
     connectors = None if draw(st.booleans()) else dict(model.connectors)
+    spoiled = False
     if connectors is not None and draw(st.booleans()):
         key = st.one_of(st.integers(0, r + 2), st.just("b"))
         i, j = draw(key), draw(key)
         connectors[(i, j)] = draw(st.sampled_from(sorted(g.edges)))
+        spoiled = not (type(i) is type(j) is int and 0 <= i < j < r)
     for _ in range(draw(st.integers(0, 2))):
         v = draw(st.one_of(st.integers(-1, n + 1), st.sampled_from((True, "x"))))
         coloring[v] = draw(st.sampled_from((1, 2, True, False, 0, 3, 1.0)))
@@ -450,18 +426,23 @@ def perturbed_certificates(draw):
                   for t in trees)
     notes = draw(st.lists(st.text(st.sampled_from("a :=\n\r\u2028\x85"), max_size=3),
                           max_size=2))
-    return g, (trees, coloring, connectors, tuple(notes))
+    # True drawn as a colored vertex next to vertex 1 keeps the int key 1
+    ids = [*coloring, *(v for t in trees for v in t.vertices)]
+    spoiled = spoiled or any(type(v) is not int for v in ids)
+    return g, (trees, coloring, connectors, tuple(notes)), spoiled
 
 
 @settings(max_examples=100, deadline=None)
 @given(perturbed_certificates(), st.booleans())
 def test_passing_certificate_survives_round_trip(case, strict):
-    g, fields = case
+    g, fields, spoiled = case
+    refuse = spoiled or any(note.splitlines() not in ([], [note]) for note in fields[3])
     try:
         model = OddExpansionModel(*fields)
     except ParameterError:
-        assert any(note.splitlines() not in ([], [note]) for note in fields[3])
+        assert refuse
         return
+    assert not refuse
     if not verify_odd_expansion(g, model, strict).passed:
         return
     parsed, graph_hash = parse_model(serialize_model(model, g.content_hash()))

@@ -178,12 +178,18 @@ def test_benchmark_tracer_sees_every_theorem(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("theorem, argv, t, s", [
     ("direct-general", ["--t", "9", "--s", "9"], 9, 9),
     ("direct-k3", ["--t", "12"], 12, 3),
+    ("best", ["--kind", "direct"], 9, 12),
 ])
 def test_construct_builds_and_renders_its_host_once(capsys, tmp_path, monkeypatch,
                                                     theorem, argv, t, s):
     """The K_t x K_s host is built once for the connector search, the
     certificate and the graph file, and its text is rendered once for the
-    hash and `--graph-out`."""
+    hash and `--graph-out`.  A theorem on factors takes K_t and K_s with
+    identity certificates."""
+    if cons.THEOREMS[theorem].factors:
+        kt, ks = (("complete:%d" % n, gr.complete(n), cons.identity_model(gr.complete(n)))
+                  for n in (t, s))
+        argv = argv + factor_argv(tmp_path, kt, ks)
     cons._complete_host.cache_clear()
     products, renders = [], []
     product = cons.product
