@@ -369,6 +369,7 @@ def _c5_with(trees=C5_MODEL.trees, coloring=C5_MODEL.coloring, connectors=None):
     lambda: _c5_with(connectors={("b", 0): (0, 1), (7, 0): (0, 1)}),
     lambda: _c5_with(connectors={(0, 1): (0, "b")}),
     lambda: _c5_with(connectors={(0, 1): (0, 1), (0, "b"): (0, 1)}),
+    lambda: _c5_with(coloring={**C5_MODEL.coloring, "x": 1}),
     lambda: _c5_with(connectors={(0, 7): (0, 1)}),
     lambda: _c5_with(connectors={(1, 0): (0, 1)}),
     lambda: _c5_with(connectors={(1, 1): (1, 2)}),
@@ -376,7 +377,8 @@ def _c5_with(trees=C5_MODEL.trees, coloring=C5_MODEL.coloring, connectors=None):
 ], ids=["bool-tree-vertex", "float-tree-vertex", "bool-tree-edge-end", "bool-color-key",
         "bool-connector-end", "bool-connector-key", "str-tree-vertex", "str-tree-edge-as-stored",
         "str-tree-edge", "str-color-key", "str-connector-key", "connector-keys-str-and-int",
-        "str-connector-end", "str-connector-key-among-ints", "connector-key-past-last-tree",
+        "str-connector-end", "str-connector-key-among-ints", "str-color-key-among-ints",
+        "connector-key-past-last-tree",
         "connector-key-reversed", "connector-key-one-tree", "connector-key-negative"])
 def test_model_refuses_ids_that_are_not_ints(make):
     with pytest.raises(ParameterError):
