@@ -211,7 +211,7 @@ class BaseModel:
     model: OddExpansionModel
 
     def host(self) -> Graph:
-        return product("cartesian", complete(self.s), complete(self.t))
+        return _complete_host("cartesian", self.s, self.t)
 
 
 def cartesian_complete_model(s: int, t: int) -> BaseModel:
@@ -302,13 +302,16 @@ def cartesian_lift(g: Graph, mg: OddExpansionModel,
 def hamming_model(n: int, d: int) -> OddExpansionModel:
     """Order d(n-2)+2 certificate on the d-fold box power of the complete
     graph on n vertices, built by repeated lifting from the identity
-    certificate."""
+    certificate.  Each lift's host, the power hamming(n, k), is made once,
+    from the power before it."""
     if n < 2 or d < 1:
         raise ParameterError(f"needs n >= 2 and d >= 1, got ({n}, {d})")
-    kn = complete(n)
-    model = identity_model(kn)
+    host = kn = complete(n)
+    model = kn_model = identity_model(kn)
     for k in range(1, d):
-        model = cartesian_lift(hamming(n, k), model, kn, identity_model(kn))
+        if k > 1:
+            host = product("cartesian", host, kn)
+        model = cartesian_lift(host, model, kn, kn_model)
     return model
 
 
@@ -499,9 +502,10 @@ def _path_model(host: Graph, specs, fixed: Mapping[tuple[int, int], Edge]) -> Od
 
 @lru_cache(maxsize=1)
 def _complete_host(kind: str, a: int, b: int) -> Graph:
-    """K_a <kind> K_b.  The direct constructions search it for connectors and
-    their theorems then serialize and verify against it, so the last host
-    is kept for the second call; one entry keeps at most one host alive."""
+    """K_a <kind> K_b.  The direct constructions search it for connectors, a
+    lift verifies its base certificate on it, and the theorems on complete
+    factors serialize and verify against it, so the last host is kept for
+    the second call; one entry keeps at most one host alive."""
     return product(kind, complete(a), complete(b))
 
 
@@ -705,10 +709,11 @@ def _grid_theorem(kind: str) -> Theorem:
                    lambda g, mg, h, mh: strong_model(g, mg, h, mh, kind), factors=True)
 
 
-def _best_host(g, mg, h, mh, kind) -> Graph:
-    """The product host; on complete direct factors, the `_complete_host`
-    entry that the direct constructions search, so it is built once."""
-    if kind == "direct" and g.n and h.n and g.is_complete() and h.is_complete():
+def _factor_host(g, mg, h, mh, kind) -> Graph:
+    """The product host.  On complete factors it is the `_complete_host`
+    entry, which the direct constructions search and a lift verifies its
+    base certificate on, so it is built once."""
+    if g.n and h.n and g.is_complete() and h.is_complete():
         return _complete_host(kind, g.n, h.n)
     return product(kind, g, h)
 
@@ -723,7 +728,7 @@ THEOREMS: dict[str, Theorem] = {
         ("s", "t"), lambda s, t: _complete_host("cartesian", s, t),
         lambda s, t: cartesian_complete_model(s, t).model, table=("2..6", "2..6")),
     "cartesian-lift": Theorem(
-        (), lambda g, mg, h, mh: product("cartesian", g, h),
+        (), lambda g, mg, h, mh: _factor_host(g, mg, h, mh, "cartesian"),
         lambda g, mg, h, mh, base=None: cartesian_lift(g, mg, h, mh, base),
         factors=True, base=True),
     "strong": _grid_theorem("strong"),
@@ -738,5 +743,5 @@ THEOREMS: dict[str, Theorem] = {
         ("t", "s"), lambda t, s: _complete_host("direct", t, s),
         lambda t, s: direct_general_model(t, s), table=("4..6", "3..6")),
     "hamming": Theorem(("n", "d"), hamming, lambda n, d: hamming_model(n, d)),
-    "best": Theorem(("kind",), _best_host, _best_model, factors=True),
+    "best": Theorem(("kind",), _factor_host, _best_model, factors=True),
 }

@@ -11,9 +11,12 @@ this package relies on that fixed flattening.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from operator import lt
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParameterError, ParseError, StructureError
 
@@ -26,7 +29,9 @@ PRODUCT_KINDS = ("cartesian", "direct", "lexicographic", "strong")
 # 130 bytes in a complete graph and 150-170 bytes in a direct product while
 # it is built (CPython 3.11), so the cap is about 1.7 GB of edge set, before
 # the adjacency lists and canonical text a command adds.  It admits K60 x K60
-# direct (6.3M edges).
+# direct (6.3M edges).  It also bounds the vertex count of a product or of a
+# graph read from text: a vertex costs about as much as an edge to render,
+# and a ten-byte file can claim any number of them.
 MAX_EDGES = 10_000_000
 
 
@@ -35,10 +40,11 @@ def norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _require_size(m: int, what: str):
-    """Refuse a graph with more than MAX_EDGES edges before building it."""
-    if m > MAX_EDGES:
-        raise ParameterError(f"{what} would have at least {m} edges, more than {MAX_EDGES}")
+def _require_size(count: int, what: str, unit: str = "edges"):
+    """Refuse a graph with more than MAX_EDGES edges (or vertices) before
+    building it."""
+    if count > MAX_EDGES:
+        raise ParameterError(f"{what} would have at least {count} {unit}, more than {MAX_EDGES}")
 
 
 @dataclass(frozen=True)
@@ -227,10 +233,12 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
     joins (a2, b2) for the kind's pairs in `_ACROSS`, and every kind except
     direct joins (a, b1) to (a, b2) for each edge b1 < b2 of h.  So every
     flattened pair is already ordered, and none is produced twice, and the
-    edge count is known before any is built.
+    vertex and edge counts are checked against MAX_EDGES before any edge
+    is built.
     """
     if kind not in PRODUCT_KINDS:
         raise ParameterError(f"unknown product kind {kind!r} (expected one of {PRODUCT_KINDS})")
+    _require_size(g.n * h.n, f"{kind} product", "vertices")
     nh = h.n
     blocks = [(g.edges, _ACROSS[kind](h))]
     if kind != "direct":
@@ -353,8 +361,79 @@ def write_graph_text(g: Graph) -> str:
     return g.canonical_text()
 
 
+# Canonical header or edge lines: two decimal ints, with no sign and no
+# leading zero, one space between them and a line feed after.  The
+# possessive repeats never backtrack, so a match is linear in its input.
+_CANONICAL_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*+) (?:0|[1-9][0-9]*+)\n)*+")
+
+# The edge lines of canonical text are parsed this many characters at a
+# time, cut at a line end, so that only one chunk's tokens are alive at
+# once.  A canonical line is at most 16 characters (n <= MAX_EDGES), so a
+# stretch this long without a line end is not canonical.
+_CHUNK = 1 << 16
+
+
 def read_graph_text(text: str) -> Graph:
-    """Parse the canonical text format; tolerant of unsorted edge lines."""
+    """Parse the canonical text format; tolerant of unsorted edge lines.
+
+    Two paths, picked by the input itself.  Text that is byte for byte the
+    canonical text of a graph (what `canonical_text` and every writer in
+    this package produce) is parsed in bounded chunks by C-level splits and
+    comparisons, and the graph keeps the input as its cached text, so
+    `content_hash` hashes it without rendering it again.  Any other input
+    goes through the tolerant line loop, the only path that accepts unsorted
+    lines, signs, leading zeros, tabs, CRLF or blank lines, and the one that
+    names the field, line and offset of a `ParseError`; the bulk path only
+    ever declines.  Both refuse a vertex count above MAX_EDGES.
+    """
+    try:
+        n, edges = _canonical_edges(text)
+    except ValueError:
+        return _read_lines(text)
+    g = Graph(n, edges)
+    g.__dict__["_text"] = text  # seeds the cached rendering: text is already it
+    return g
+
+
+def _canonical_edges(text: str) -> tuple[int, frozenset[Edge]]:
+    """The vertex count and edge set of the graph whose canonical text is
+    exactly `text`; raises ValueError when `text` is not canonical or its
+    vertex count is above MAX_EDGES."""
+    start = text.find("\n") + 1
+    if not start or not _CANONICAL_LINES.fullmatch(text, 0, start):
+        raise ValueError("header is not canonical")
+    n, m = map(int, text[:start].split())
+    if n > MAX_EDGES:
+        raise ValueError("vertex count above MAX_EDGES")
+    # strictly ascending lines have no duplicates, so the set counts them
+    edges = frozenset(chain.from_iterable(_canonical_chunks(text, start, n)))
+    if len(edges) != m:
+        raise ValueError("edge count differs from the header")
+    return n, edges
+
+
+def _canonical_chunks(text: str, start: int, n: int) -> Iterator[list[Edge]]:
+    """The edges of the lines of text[start:], one list per chunk; raises
+    ValueError unless each line is 'u v' with 0 <= u < v < n and the lines
+    strictly ascend across the whole text."""
+    last = (-1, -1)
+    while start < len(text):
+        end = text.rfind("\n", start, start + _CHUNK) + 1
+        if end <= start or not _CANONICAL_LINES.fullmatch(text, start, end):
+            raise ValueError("edge lines are not canonical")
+        ends = list(map(int, text[start:end].split()))
+        us, vs = ends[0::2], ends[1::2]
+        edges = list(zip(us, vs))
+        if not (last < edges[0] and max(vs) < n and all(map(lt, us, vs))
+                and all(map(lt, edges, edges[1:]))):
+            raise ValueError("edge lines out of range or order")
+        last = edges[-1]
+        yield edges
+        start = end
+
+
+def _read_lines(text: str) -> Graph:
+    """The tolerant line loop behind `read_graph_text`."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("empty graph text", line=1, offset=0)
@@ -367,6 +446,9 @@ def read_graph_text(text: str) -> Graph:
         raise ParseError("header values must be integers", field="header", line=1, offset=0)
     if n < 0:
         raise ParseError(f"vertex count must be non-negative, got {n}", field="header",
+                         line=1, offset=0)
+    if n > MAX_EDGES:
+        raise ParseError(f"vertex count {n} is more than {MAX_EDGES}", field="header",
                          line=1, offset=0)
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:
@@ -420,6 +502,8 @@ def read_graph6(line: str) -> Graph:
         rest = data[8:]
     else:
         raise ParseError("truncated graph6 size block", offset=0)
+    if n > MAX_EDGES:
+        raise ParseError(f"vertex count {n} is more than {MAX_EDGES}", offset=0)
     need = n * (n - 1) // 2
     bits = []
     for v in rest:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -72,6 +75,46 @@ def test_hamming_power_of_k1_is_k1_at_once(tmp_path, capsys):
                      "--out", str(out))
     assert code == 0 and time.perf_counter() - start < 1.0
     assert gr.read_graph_text(out.read_text()) == gr.Graph(2, frozenset())
+
+
+# A child process that caps its own address space at 1 GiB before it runs
+# the CLI, so that code which renders a hostile vertex count fails there
+# with MemoryError instead of exhausting the machine.  It reports the time
+# the command took, without the interpreter's start-up.
+CAPPED_CLI = """import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from oddminors.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(f"elapsed_s {time.perf_counter() - start}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_capped(*argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    message, _, elapsed = proc.stderr.rpartition("elapsed_s ")
+    return message, float(elapsed)
+
+
+def test_verify_refuses_a_hostile_vertex_count(tmp_path):
+    graph, cert = tmp_path / "huge.graph", tmp_path / "c.cert"
+    graph.write_text("100000000 0\n")
+    cert.write_text(serialize_model(cons.singleton_model(gr.complete(1)), "0" * 64))
+    message, elapsed = run_capped("verify", str(graph), str(cert))
+    assert "vertex count 100000000 is more than 10000000" in message
+    assert elapsed < 1.0
+
+
+def test_product_refuses_a_hostile_vertex_count(tmp_path):
+    first, second, out = tmp_path / "a.graph", tmp_path / "b.graph", tmp_path / "x.graph"
+    for edgeless in (first, second):
+        edgeless.write_text("10000 0\n")
+    message, _ = run_capped("product", "direct", str(first), str(second), "--out", str(out))
+    assert "100000000 vertices, more than 10000000" in message and not out.exists()
 
 
 # (theorem, parameters of a host above the edge cap, complete factor orders

@@ -207,6 +207,26 @@ def test_hamming_model(n, d, order):
     check_on(gr.hamming(n, d), model)
 
 
+def test_hamming_model_builds_each_lift_host_once(monkeypatch):
+    """hamming_model(4, 4) lifts onto H(4, 2) and H(4, 3), each built once,
+    from the one before.  The other products with K4 second are the hosts
+    K_s x K4 of the default bases, s = 4, 6, 8; the grid cells are products
+    with a one-vertex second factor."""
+    products = []
+    product = gr.product
+
+    def counted(kind, g, h):
+        products.append((kind, g.n, h.n))
+        return product(kind, g, h)
+    monkeypatch.setattr(gr, "product", counted)  # what graphs.hamming calls
+    monkeypatch.setattr(cons, "product", counted)
+    cons._complete_host.cache_clear()
+    cons.hamming_model(4, 4)
+    lift_hosts = [("cartesian", 4, 4), ("cartesian", 16, 4)]
+    bases = [("cartesian", s, 4) for s in (4, 6, 8)]
+    assert sorted(p for p in products if p[2] == 4) == sorted(lift_hosts + bases)
+
+
 def test_hamming_model_params():
     with pytest.raises(ParameterError):
         cons.hamming_model(1, 2)

@@ -294,3 +294,10 @@ def test_graph6_known_strings():
         gr.read_graph6("C")  # body too short
     with pytest.raises(ParseError):
         gr.read_graph6("C\x1f")
+
+
+def test_graph6_refuses_a_vertex_count_above_the_bound():
+    n = gr.MAX_EDGES + 1
+    size = "~~" + "".join(chr(63 + (n >> shift & 63)) for shift in range(30, -1, -6))
+    with pytest.raises(ParseError, match=f"vertex count {n} is more than"):
+        gr.read_graph6(size)

@@ -1,8 +1,17 @@
 """Fuzz tests of the three parsers: whatever the input, `parse_model`,
 `read_graph_text` and `read_graph6` return a value or raise `ParseError`,
 never another exception.  Inputs are arbitrary text, and text built from
-the format's own keys and tokens, or from valid documents with edits."""
+the format's own keys and tokens, or from valid documents with edits.
 
+`read_graph_text` is also checked against a test-local copy of its tolerant
+line loop: canonical text takes a bulk path, and every input must read as
+the line loop reads it, to the same graph or the same error."""
+
+import hashlib
+import itertools
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +109,162 @@ def test_read_graph6_raises_only_parse_error(text):
         gr.read_graph6(text)
     except ParseError:
         pass
+
+
+def reference_read(text):
+    """The tolerant line loop of `read_graph_text`, the reference for its
+    bulk path on canonical text."""
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise ParseError("empty graph text", line=1, offset=0)
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ParseError("header must be 'n m'", field="header", line=1, offset=0)
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise ParseError("header values must be integers", field="header", line=1, offset=0)
+    if n < 0:
+        raise ParseError(f"vertex count must be non-negative, got {n}", field="header",
+                         line=1, offset=0)
+    if n > gr.MAX_EDGES:
+        raise ParseError(f"vertex count {n} is more than {gr.MAX_EDGES}", field="header",
+                         line=1, offset=0)
+    body = [ln for ln in lines[1:] if ln.strip()]
+    if len(body) != m:
+        raise ParseError(f"expected {m} edge lines, found {len(body)}", field="edges", line=2)
+    edges = set()
+    offset = len(lines[0]) + 1
+    for i, ln in enumerate(body):
+        parts = ln.split()
+        lineno = i + 2
+        if len(parts) != 2:
+            raise ParseError("edge line must be 'u v'", field=f"edges[{i}]", line=lineno, offset=offset)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("edge endpoints must be integers", field=f"edges[{i}]", line=lineno, offset=offset)
+        if u == v:
+            raise ParseError(f"self-loop at {u}", field=f"edges[{i}]", line=lineno, offset=offset)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"edge ({u},{v}) outside vertex range", field=f"edges[{i}]", line=lineno, offset=offset)
+        e = gr.norm_edge(u, v)
+        if e in edges:
+            raise ParseError(f"duplicate edge ({u},{v})", field=f"edges[{i}]", line=lineno, offset=offset)
+        edges.add(e)
+        offset += len(ln) + 1
+    return gr.Graph(n, frozenset(edges))
+
+
+def reference_text(g):
+    """The canonical text from one sort of all edge tuples."""
+    return f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+
+
+def assert_reads_like_reference(text):
+    """`read_graph_text` gives the reference's graph or its error; an
+    accepted graph hashes its canonical text and keeps canonical input as
+    that text."""
+    try:
+        expected = reference_read(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            gr.read_graph_text(text)
+        fields = lambda err: (str(err), err.field, err.line, err.offset)
+        assert fields(got.value) == fields(e)
+        return
+    g = gr.read_graph_text(text)
+    assert g == expected
+    rendered = reference_text(expected)
+    assert g.content_hash() == hashlib.sha256(rendered.encode("ascii")).hexdigest()
+    if text == rendered:
+        assert g.canonical_text() is text
+
+
+@st.composite
+def random_graphs(draw, min_edges=0):
+    n = draw(st.integers(3 if min_edges else 0, 40))  # K3 has 3 edges
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=min_edges, max_size=120)) if pairs else set()
+    return gr.Graph(n, frozenset(edges))
+
+
+FLAWS = ("swapped-ends", "out-of-order", "duplicate", "leading-zeros", "plus-sign", "tab",
+         "crlf", "blank-line", "no-final-newline", "three-tokens", "wrong-m", "n-too-small")
+
+
+def one_flaw(text, flaw, at):
+    """Canonical `text` of a graph with at least two edges, with one flaw
+    at edge line `at` (0-based, not the last line for out-of-order)."""
+    head, *lines = text.splitlines()
+    n, m = head.split()
+    u, v = lines[at].split()
+    if flaw == "swapped-ends":
+        lines[at] = f"{v} {u}"
+    elif flaw == "out-of-order":
+        lines[at:at + 2] = lines[at + 1], lines[at]
+    elif flaw == "duplicate":
+        lines.insert(at, lines[at])
+        head = f"{n} {int(m) + 1}"
+    elif flaw == "leading-zeros":
+        lines[at] = f"00{u} {v}"
+    elif flaw == "plus-sign":
+        lines[at] = f"+{u} {v}"
+    elif flaw == "tab":
+        lines[at] = f"{u}\t{v}"
+    elif flaw == "crlf":
+        lines[at] += "\r"
+    elif flaw == "blank-line":
+        lines.insert(at, "")
+    elif flaw == "three-tokens":
+        lines[at] += " 0"
+    elif flaw == "wrong-m":
+        head = f"{n} {int(m) - 1}"
+    elif flaw == "n-too-small":
+        head = f"{max(int(x) for ln in lines for x in ln.split())} {m}"
+    out = "\n".join([head, *lines]) + "\n"
+    return out[:-1] if flaw == "no-final-newline" else out
+
+
+@st.composite
+def flawed_texts(draw):
+    g = draw(random_graphs(min_edges=2))
+    return one_flaw(g.canonical_text(), draw(st.sampled_from(FLAWS)), draw(st.integers(0, g.m - 2)))
+
+
+# A 20-character chunk holds a few lines of these small graphs, so most
+# texts span many chunks and flaws fall on every side of a cut.
+@pytest.mark.parametrize("chunk", [20, gr._CHUNK])
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(GRAPH_TEXTS, random_graphs().map(gr.Graph.canonical_text), flawed_texts()))
+def test_read_graph_text_matches_the_line_loop(chunk, text):
+    with mock.patch.object(gr, "_CHUNK", chunk):
+        assert_reads_like_reference(text)
+
+
+BIG = gr.complete(200)  # 19,900 edge lines over three chunks
+
+
+@pytest.mark.parametrize("where", ["last-chunk", "chunk-boundary"])
+@pytest.mark.parametrize("flaw", FLAWS)
+def test_read_graph_text_matches_the_line_loop_across_chunks(flaw, where):
+    text = reference_text(BIG)
+    start = text.index("\n") + 1
+    cut = text.rfind("\n", start, start + gr._CHUNK) + 1
+    assert len(text) > 2 * gr._CHUNK
+    # the last line of the first chunk, which out-of-order swaps with the
+    # first line of the second; or the second-to-last line of the text
+    at = text.count("\n", start, cut) - 1 if where == "chunk-boundary" else BIG.m - 2
+    assert_reads_like_reference(one_flaw(text, flaw, at))
+
+
+# just above the vertex bound, far above it with an edge, and at it
+@pytest.mark.parametrize("text", ["10000001 0\n", "100000000 1\n0 1\n", "10000000 0\n"])
+def test_read_graph_text_bounds_the_vertex_count(text):
+    assert_reads_like_reference(text)
+
+
+def test_canonical_text_over_many_chunks_is_kept():
+    text = reference_text(BIG)
+    g = gr.read_graph_text(text)
+    assert g == BIG and g.canonical_text() is text

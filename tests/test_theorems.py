@@ -179,13 +179,16 @@ def test_benchmark_tracer_sees_every_theorem(capsys, tmp_path, monkeypatch):
     ("direct-general", ["--t", "9", "--s", "9"], 9, 9),
     ("direct-k3", ["--t", "12"], 12, 3),
     ("best", ["--kind", "direct"], 9, 12),
+    ("cartesian-lift", [], 8, 8),
+    ("best", ["--kind", "cartesian"], 8, 8),
 ])
 def test_construct_builds_and_renders_its_host_once(capsys, tmp_path, monkeypatch,
                                                     theorem, argv, t, s):
-    """The K_t x K_s host is built once for the connector search, the
-    certificate and the graph file, and its text is rendered once for the
-    hash and `--graph-out`.  A theorem on factors takes K_t and K_s with
-    identity certificates."""
+    """The K_t x K_s host is built once for the connector search or the
+    lift's base certificate, the certificate and the graph file, and its
+    text is rendered once for the hash and `--graph-out`.  A theorem on
+    factors takes K_t and K_s with identity certificates."""
+    kind = "cartesian" if theorem == "cartesian-lift" or "cartesian" in argv else "direct"
     if cons.THEOREMS[theorem].factors:
         kt, ks = (("complete:%d" % n, gr.complete(n), cons.identity_model(gr.complete(n)))
                   for n in (t, s))
@@ -212,6 +215,6 @@ def test_construct_builds_and_renders_its_host_once(capsys, tmp_path, monkeypatc
                      "--strict"])
     stdout = capsys.readouterr().out
     assert code == 0
-    assert products.count(("direct", t, s)) == 1
+    assert products.count((kind, t, s)) == 1
     assert renders.count(t * s) == 1
     assert f"hash={hashlib.sha256(graph.read_bytes()).hexdigest()}" in stdout
