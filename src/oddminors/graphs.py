@@ -362,9 +362,10 @@ def write_graph_text(g: Graph) -> str:
 
 
 # Canonical header or edge lines: two decimal ints, with no sign and no
-# leading zero, one space between them and a line feed after.  The
-# possessive repeats never backtrack, so a match is linear in its input.
-_CANONICAL_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*+) (?:0|[1-9][0-9]*+)\n)*+")
+# leading zero, one space between them and a line feed after.  Each token
+# is fixed by its first character and ended by a space or a line feed, so a
+# failed match gives back each character at most once: linear in its input.
+_CANONICAL_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n)*")
 
 # The edge lines of canonical text are parsed this many characters at a
 # time, cut at a line end, so that only one chunk's tokens are alive at

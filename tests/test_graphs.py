@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import pytest
 
@@ -301,3 +302,23 @@ def test_graph6_refuses_a_vertex_count_above_the_bound():
     size = "~~" + "".join(chr(63 + (n >> shift & 63)) for shift in range(30, -1, -6))
     with pytest.raises(ParseError, match=f"vertex count {n} is more than"):
         gr.read_graph6(size)
+
+
+def _opcodes(node):
+    """The names of the opcodes anywhere in a parsed regex."""
+    if isinstance(node, tuple) and len(node) == 2 and type(node[0]).__name__ == "_NamedIntConstant":
+        yield str(node[0])
+    if isinstance(node, (tuple, list)) or hasattr(node, "data"):
+        for sub in getattr(node, "data", node):
+            yield from _opcodes(sub)
+
+
+def test_canonical_pattern_compiles_on_python_3_10():
+    # possessive repeats and atomic groups came in 3.11; with either, the
+    # module would fail to import on the 3.10 that pyproject.toml allows
+    parser = getattr(re, "_parser", None)
+    if parser is None:
+        pytest.skip("this Python has no possessive repeats to find")
+    ops = set(_opcodes(parser.parse(gr._CANONICAL_LINES.pattern)))
+    assert "MAX_REPEAT" in ops
+    assert not ops & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
