@@ -178,8 +178,6 @@ def cmd_verify(args) -> int:
         print(f"PASS order={model.clique_order}")
         return EXIT_OK
     print(verdict.summary())
-    if verdict.message:
-        print(f"detail: {verdict.message}")
     return EXIT_VERIFY_FAIL
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 
 class ParameterError(ValueError):
     """An argument violates a documented precondition."""
@@ -16,7 +18,8 @@ class ColoringMissingError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed text input. Carries the byte offset and a field path when known."""
+    """Malformed text input. Carries the field path, the 1-based line and the
+    character offset of that line's start when known."""
 
     def __init__(self, message: str, *, offset: int | None = None,
                  field: str | None = None, line: int | None = None):
@@ -31,6 +34,15 @@ class ParseError(ValueError):
         self.offset = offset
         self.field = field
         self.line = line
+
+    @classmethod
+    def at(cls, lines: Sequence[str], index: int, message: str,
+           field: str | None = None) -> ParseError:
+        """The error at `lines[index]`, where `lines` is a text's
+        `splitlines(keepends=True)` and `index` may be `len(lines)` (the end
+        of the text): line `index + 1`, offset the length of the lines before
+        it."""
+        return cls(message, field=field, line=index + 1, offset=sum(map(len, lines[:index])))
 
 
 class FactorModelError(ValueError):

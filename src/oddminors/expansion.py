@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import ParameterError, ParseError
 from .graphs import Edge, Graph, norm_edge
@@ -342,62 +342,21 @@ def serialize_model(model: OddExpansionModel, graph_hash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _LineReader:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.offsets = []
-        pos = 0
-        for ln in self.lines:
-            self.offsets.append(pos)
-            pos += len(ln) + 1
-        self.idx = 0
-
-    def peek_key(self):
-        if self.idx >= len(self.lines):
-            return None
-        line = self.lines[self.idx]
-        if ":" not in line:
-            return None
-        return line.split(":", 1)[0].strip()
-
-    def take(self, key: str, field: str) -> str:
-        if self.idx >= len(self.lines):
-            raise ParseError(f"unexpected end of input, expected '{key}:'",
-                             field=field, offset=self.offsets[-1] + len(self.lines[-1]) + 1
-                             if self.lines else 0, line=len(self.lines) + 1)
-        line = self.lines[self.idx]
-        off = self.offsets[self.idx]
-        if ":" not in line:
-            raise ParseError(f"expected '{key}:' line", field=field,
-                             offset=off, line=self.idx + 1)
-        k, rest = line.split(":", 1)
-        if k.strip() != key:
-            raise ParseError(f"expected '{key}:' but found '{k.strip()}:'",
-                             field=field, offset=off, line=self.idx + 1)
-        self.idx += 1
-        return rest.strip()
-
-    def error(self, message: str, field: str) -> ParseError:
-        line_idx = min(self.idx, len(self.lines) - 1) if self.lines else 0
-        off = self.offsets[line_idx] if self.lines else 0
-        return ParseError(message, field=field, offset=off, line=line_idx + 1)
-
-
-def _parse_int(token: str, reader: _LineReader, field: str) -> int:
+def _parse_int(token: str, error: Callable[[str, str], ParseError], field: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise reader.error(f"expected integer, found {token!r}", field)
+        raise error(f"expected integer, found {token!r}", field)
 
 
-def _parse_edge_token(token: str, reader: _LineReader, field: str) -> Edge:
+def _parse_edge_token(token: str, error: Callable[[str, str], ParseError], field: str) -> Edge:
     parts = token.split("-")
     if len(parts) != 2:
-        raise reader.error(f"expected 'u-v' edge token, found {token!r}", field)
-    u = _parse_int(parts[0], reader, field)
-    v = _parse_int(parts[1], reader, field)
+        raise error(f"expected 'u-v' edge token, found {token!r}", field)
+    u = _parse_int(parts[0], error, field)
+    v = _parse_int(parts[1], error, field)
     if u == v:
-        raise reader.error(f"edge token {token!r} is a self-loop", field)
+        raise error(f"edge token {token!r} is a self-loop", field)
     return norm_edge(u, v)
 
 
@@ -406,78 +365,103 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
 
     Parsing checks structure only (field shapes, counts, value ranges); the
     semantic certificate clauses are left to the verifier.  Unsorted lists
-    are accepted and normalized.
+    are accepted and normalized.  A `ParseError` names the line just read,
+    the line found in place of an expected key, or the first non-blank
+    trailing line.
     """
-    reader = _LineReader(text)
-    version = reader.take("version", "version")
+    lines = text.splitlines(keepends=True)
+    index = -1  # the line just read
+
+    def error(message: str, field: str) -> ParseError:
+        return ParseError.at(lines, index, message, field)
+
+    def next_key() -> str | None:
+        if index + 1 < len(lines) and ":" in lines[index + 1]:
+            return lines[index + 1].split(":", 1)[0].strip()
+        return None
+
+    def take(key: str, field: str) -> str:
+        nonlocal index
+        index += 1
+        if index == len(lines):
+            raise error(f"unexpected end of input, expected '{key}:'", field)
+        if ":" not in lines[index]:
+            raise error(f"expected '{key}:' line", field)
+        k, rest = lines[index].split(":", 1)
+        if k.strip() != key:
+            raise error(f"expected '{key}:' but found '{k.strip()}:'", field)
+        return rest.strip()
+
+    version = take("version", "version")
     if version != "1":
-        raise reader.error(f"unsupported version {version!r}", "version")
-    graph_hash = reader.take("graph_hash", "graph_hash")
+        raise error(f"unsupported version {version!r}", "version")
+    graph_hash = take("graph_hash", "graph_hash")
     if not graph_hash or any(c not in "0123456789abcdef" for c in graph_hash):
-        raise reader.error("graph_hash must be lowercase hex", "graph_hash")
-    order = _parse_int(reader.take("clique_order", "clique_order"), reader, "clique_order")
-    count = _parse_int(reader.take("trees", "trees"), reader, "trees")
+        raise error("graph_hash must be lowercase hex", "graph_hash")
+    order = _parse_int(take("clique_order", "clique_order"), error, "clique_order")
+    count = _parse_int(take("trees", "trees"), error, "trees")
     if order != count:
-        raise reader.error(f"clique_order {order} does not match tree count {count}", "trees")
+        raise error(f"clique_order {order} does not match tree count {count}", "trees")
     if order < 1:
-        raise reader.error("certificate must have at least one tree", "clique_order")
+        raise error("certificate must have at least one tree", "clique_order")
 
     trees = []
     for k in range(count):
-        vtokens = reader.take("tree", f"tree[{k}]").split()
+        vtokens = take("tree", f"tree[{k}]").split()
         verts = set()
         for tok in vtokens:
-            v = _parse_int(tok, reader, f"tree[{k}]")
+            v = _parse_int(tok, error, f"tree[{k}]")
             if v < 0:
-                raise reader.error(f"negative vertex {v}", f"tree[{k}]")
+                raise error(f"negative vertex {v}", f"tree[{k}]")
             if v in verts:
-                raise reader.error(f"duplicate vertex {v}", f"tree[{k}]")
+                raise error(f"duplicate vertex {v}", f"tree[{k}]")
             verts.add(v)
-        etokens = reader.take("edges", f"tree[{k}].edges").split()
+        etokens = take("edges", f"tree[{k}].edges").split()
         edges = set()
         for tok in etokens:
-            e = _parse_edge_token(tok, reader, f"tree[{k}].edges")
+            e = _parse_edge_token(tok, error, f"tree[{k}].edges")
             if e in edges:
-                raise reader.error(f"duplicate tree edge {tok}", f"tree[{k}].edges")
+                raise error(f"duplicate tree edge {tok}", f"tree[{k}].edges")
             edges.add(e)
         trees.append(BranchTree(frozenset(verts), frozenset(edges)))
 
     coloring = {}
-    for tok in reader.take("coloring", "coloring").split():
+    for tok in take("coloring", "coloring").split():
         parts = tok.split("=")
         if len(parts) != 2:
-            raise reader.error(f"expected 'v=c' token, found {tok!r}", "coloring")
-        v = _parse_int(parts[0], reader, "coloring")
-        c = _parse_int(parts[1], reader, "coloring")
+            raise error(f"expected 'v=c' token, found {tok!r}", "coloring")
+        v = _parse_int(parts[0], error, "coloring")
+        c = _parse_int(parts[1], error, "coloring")
         if c not in (1, 2):
-            raise reader.error(f"color for vertex {v} must be 1 or 2, found {c}", "coloring")
+            raise error(f"color for vertex {v} must be 1 or 2, found {c}", "coloring")
         if v in coloring:
-            raise reader.error(f"duplicate color entry for vertex {v}", "coloring")
+            raise error(f"duplicate color entry for vertex {v}", "coloring")
         coloring[v] = c
 
     connectors = None
-    if reader.peek_key() == "connectors":
+    if next_key() == "connectors":
         connectors = {}
-        for tok in reader.take("connectors", "connectors").split():
+        for tok in take("connectors", "connectors").split():
             parts = tok.split("=")
             if len(parts) != 2:
-                raise reader.error(f"expected 'i,j=u-v' token, found {tok!r}", "connectors")
+                raise error(f"expected 'i,j=u-v' token, found {tok!r}", "connectors")
             pair = parts[0].split(",")
             if len(pair) != 2:
-                raise reader.error(f"expected 'i,j' pair in {tok!r}", "connectors")
-            i = _parse_int(pair[0], reader, "connectors")
-            j = _parse_int(pair[1], reader, "connectors")
+                raise error(f"expected 'i,j' pair in {tok!r}", "connectors")
+            i = _parse_int(pair[0], error, "connectors")
+            j = _parse_int(pair[1], error, "connectors")
             if not (0 <= i < j < count):
-                raise reader.error(f"connector pair ({i},{j}) out of range", "connectors")
+                raise error(f"connector pair ({i},{j}) out of range", "connectors")
             if (i, j) in connectors:
-                raise reader.error(f"duplicate connector for pair ({i},{j})", "connectors")
-            connectors[(i, j)] = _parse_edge_token(parts[1], reader, "connectors")
+                raise error(f"duplicate connector for pair ({i},{j})", "connectors")
+            connectors[(i, j)] = _parse_edge_token(parts[1], error, "connectors")
 
     notes = []
-    while reader.peek_key() == "meta":
-        notes.append(reader.take("meta", "meta"))
-    if reader.idx < len(reader.lines) and any(ln.strip() for ln in reader.lines[reader.idx:]):
-        raise reader.error(f"unexpected trailing content", "trailer")
+    while next_key() == "meta":
+        notes.append(take("meta", "meta"))
+    for index in range(index + 1, len(lines)):
+        if lines[index].strip():
+            raise error("unexpected trailing content", "trailer")
 
     model = OddExpansionModel(tuple(trees), coloring, connectors, tuple(notes))
     return model, graph_hash

@@ -379,27 +379,27 @@ def read_graph_text(text: str) -> Graph:
 
     Two paths, picked by the input itself.  Text that is byte for byte the
     canonical text of a graph (what `canonical_text` and every writer in
-    this package produce) is parsed in bounded chunks by C-level splits and
-    comparisons, and the graph keeps the input as its cached text, so
-    `content_hash` hashes it without rendering it again.  Any other input
-    goes through the tolerant line loop, the only path that accepts unsorted
-    lines, signs, leading zeros, tabs, CRLF or blank lines, and the one that
-    names the field, line and offset of a `ParseError`; the bulk path only
-    ever declines.  Both refuse a vertex count above MAX_EDGES.
+    this package produce) is split in bounded chunks by C-level splits and
+    comparisons, checked for strict ascent and the header's edge count, and
+    left to `Graph` for the range of each edge; the graph keeps the input as
+    its cached text, so `content_hash` hashes it without rendering it again.
+    Any other input goes through the tolerant line loop, the only path that
+    accepts unsorted lines, signs, leading zeros, tabs, CRLF or blank lines,
+    and the one that raises `ParseError`; the bulk path only ever declines.
+    Both refuse a vertex count above MAX_EDGES.
     """
     try:
-        n, edges = _canonical_edges(text)
-    except ValueError:
+        g = Graph(*_canonical_edges(text))
+    except ValueError:  # ParameterError from Graph too
         return _read_lines(text)
-    g = Graph(n, edges)
     g.__dict__["_text"] = text  # seeds the cached rendering: text is already it
     return g
 
 
 def _canonical_edges(text: str) -> tuple[int, frozenset[Edge]]:
-    """The vertex count and edge set of the graph whose canonical text is
-    exactly `text`; raises ValueError when `text` is not canonical or its
-    vertex count is above MAX_EDGES."""
+    """The vertex count and edge set written as canonical text in `text`;
+    raises ValueError when `text` is not in that form or its vertex count is
+    above MAX_EDGES.  The range of each edge is left to `Graph`."""
     start = text.find("\n") + 1
     if not start or not _CANONICAL_LINES.fullmatch(text, 0, start):
         raise ValueError("header is not canonical")
@@ -407,27 +407,25 @@ def _canonical_edges(text: str) -> tuple[int, frozenset[Edge]]:
     if n > MAX_EDGES:
         raise ValueError("vertex count above MAX_EDGES")
     # strictly ascending lines have no duplicates, so the set counts them
-    edges = frozenset(chain.from_iterable(_canonical_chunks(text, start, n)))
+    edges = frozenset(chain.from_iterable(_canonical_chunks(text, start)))
     if len(edges) != m:
         raise ValueError("edge count differs from the header")
     return n, edges
 
 
-def _canonical_chunks(text: str, start: int, n: int) -> Iterator[list[Edge]]:
+def _canonical_chunks(text: str, start: int) -> Iterator[list[Edge]]:
     """The edges of the lines of text[start:], one list per chunk; raises
-    ValueError unless each line is 'u v' with 0 <= u < v < n and the lines
-    strictly ascend across the whole text."""
+    ValueError unless each line is 'u v' in decimal and the lines strictly
+    ascend across the whole text."""
     last = (-1, -1)
     while start < len(text):
         end = text.rfind("\n", start, start + _CHUNK) + 1
         if end <= start or not _CANONICAL_LINES.fullmatch(text, start, end):
             raise ValueError("edge lines are not canonical")
         ends = list(map(int, text[start:end].split()))
-        us, vs = ends[0::2], ends[1::2]
-        edges = list(zip(us, vs))
-        if not (last < edges[0] and max(vs) < n and all(map(lt, us, vs))
-                and all(map(lt, edges, edges[1:]))):
-            raise ValueError("edge lines out of range or order")
+        edges = list(zip(ends[0::2], ends[1::2]))
+        if not (last < edges[0] and all(map(lt, edges, edges[1:]))):
+            raise ValueError("edge lines out of order")
         last = edges[-1]
         yield edges
         start = end
@@ -435,45 +433,40 @@ def _canonical_chunks(text: str, start: int, n: int) -> Iterator[list[Edge]]:
 
 def _read_lines(text: str) -> Graph:
     """The tolerant line loop behind `read_graph_text`."""
-    lines = text.splitlines()
+    lines = text.splitlines(keepends=True)
     if not lines or not lines[0].strip():
-        raise ParseError("empty graph text", line=1, offset=0)
+        raise ParseError.at(lines, 0, "empty graph text")
     head = lines[0].split()
     if len(head) != 2:
-        raise ParseError("header must be 'n m'", field="header", line=1, offset=0)
+        raise ParseError.at(lines, 0, "header must be 'n m'", "header")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise ParseError("header values must be integers", field="header", line=1, offset=0)
+        raise ParseError.at(lines, 0, "header values must be integers", "header")
     if n < 0:
-        raise ParseError(f"vertex count must be non-negative, got {n}", field="header",
-                         line=1, offset=0)
+        raise ParseError.at(lines, 0, f"vertex count must be non-negative, got {n}", "header")
     if n > MAX_EDGES:
-        raise ParseError(f"vertex count {n} is more than {MAX_EDGES}", field="header",
-                         line=1, offset=0)
-    body = [ln for ln in lines[1:] if ln.strip()]
+        raise ParseError.at(lines, 0, f"vertex count {n} is more than {MAX_EDGES}", "header")
+    body = [index for index in range(1, len(lines)) if lines[index].strip()]
     if len(body) != m:
-        raise ParseError(f"expected {m} edge lines, found {len(body)}", field="edges", line=2)
+        raise ParseError.at(lines, 1, f"expected {m} edge lines, found {len(body)}", "edges")
     edges = set()
-    offset = len(lines[0]) + 1
-    for i, ln in enumerate(body):
-        parts = ln.split()
-        lineno = i + 2
+    for i, index in enumerate(body):
+        parts = lines[index].split()
         if len(parts) != 2:
-            raise ParseError("edge line must be 'u v'", field=f"edges[{i}]", line=lineno, offset=offset)
+            raise ParseError.at(lines, index, "edge line must be 'u v'", f"edges[{i}]")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError("edge endpoints must be integers", field=f"edges[{i}]", line=lineno, offset=offset)
+            raise ParseError.at(lines, index, "edge endpoints must be integers", f"edges[{i}]")
         if u == v:
-            raise ParseError(f"self-loop at {u}", field=f"edges[{i}]", line=lineno, offset=offset)
+            raise ParseError.at(lines, index, f"self-loop at {u}", f"edges[{i}]")
         if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge ({u},{v}) outside vertex range", field=f"edges[{i}]", line=lineno, offset=offset)
+            raise ParseError.at(lines, index, f"edge ({u},{v}) outside vertex range", f"edges[{i}]")
         e = norm_edge(u, v)
         if e in edges:
-            raise ParseError(f"duplicate edge ({u},{v})", field=f"edges[{i}]", line=lineno, offset=offset)
+            raise ParseError.at(lines, index, f"duplicate edge ({u},{v})", f"edges[{i}]")
         edges.add(e)
-        offset += len(ln) + 1
     return Graph(n, frozenset(edges))
 
 

@@ -207,6 +207,18 @@ def test_verify_detects_tampering(tmp_path, capsys):
     tampered.write_text(text.replace("0=1", "0=2", 1))
     code, stdout, _ = run(capsys, "verify", str(graph), str(tampered))
     assert code == 1 and stdout.startswith("FAIL ")
+    # the verdict ends with its message, printed once
+    assert stdout.count("\n") == 1 and "detail:" not in stdout
+
+
+def test_verify_names_the_line_of_a_parse_error(tmp_path, capsys):
+    c5 = gr.cycle(5)
+    text = serialize_model(cons.odd_cycle_model(c5), c5.content_hash())
+    cert = tmp_path / "c5.cert"
+    cert.write_text(text.replace("tree: 0\n", "tree: 0 0\n"))  # line 5, after 113 characters
+    code, stdout, stderr = run(capsys, "verify", "cycle:5", str(cert))
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {cert}: duplicate vertex 0 field=tree[0] line=5 offset=113\n"
 
 
 def test_verify_hash_mismatch(tmp_path, capsys):

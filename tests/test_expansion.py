@@ -254,6 +254,22 @@ def test_parse_errors_carry_position(mutate):
     assert exc.value.offset is not None
 
 
+# C5_MODEL's certificate: 11 lines and 200 characters, 'tree: 0' at 113
+@pytest.mark.parametrize("mutate, field, line, offset", [
+    (lambda t: t.replace("version: 1", "version: 9"), "version", 1, 0),
+    (lambda t: t.replace("graph_hash: ", "graph_hash: ZZ"), "graph_hash", 2, 11),
+    (lambda t: t.replace("tree: 0\n", "tree: 0 0\n"), "tree[0]", 5, 113),
+    (lambda t: t.replace("tree: 0\n", "tree: 0 0\n").replace("\n", "\r\n"), "tree[0]", 5, 117),
+    (lambda t: t + "\nsurprise\n", "trailer", 13, 201),
+    (lambda t: t[:10], "graph_hash", 2, 10),
+], ids=["version", "hash", "duplicate-vertex", "crlf", "trailing-after-blank", "end-of-input"])
+def test_parse_errors_name_the_line_at_fault(mutate, field, line, offset):
+    text = serialize_model(C5_MODEL, C5.content_hash())
+    with pytest.raises(ParseError) as exc:
+        parse_model(mutate(text))
+    assert (exc.value.field, exc.value.line, exc.value.offset) == (field, line, offset)
+
+
 def test_parse_rejects_out_of_range_connector_pairs():
     model = OddExpansionModel(C5_MODEL.trees, dict(C5_MODEL.coloring),
                               {(0, 1): (0, 1), (0, 2): (0, 4), (1, 2): (2, 3)})

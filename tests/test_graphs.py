@@ -261,6 +261,17 @@ def test_graph_text_parse_errors():
     assert err is not None and err.line == 2
 
 
+@pytest.mark.parametrize("text, field, line, offset", [
+    ("3 2\n\n0 1\n0 0\n", "edges[1]", 4, 9),
+    ("3 2\r\n0 1\r\n0 0\r\n", "edges[1]", 3, 10),
+    ("3 2\r\n0 1\r\n", "edges", 2, 5),
+], ids=["after-blank-line", "crlf", "edge-count"])
+def test_graph_text_errors_name_the_line_at_fault(text, field, line, offset):
+    with pytest.raises(ParseError) as exc:
+        gr.read_graph_text(text)
+    assert (exc.value.field, exc.value.line, exc.value.offset) == (field, line, offset)
+
+
 def _encode_graph6(g):
     # Independent test-local encoder for cross-checking the reader.
     assert g.n < 63

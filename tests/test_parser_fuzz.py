@@ -130,14 +130,16 @@ def reference_read(text):
     if n > gr.MAX_EDGES:
         raise ParseError(f"vertex count {n} is more than {gr.MAX_EDGES}", field="header",
                          line=1, offset=0)
-    body = [ln for ln in lines[1:] if ln.strip()]
+    # line k + 1 starts after the k lines before it, line ends included
+    starts = list(itertools.accumulate(map(len, text.splitlines(keepends=True)), initial=0))
+    body = [(k, ln) for k, ln in enumerate(lines) if k and ln.strip()]
     if len(body) != m:
-        raise ParseError(f"expected {m} edge lines, found {len(body)}", field="edges", line=2)
+        raise ParseError(f"expected {m} edge lines, found {len(body)}", field="edges", line=2,
+                         offset=starts[1])
     edges = set()
-    offset = len(lines[0]) + 1
-    for i, ln in enumerate(body):
+    for i, (k, ln) in enumerate(body):
         parts = ln.split()
-        lineno = i + 2
+        lineno, offset = k + 1, starts[k]
         if len(parts) != 2:
             raise ParseError("edge line must be 'u v'", field=f"edges[{i}]", line=lineno, offset=offset)
         try:
@@ -152,7 +154,6 @@ def reference_read(text):
         if e in edges:
             raise ParseError(f"duplicate edge ({u},{v})", field=f"edges[{i}]", line=lineno, offset=offset)
         edges.add(e)
-        offset += len(ln) + 1
     return gr.Graph(n, frozenset(edges))
 
 
