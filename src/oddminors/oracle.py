@@ -25,6 +25,20 @@ A family skipped that way has an image under that group that comes earlier
 in the enumeration order, so the first model in that order is never
 skipped: certificates are the same as without pruning and refutations stay
 exhaustive.
+
+The tree-count rule is the paper's ceiling argument for direct products of
+K3 (see `constructions.direct_k3_upper_bound`), made generic.  When a subset
+is placed with k trees still to come, those trees lie in the free vertices
+above its anchor.  A tree of one vertex must be adjacent to every other
+tree, and every other tree has at least 2 vertices; so when fewer than 2k
+such vertices are free, the shortfall must be made up by singletons, which
+form a clique among the free vertices adjacent to every placed subset.  A
+subset without room for such a clique is skipped.  The rule only cuts
+subtrees that hold no model, so, as with orbit pruning, the first model in
+the enumeration order is never skipped.  A subset's usable colorings come in
+swapped pairs, so only the half that gives its largest vertex color 2 is
+tested; the swaps of those are listed after them in reverse, which is
+exactly the order of a test of every coloring.
 """
 
 from __future__ import annotations
@@ -229,16 +243,19 @@ class _Search:
             return cached
         verts = list(_bits(mask))
         k = len(verts)
-        out = []
-        for pick in range(1 << k):
+        # A coloring and its swap are usable together, and pick p's swap is
+        # pick 2^k - 1 - p: test the picks that leave the top vertex color 2,
+        # then list their swaps in reverse, which is the order of all picks.
+        half = []
+        for pick in range(1 << (k - 1)):
             ones = 0
             for pos in range(k):
                 if pick >> pos & 1:
                     ones |= 1 << verts[pos]
             if self._spans_bichromatic(mask, ones):
-                out.append((ones, self._neighborhood(ones) if ones else 0,
-                            mask ^ ones, self._neighborhood(mask ^ ones) if mask ^ ones else 0))
-        result = tuple(out)
+                half.append((ones, self._neighborhood(ones),
+                             mask ^ ones, self._neighborhood(mask ^ ones)))
+        result = tuple(half) + tuple((c[2], c[3], c[0], c[1]) for c in reversed(half))
         self._coloring_cache[mask] = result
         return result
 
@@ -343,6 +360,17 @@ class _Search:
                             break
                     if short or (self._neighborhood(subset) & future).bit_count() < remaining - 1:
                         continue
+                    # the tree-count rule: with fewer than two future
+                    # vertices per future tree, at least `spare` of those
+                    # trees are singletons, pairwise adjacent and adjacent
+                    # to every placed tree
+                    spare = 2 * (remaining - 1) - future.bit_count()
+                    if spare > 0:
+                        common = future & self._neighborhood(subset)
+                        for placed in masks:
+                            common &= self._neighborhood(placed)
+                        if not self._has_clique(common, spare):
+                            continue
                 dom = self._admissible_colorings(subset)
                 if not dom:
                     continue
@@ -360,6 +388,17 @@ class _Search:
                 if found is not None:
                     return found
         return None
+
+    def _has_clique(self, cand: int, q: int) -> bool:
+        """Whether `cand` holds q pairwise adjacent vertices."""
+        if q <= 0:
+            return True
+        while cand.bit_count() >= q:
+            low = cand & -cand
+            cand ^= low
+            if self._has_clique(cand & self.adj[low.bit_length() - 1], q - 1):
+                return True
+        return False
 
     @staticmethod
     def _add_orbit(seen: set, mask: int, group) -> None:

@@ -6,6 +6,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddminors import constructions as cons
 from oddminors import graphs as gr
@@ -95,9 +97,12 @@ def test_admissible_colorings_match_spanning_tree_enumeration(g, verts):
     # explicitly enumerated spanning tree.
     search = new_search(g, 1)
     mask = sum(1 << v for v in verts)
-    got = {frozenset(v for v in verts if c[0] >> v & 1)
-           for c in search._admissible_colorings(mask)}
+    dom = search._admissible_colorings(mask)
+    got = {frozenset(v for v in verts if c[0] >> v & 1) for c in dom}
     assert got == brute_tree_proper_colorings(g, verts)
+    # in pick order, pick p's swap is pick 2^k - 1 - p: the tuple reads the
+    # same from either end with the colors swapped
+    assert all(a == (b[2], b[3], b[0], b[1]) for a, b in zip(dom, reversed(dom)))
 
 
 def test_has_odd_clique_minor_examples():
@@ -369,9 +374,43 @@ def test_stabilizer_chain_ticks_the_shared_budget():
         _StabilizerChain(host, _Budget(SearchBudget(node_limit=20)))
 
 
+# ----------------------------------------------------------------------
+# tree-count rule and complement halving
+
+@st.composite
+def graphs_and_subsets(draw):
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return gr.Graph(n, frozenset(edges)), draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_subsets())
+def test_has_clique_matches_networkx(case):
+    g, cand = case
+    h = nx.Graph(g.edges)
+    h.add_nodes_from(range(g.n))
+    _, omega = nx.max_weight_clique(h.subgraph(v for v in range(g.n) if cand >> v & 1),
+                                    weight=None)
+    search = new_search(g, 1)
+    for q in range(g.n + 2):
+        assert search._has_clique(cand, q) == (q <= omega), q
+
+
+def test_tree_count_rule_keeps_node_counts_at_or_below_their_ceilings():
+    # the counts with the rule; without it they were 14,663 and 37,811
+    assert odd_hadwiger(gr.product("direct", gr.complete(4), gr.complete(3))).nodes <= 8969
+    host = gr.product("direct", gr.complete(4), gr.complete(4))
+    budget = _Budget(SearchBudget(max_vertices=host.n))
+    assert _Search(host, 7, budget, _StabilizerChain(host, budget)).run() is not None
+    assert budget.nodes <= 26858
+
+
 # SHA-256 of serialize_model(certificate, host.content_hash()) for the exact
-# values and order-7 witnesses of the benchmark's search hosts, recorded
-# before orbit pruning: pruning skips subsets, never the first model.
+# values and witnesses of the benchmark's search hosts, recorded before orbit
+# pruning (the last three before the tree-count rule): pruning skips subsets
+# that hold no model, never the first model.
 PINNED_EXACT = [
     ("c5-strong-c3", lambda: gr.product("strong", gr.cycle(5), gr.cycle(3)), 9,
      "1ecd91e69ab3acd4c3cee6d1b6da8957fa624ca68c7ccd9b8713237ffa430851"),
@@ -385,10 +424,16 @@ PINNED_EXACT = [
      "6c4129d02bdc34d6136dd43fc3041f714adb8501f820e5616dada166efeecd17"),
 ]
 PINNED_WITNESSES = [
-    ("k4-direct-k4", lambda: gr.product("direct", gr.complete(4), gr.complete(4)),
+    ("k4-direct-k4", lambda: gr.product("direct", gr.complete(4), gr.complete(4)), 7,
      "608fb282afb720b4c8ebc7005da1595cc4e8791e5dd93ef54aab42f35a11817c"),
-    ("k5-direct-k3", lambda: gr.product("direct", gr.complete(5), gr.complete(3)),
+    ("k5-direct-k3", lambda: gr.product("direct", gr.complete(5), gr.complete(3)), 7,
      "58d347c9a4f0b498811b755d7cae5dac0bdb6b8efba46bc3027418844793b099"),
+    ("c5-cartesian-c3", lambda: gr.product("cartesian", gr.cycle(5), gr.cycle(3)), 5,
+     "d7eff7c6c7e3ac9289f6a535c9fc6231136b1ba35b80a9b33a925d0884a1f3fd"),
+    ("k4-cartesian-k4", lambda: gr.product("cartesian", gr.complete(4), gr.complete(4)), 7,
+     "e411a675a3789d485db12dcabf00aea79cbc1a18416f32358eeb195d7510a035"),
+    ("k6-direct-k3", lambda: gr.product("direct", gr.complete(6), gr.complete(3)), 7,
+     "aefd3038fc2a987785d7a3c990612bc5b3003efb5c1593d012c72fe888e318c4"),
 ]
 
 
@@ -406,9 +451,9 @@ def test_exact_certificate_bytes_are_pinned(name, build, value, digest):
     assert certificate_digest(host, result.certificate) == digest
 
 
-@pytest.mark.parametrize("name, build, digest", PINNED_WITNESSES,
+@pytest.mark.parametrize("name, build, order, digest", PINNED_WITNESSES,
                          ids=[case[0] for case in PINNED_WITNESSES])
-def test_witness_certificate_bytes_are_pinned(name, build, digest):
+def test_witness_certificate_bytes_are_pinned(name, build, order, digest):
     host = build()
-    model = has_odd_clique_minor(host, 7, SearchBudget(max_vertices=host.n))
+    model = has_odd_clique_minor(host, order, SearchBudget(max_vertices=host.n))
     assert model is not None and certificate_digest(host, model) == digest
