@@ -18,9 +18,10 @@ from typing import Callable, Mapping, Optional
 from .errors import (ColoringMissingError, ConsistencyError, FactorModelError,
                      ParameterError)
 from .expansion import (BranchTree, OddExpansionModel, branch_tree,
-                        monochromatic_connector, verify_odd_expansion)
-from .graphs import (PRODUCT_KINDS, Edge, Graph, complete, find_odd_cycle, flatten,
-                     graph_from_edges, hamming, product, spanning_tree, star)
+                        monochromatic_connector, odd_cycle_model, single_edge_model,
+                        singleton_model, verify_odd_expansion)
+from .graphs import (PRODUCT_KINDS, Edge, Graph, complete, flatten, graph_from_edges,
+                     hamming, product, spanning_tree, star)
 
 
 # ----------------------------------------------------------------------
@@ -35,51 +36,6 @@ def identity_model(g: Graph) -> OddExpansionModel:
     trees = tuple(branch_tree([v]) for v in range(g.n))
     coloring = {v: 1 for v in range(g.n)}
     connectors = {(i, j): (i, j) for i in range(g.n) for j in range(i + 1, g.n)}
-    return OddExpansionModel(trees, coloring, connectors)
-
-
-def singleton_model(g: Graph) -> OddExpansionModel:
-    """Order-1 certificate on any non-empty graph."""
-    if g.n < 1:
-        raise ParameterError("host graph has no vertices")
-    return OddExpansionModel((branch_tree([0]),), {0: 1})
-
-
-def single_edge_model(g: Graph) -> OddExpansionModel:
-    """Order-2 certificate from the least edge of the host."""
-    if g.m == 0:
-        raise ParameterError("host graph has no edges")
-    u, v = min(g.edges)
-    return OddExpansionModel((branch_tree([u]), branch_tree([v])),
-                             {u: 1, v: 1}, {(0, 1): (u, v)})
-
-
-def odd_cycle_model(g: Graph) -> Optional[OddExpansionModel]:
-    """Order-3 certificate built on an odd cycle, or None if bipartite.
-
-    The cycle splits into one anchor vertex and two paths; colors alternate
-    along each path so that the three joining cycle edges stay monochromatic.
-    """
-    cyc = find_odd_cycle(g)
-    if cyc is None:
-        return None
-    k = len(cyc) // 2
-    anchor, left, right = cyc[0], cyc[1:k + 1], cyc[k + 1:]
-    coloring = {anchor: 1}
-    for pos, v in enumerate(left):
-        coloring[v] = 1 if pos % 2 == 0 else 2
-    for pos, v in enumerate(reversed(right)):
-        coloring[v] = 1 if pos % 2 == 0 else 2
-    trees = (
-        branch_tree([anchor]),
-        branch_tree(left, zip(left, left[1:])),
-        branch_tree(right, zip(right, right[1:])),
-    )
-    connectors = {
-        (0, 1): (anchor, left[0]),
-        (0, 2): (anchor, right[-1]),
-        (1, 2): (left[-1], right[0]),
-    }
     return OddExpansionModel(trees, coloring, connectors)
 
 

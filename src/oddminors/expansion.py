@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import ParameterError, ParseError
-from .graphs import Edge, Graph, norm_edge
+from .graphs import Edge, Graph, find_odd_cycle, norm_edge
 
 @dataclass(frozen=True)
 class BranchTree:
@@ -309,6 +309,56 @@ def monochromatic_connector(g: Graph, model: OddExpansionModel, i: int, j: int) 
         raise LookupError(f"no monochromatic edge between trees {i} and {j}")
     u, v = edge
     return (u, v) if u in trees[i].vertices else (v, u)
+
+
+# ----------------------------------------------------------------------
+# The certificates of orders 1 to 3 that every host with a vertex, an edge
+# or an odd cycle has
+
+
+def singleton_model(g: Graph) -> OddExpansionModel:
+    """Order-1 certificate on any non-empty graph."""
+    if g.n < 1:
+        raise ParameterError("host graph has no vertices")
+    return OddExpansionModel((branch_tree([0]),), {0: 1})
+
+
+def single_edge_model(g: Graph) -> OddExpansionModel:
+    """Order-2 certificate from the least edge of the host."""
+    if g.m == 0:
+        raise ParameterError("host graph has no edges")
+    u, v = min(g.edges)
+    return OddExpansionModel((branch_tree([u]), branch_tree([v])),
+                             {u: 1, v: 1}, {(0, 1): (u, v)})
+
+
+def odd_cycle_model(g: Graph) -> Optional[OddExpansionModel]:
+    """Order-3 certificate built on an odd cycle, or None if bipartite.
+
+    The cycle splits into one anchor vertex and two paths; colors alternate
+    along each path so that the three joining cycle edges stay monochromatic.
+    """
+    cyc = find_odd_cycle(g)
+    if cyc is None:
+        return None
+    k = len(cyc) // 2
+    anchor, left, right = cyc[0], cyc[1:k + 1], cyc[k + 1:]
+    coloring = {anchor: 1}
+    for pos, v in enumerate(left):
+        coloring[v] = 1 if pos % 2 == 0 else 2
+    for pos, v in enumerate(reversed(right)):
+        coloring[v] = 1 if pos % 2 == 0 else 2
+    trees = (
+        branch_tree([anchor]),
+        branch_tree(left, zip(left, left[1:])),
+        branch_tree(right, zip(right, right[1:])),
+    )
+    connectors = {
+        (0, 1): (anchor, left[0]),
+        (0, 2): (anchor, right[-1]),
+        (1, 2): (left[-1], right[0]),
+    }
+    return OddExpansionModel(trees, coloring, connectors)
 
 
 # ----------------------------------------------------------------------

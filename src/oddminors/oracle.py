@@ -39,6 +39,21 @@ the enumeration order is never skipped.  A subset's usable colorings come in
 swapped pairs, so only the half that gives its largest vertex color 2 is
 tested; the swaps of those are listed after them in reverse, which is
 exactly the order of a test of every coloring.
+
+Two reformulations cut work, not subtrees.  A subset anchored at m leaves
+|allowed| - |subset| free vertices above m, where `allowed` is the free
+vertices from m up, and each tree still to come needs one; so subsets are
+generated only up to that size.  The larger ones were generated, counted
+and refused at once before, and every subset their orbits would have
+skipped is as large and anchored no lower, so it is refused too: the same
+subsets are searched, in the same order.  Two colorings are compatible
+when the ones of one meet N(ones) of the other or likewise for twos; a
+coloring is therefore compatible with some member of a domain iff it meets
+the OR of the members' N(ones) with its ones or the OR of their N(twos)
+with its twos.  The domain filters test against those unions and keep
+exactly the colorings, in the order, that the pairwise test kept.  Neither
+changes which families are searched or in what order, so neither can
+change the first model.
 """
 
 from __future__ import annotations
@@ -47,9 +62,9 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .constructions import odd_cycle_model, single_edge_model, singleton_model
 from .errors import ParameterError, SearchTimeout
-from .expansion import OddExpansionModel, branch_tree, least_monochromatic_edge
+from .expansion import (OddExpansionModel, branch_tree, least_monochromatic_edge,
+                        odd_cycle_model, single_edge_model, singleton_model)
 from .graphs import Graph, spanning_tree
 
 
@@ -63,7 +78,8 @@ class SearchBudget:
     node_limit: int = 100_000_000
 
     def __post_init__(self):
-        if self.max_vertices <= 0 or self.time_limit <= 0 or self.node_limit <= 0:
+        # `not x > 0` and not `x <= 0`, so that a NaN is refused too
+        if not (self.max_vertices > 0 and self.time_limit > 0 and self.node_limit > 0):
             raise ParameterError("all budget fields must be positive")
 
 
@@ -241,17 +257,18 @@ class _Search:
         cached = self._coloring_cache.get(mask)
         if cached is not None:
             return cached
-        verts = list(_bits(mask))
+        verts = [1 << v for v in _bits(mask)]
         k = len(verts)
         # A coloring and its swap are usable together, and pick p's swap is
         # pick 2^k - 1 - p: test the picks that leave the top vertex color 2,
         # then list their swaps in reverse, which is the order of all picks.
+        # Pick p's ones are pick p & (p - 1)'s plus p's lowest vertex.
+        ones_of = [0]
         half = []
         for pick in range(1 << (k - 1)):
-            ones = 0
-            for pos in range(k):
-                if pick >> pos & 1:
-                    ones |= 1 << verts[pos]
+            if pick:
+                ones_of.append(ones_of[pick & (pick - 1)] | verts[(pick & -pick).bit_length() - 1])
+            ones = ones_of[pick]
             if self._spans_bichromatic(mask, ones):
                 half.append((ones, self._neighborhood(ones),
                              mask ^ ones, self._neighborhood(mask ^ ones)))
@@ -260,42 +277,50 @@ class _Search:
         return result
 
     def _spans_bichromatic(self, mask: int, ones: int) -> bool:
+        adj = self.adj
         twos = mask ^ ones
-        start = mask & -mask
-        reach = start
-        frontier = start
+        reach = frontier = mask & -mask
         while frontier:
             nxt = 0
-            for v in _bits(frontier):
-                vb = 1 << v
-                nxt |= self.adj[v] & (twos if vb & ones else ones)
-            nxt &= mask & ~reach
-            reach |= nxt
-            frontier = nxt
+            while frontier:
+                vb = frontier & -frontier
+                frontier ^= vb
+                nxt |= adj[vb.bit_length() - 1] & (twos if vb & ones else ones)
+            frontier = nxt & ~reach
+            reach |= frontier
         return reach == mask
 
     def _connected_subsets(self, anchor: int, allowed: int, max_size: int):
         """Connected subsets of `allowed` containing `anchor`, each exactly
-        once, in a fixed depth-first order."""
+        once, in a fixed depth-first order: after a subset come, for each of
+        its candidates in ascending order, the subset with it added and then
+        that one's own extensions.  A candidate once tried is barred from
+        the extensions of its later siblings."""
         adj = self.adj
-
-        def rec(cur, ext, forb, size):
-            yield cur
-            if size >= max_size:
-                return
-            cand = ext & ~forb
-            local_forb = forb
-            while cand:
-                vb = cand & -cand
-                cand ^= vb
-                local_forb |= vb
-                v = vb.bit_length() - 1
-                new_cur = cur | vb
-                new_ext = (ext | (adj[v] & allowed)) & ~new_cur
-                yield from rec(new_cur, new_ext, local_forb, size + 1)
-
         start = 1 << anchor
-        yield from rec(start, adj[anchor] & allowed & ~start, 0, 1)
+        yield start
+        cand = adj[anchor] & allowed & ~start
+        if max_size <= 1 or not cand:
+            return
+        # one frame per subset still being extended: the subset, its
+        # candidates not yet tried and the vertices barred below it.  Its
+        # untried candidates are also the part of its extension set that its
+        # children may use, so a child's candidates are those plus the new
+        # vertex's free neighbours.
+        stack = [(start, cand, 0)]
+        while stack:
+            cur, cand, barred = stack.pop()
+            vb = cand & -cand
+            cand ^= vb
+            barred |= vb
+            if cand:
+                stack.append((cur, cand, barred))
+            cur |= vb
+            yield cur
+            if cur.bit_count() < max_size:
+                cand |= adj[vb.bit_length() - 1] & allowed & ~(cur | barred)
+                if cand:
+                    stack.append((cur, cand, barred))
 
     # -- compatibility ----------------------------------------------------
 
@@ -305,15 +330,45 @@ class _Search:
         # side neighbors a color-1 vertex of the other, or likewise color-2.
         return bool(ca[1] & cb[0]) or bool(ca[3] & cb[2])
 
-    def _filter_new(self, domains, new_dom):
-        kept = tuple(c for c in new_dom
-                     if all(any(self._compatible(ci, c) for ci in d) for d in domains))
-        return kept
-
-    def _filter_old(self, domains, new_dom):
+    @staticmethod
+    def _unions(domains) -> list[tuple[int, int]]:
+        """Per domain, the ORs of its colorings' N(ones) and N(twos): a
+        coloring is compatible with some member of the domain iff its ones
+        meet the first or its twos the second."""
         out = []
         for d in domains:
-            kept = tuple(ci for ci in d if any(self._compatible(ci, c) for c in new_dom))
+            ones_nbrs = twos_nbrs = 0
+            for c in d:
+                ones_nbrs |= c[1]
+                twos_nbrs |= c[3]
+            out.append((ones_nbrs, twos_nbrs))
+        return out
+
+    @staticmethod
+    def _filter_new(unions, new_dom):
+        """The colorings of new_dom compatible with some member of every
+        domain whose `_unions` are given."""
+        kept = []
+        for c in new_dom:
+            ones, twos = c[0], c[2]
+            for ones_nbrs, twos_nbrs in unions:
+                if not (ones & ones_nbrs or twos & twos_nbrs):
+                    break
+            else:
+                kept.append(c)
+        return tuple(kept)
+
+    @staticmethod
+    def _filter_old(domains, new_dom):
+        """Each domain cut to the colorings compatible with some member of
+        new_dom, or None if one is left empty."""
+        ones = twos = 0
+        for c in new_dom:
+            ones |= c[0]
+            twos |= c[2]
+        out = []
+        for d in domains:
+            kept = tuple(ci for ci in d if ci[1] & ones or ci[3] & twos)
             if not kept:
                 return None
             out.append(kept)
@@ -324,67 +379,66 @@ class _Search:
     def run(self) -> Optional[OddExpansionModel]:
         if self.r > self.n:
             return None
-        return self._place(0, [], [], self.full, -1)
+        return self._place(0, [], [], [], self.full, self.full, -1)
 
-    def _place(self, depth, masks, domains, unused, last_anchor):
-        if depth == self.r:
-            return self._solve_csp(masks, domains)
-        remaining = self.r - depth
+    def _place(self, depth, masks, domains, nbrs, common, unused, last_anchor):
+        """Place tree `depth` and the ones after it.  `nbrs` holds N(placed
+        tree) for each placed tree and `common` their intersection."""
+        k = self.r - depth - 1  # trees still to place after this one
         anchors = unused & ~((1 << (last_anchor + 1)) - 1)
         # the automorphisms fixing every vertex up to the largest placed one
         group = self.groups[(self.full ^ unused).bit_length()]
         seen: set[int] = set()  # orbits of the subsets generated so far
+        unions = self._unions(domains)
         for m in _bits(anchors):
             above_mask = ~((1 << (m + 1)) - 1)
-            if (unused & above_mask).bit_count() < remaining - 1:
+            if (unused & above_mask).bit_count() < k:
                 break  # anchors are ascending; later ones only get worse
             allowed = unused & ~((1 << m) - 1)
-            max_size = unused.bit_count() - (remaining - 1)
-            for subset in self._connected_subsets(m, allowed, max_size):
+            # a subset leaves |allowed| - |subset| free vertices above m,
+            # and the k future trees need one each
+            for subset in self._connected_subsets(m, allowed, allowed.bit_count() - k):
                 self.budget.tick()
                 if group:
                     if subset in seen:
                         continue
                     self._add_orbit(seen, subset, group)
-                rest = unused & ~subset
-                future = rest & above_mask
-                if future.bit_count() < remaining - 1:
-                    continue
-                if remaining > 1:
+                if k:
                     # every future tree needs its own neighbor of each
                     # placed tree among the still-free high vertices
-                    short = False
-                    for placed in masks:
-                        if (self._neighborhood(placed) & future).bit_count() < remaining - 1:
-                            short = True
+                    future = allowed & ~subset
+                    nbr = self._neighborhood(subset)
+                    short = (nbr & future).bit_count() < k
+                    for placed in nbrs:
+                        if short:
                             break
-                    if short or (self._neighborhood(subset) & future).bit_count() < remaining - 1:
+                        short = (placed & future).bit_count() < k
+                    if short:
                         continue
                     # the tree-count rule: with fewer than two future
                     # vertices per future tree, at least `spare` of those
                     # trees are singletons, pairwise adjacent and adjacent
                     # to every placed tree
-                    spare = 2 * (remaining - 1) - future.bit_count()
-                    if spare > 0:
-                        common = future & self._neighborhood(subset)
-                        for placed in masks:
-                            common &= self._neighborhood(placed)
-                        if not self._has_clique(common, spare):
-                            continue
+                    spare = 2 * k - future.bit_count()
+                    if spare > 0 and not self._has_clique(future & nbr & common, spare):
+                        continue
                 dom = self._admissible_colorings(subset)
                 if not dom:
                     continue
                 if depth == 0:
                     # fix the anchor's color to 1: global color swap symmetry
                     dom = tuple(c for c in dom if c[0] & (1 << m))
-                dom = self._filter_new(domains, dom)
+                dom = self._filter_new(unions, dom)
                 if not dom:
                     continue
                 filtered = self._filter_old(domains, dom)
                 if filtered is None:
                     continue
-                found = self._place(depth + 1, masks + [subset],
-                                    filtered + [dom], rest, m)
+                if k:
+                    found = self._place(depth + 1, masks + [subset], filtered + [dom],
+                                        nbrs + [nbr], common & nbr, unused & ~subset, m)
+                else:
+                    found = self._solve_csp(masks + [subset], filtered + [dom])
                 if found is not None:
                     return found
         return None

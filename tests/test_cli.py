@@ -10,7 +10,8 @@ import pytest
 from oddminors import cli
 from oddminors import constructions as cons
 from oddminors import graphs as gr
-from oddminors.expansion import parse_model, serialize_model, verify_odd_expansion
+from oddminors.expansion import (odd_cycle_model, parse_model, serialize_model,
+                                 singleton_model, verify_odd_expansion)
 
 
 def run(capsys, *argv):
@@ -103,7 +104,7 @@ def run_capped(*argv):
 def test_verify_refuses_a_hostile_vertex_count(tmp_path):
     graph, cert = tmp_path / "huge.graph", tmp_path / "c.cert"
     graph.write_text("100000000 0\n")
-    cert.write_text(serialize_model(cons.singleton_model(gr.complete(1)), "0" * 64))
+    cert.write_text(serialize_model(singleton_model(gr.complete(1)), "0" * 64))
     message, elapsed = run_capped("verify", str(graph), str(cert))
     assert "vertex count 100000000 is more than 10000000" in message
     assert elapsed < 1.0
@@ -213,7 +214,7 @@ def test_verify_detects_tampering(tmp_path, capsys):
 
 def test_verify_names_the_line_of_a_parse_error(tmp_path, capsys):
     c5 = gr.cycle(5)
-    text = serialize_model(cons.odd_cycle_model(c5), c5.content_hash())
+    text = serialize_model(odd_cycle_model(c5), c5.content_hash())
     cert = tmp_path / "c5.cert"
     cert.write_text(text.replace("tree: 0\n", "tree: 0 0\n"))  # line 5, after 113 characters
     code, stdout, stderr = run(capsys, "verify", "cycle:5", str(cert))
@@ -252,6 +253,14 @@ def test_exact_timeout_exit_code(tmp_path, capsys):
     code, stdout, _ = run(capsys, "exact", str(graph), "--nodes", "5",
                           "--out", str(tmp_path / "h.cert"))
     assert code == 3 and stdout.splitlines()[0].startswith("TIMEOUT best=")
+
+
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+def test_exact_refuses_a_time_limit_that_is_not_positive(limit, capsys):
+    # a NaN passes `x <= 0`, and its deadline would never come
+    code, stdout, stderr = run(capsys, "exact", "complete:5", "--time", limit, "--strict")
+    assert code == 2 and stdout == ""
+    assert "all budget fields must be positive" in stderr
 
 
 def test_exact_strict_output_is_byte_identical(tmp_path, capsys):

@@ -7,7 +7,8 @@ from oddminors import graphs as gr
 from oddminors.errors import (ColoringMissingError, FactorModelError,
                               ParameterError)
 from oddminors.expansion import (BranchTree, OddExpansionModel, branch_tree,
-                                 serialize_model, verify_odd_expansion)
+                                 odd_cycle_model, serialize_model, single_edge_model,
+                                 singleton_model, verify_odd_expansion)
 from oddminors.oracle import odd_hadwiger
 
 C5 = gr.cycle(5)
@@ -38,21 +39,21 @@ def test_identity_model():
 
 def test_singleton_and_edge_models():
     g = gr.path(3)
-    check_on(g, cons.singleton_model(g), 1)
-    check_on(g, cons.single_edge_model(g), 2)
+    check_on(g, singleton_model(g), 1)
+    check_on(g, single_edge_model(g), 2)
     with pytest.raises(ParameterError):
-        cons.single_edge_model(gr.Graph(2, frozenset()))
+        single_edge_model(gr.Graph(2, frozenset()))
 
 
 def test_odd_cycle_model_matches_hand_built_c5():
-    model = cons.odd_cycle_model(C5)
+    model = odd_cycle_model(C5)
     assert model == OddExpansionModel(
         C5_K3.trees, dict(C5_K3.coloring),
         {(0, 1): (0, 1), (0, 2): (0, 4), (1, 2): (2, 3)})
     check_on(C5, model, 3)
-    assert cons.odd_cycle_model(gr.cycle(6)) is None
+    assert odd_cycle_model(gr.cycle(6)) is None
     for g in [gr.cycle(7), gr.cycle(9), gr.product("direct", gr.cycle(5), gr.cycle(5))]:
-        check_on(g, cons.odd_cycle_model(g), 3)
+        check_on(g, odd_cycle_model(g), 3)
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +257,7 @@ def test_strong_model_c5_c5():
 
 def test_strong_model_degenerate_factor_is_flagged():
     k2 = gr.complete(2)
-    one = cons.singleton_model(k2)
+    one = singleton_model(k2)
     model = cons.strong_model(k2, one, k2, cons.identity_model(k2))
     assert model.clique_order == 2
     assert model.notes
@@ -388,7 +389,7 @@ def test_best_lower_bound_direct_fallbacks():
 
 def test_best_lower_bound_cartesian_degenerate():
     k2 = gr.complete(2)
-    one = cons.singleton_model(k2)
+    one = singleton_model(k2)
     assert cons.best_lower_bound(k2, one, k2, cons.identity_model(k2), "cartesian") is None
 
 
@@ -468,7 +469,7 @@ def _grid(kind, first, second):
 
 
 def _cycle(n):
-    return gr.cycle(n), cons.odd_cycle_model(gr.cycle(n))
+    return gr.cycle(n), odd_cycle_model(gr.cycle(n))
 
 
 def _base_3_3():

@@ -3,6 +3,9 @@ import itertools
 import math
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from oddminors import constructions as cons
 from oddminors import graphs as gr
+from oddminors import oracle
 from oddminors.errors import ParameterError, SearchTimeout
 from oddminors.expansion import serialize_model, verify_odd_expansion
 from oddminors.oracle import (ExactResult, SearchBudget, _Budget, _Search,
@@ -54,6 +58,46 @@ def test_connected_subset_enumeration_matches_brute_force(g):
         got = list(search._connected_subsets(anchor, allowed, 4))
         assert len(got) == len(set(got))  # no duplicates
         assert set(got) == brute_connected_subsets(g, anchor, allowed, 4)
+
+
+def recursive_connected_subsets(adj, anchor, allowed, max_size):
+    """`_Search._connected_subsets` written as a recursive generator: the
+    reference for the order of the flat one's output."""
+    def rec(cur, ext, forb, size):
+        yield cur
+        if size >= max_size:
+            return
+        cand = ext & ~forb
+        local_forb = forb
+        while cand:
+            vb = cand & -cand
+            cand ^= vb
+            local_forb |= vb
+            new_cur = cur | vb
+            new_ext = (ext | (adj[vb.bit_length() - 1] & allowed)) & ~new_cur
+            yield from rec(new_cur, new_ext, local_forb, size + 1)
+
+    start = 1 << anchor
+    yield from rec(start, adj[anchor] & allowed & ~start, 0, 1)
+
+
+@pytest.mark.parametrize("g", [
+    gr.product("direct", gr.complete(4), gr.complete(4)),
+    gr.product("strong", gr.cycle(5), gr.cycle(3)),
+    gr.graph_from_edges(10, nx.petersen_graph().edges()),
+    gr.cycle(7), gr.star(5),
+], ids=["k4-direct-k4", "c5-strong-c3", "petersen", "c7", "s5"])
+def test_connected_subsets_come_in_the_recursive_order(g):
+    # The order decides which model is found first, so the certificate
+    # bytes; the test above compares sets only.
+    search = new_search(g, 1)
+    rng = random.Random(g.n)
+    for anchor in range(g.n):
+        for _ in range(4):
+            allowed = rng.getrandbits(g.n) | 1 << anchor
+            for max_size in (0, 1, 2, 4, 6):
+                expected = list(recursive_connected_subsets(search.adj, anchor, allowed, max_size))
+                assert list(search._connected_subsets(anchor, allowed, max_size)) == expected
 
 
 def brute_tree_proper_colorings(g, verts):
@@ -398,13 +442,51 @@ def test_has_clique_matches_networkx(case):
         assert search._has_clique(cand, q) == (q <= omega), q
 
 
+# odd_hadwiger's nodes on the exact hosts below, stabilizer chain included;
+# before the tree-count rule K4 x K3 took 14,663, and before the size bound
+# from `allowed` 8,969
+NODE_CEILINGS = {"c5-strong-c3": 6257, "k4-direct-k3": 6212, "c7-strong-k2": 6560,
+                 "k3-cartesian-k4": 2952, "p4-strong-c3": 1537}
+
+
 def test_tree_count_rule_keeps_node_counts_at_or_below_their_ceilings():
-    # the counts with the rule; without it they were 14,663 and 37,811
-    assert odd_hadwiger(gr.product("direct", gr.complete(4), gr.complete(3))).nodes <= 8969
+    for name, build, _, _ in PINNED_EXACT:
+        assert odd_hadwiger(build()).nodes <= NODE_CEILINGS[name], name
+    # the order-7 K4 x K4 witness: 37,811 nodes before the tree-count rule
+    # and 26,858 before the size bound
     host = gr.product("direct", gr.complete(4), gr.complete(4))
     budget = _Budget(SearchBudget(max_vertices=host.n))
     assert _Search(host, 7, budget, _StabilizerChain(host, budget)).run() is not None
-    assert budget.nodes <= 26858
+    assert budget.nodes <= 21446
+
+
+colorings = st.tuples(*[st.integers(0, 63)] * 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(colorings, min_size=1, max_size=4).map(tuple), max_size=4),
+       st.lists(colorings, max_size=6).map(tuple))
+def test_union_filters_match_the_pairwise_forms(domains, new_dom):
+    compatible = _Search._compatible
+    kept_new = tuple(c for c in new_dom
+                     if all(any(compatible(ci, c) for ci in d) for d in domains))
+    assert _Search._filter_new(_Search._unions(domains), new_dom) == kept_new
+    kept_old = [tuple(ci for ci in d if any(compatible(ci, c) for c in new_dom))
+                for d in domains]
+    expected = None if not all(kept_old) else kept_old
+    assert _Search._filter_old(domains, new_dom) == expected
+
+
+def test_importing_the_oracle_leaves_the_constructions_unloaded():
+    # a witness decision imports the oracle alone, and runs without
+    # bytecode; the constructions module was its largest import
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    probe = "import sys, oddminors.oracle; print(sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert "oddminors.oracle" in proc.stdout
+    assert "oddminors.constructions" not in proc.stdout
 
 
 # SHA-256 of serialize_model(certificate, host.content_hash()) for the exact

@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddminors import graphs as gr
-from oddminors.constructions import odd_cycle_model, strong_model
+from oddminors.constructions import strong_model
 from oddminors.errors import ParseError
-from oddminors.expansion import parse_model, serialize_model
+from oddminors.expansion import odd_cycle_model, parse_model, serialize_model
 
 C5 = gr.cycle(5)
 K3 = gr.complete(3)

@@ -16,9 +16,9 @@ import pytest
 from oddminors import cli
 from oddminors import constructions as cons
 from oddminors import graphs as gr
-from oddminors.expansion import serialize_model
+from oddminors.expansion import odd_cycle_model, serialize_model
 
-C5 = ("cycle:5", gr.cycle(5), cons.odd_cycle_model(gr.cycle(5)))
+C5 = ("cycle:5", gr.cycle(5), odd_cycle_model(gr.cycle(5)))
 K1, K3, K6 = (("complete:%d" % n, gr.complete(n), cons.identity_model(gr.complete(n)))
               for n in (1, 3, 6))
 
