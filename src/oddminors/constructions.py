@@ -10,7 +10,6 @@ boundary only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Mapping, Optional
@@ -20,8 +19,8 @@ from .errors import (ColoringMissingError, ConsistencyError, FactorModelError,
 from .expansion import (BranchTree, OddExpansionModel, branch_tree,
                         monochromatic_connector, odd_cycle_model, single_edge_model,
                         singleton_model, verify_odd_expansion)
-from .graphs import (PRODUCT_KINDS, Edge, Graph, complete, flatten, graph_from_edges,
-                     hamming, product, spanning_tree, star)
+from .graphs import (PRODUCT_KINDS, Edge, Frozen, Graph, complete, flatten,
+                     graph_from_edges, hamming, product, spanning_tree, star)
 
 
 # ----------------------------------------------------------------------
@@ -64,8 +63,7 @@ def witness_product_coloring(c_first: Mapping[int, int], c_second: Mapping[int, 
     return out
 
 
-@dataclass(frozen=True)
-class GridForest:
+class GridForest(Frozen):
     """The s x t family of cell trees inside a product of two certified hosts.
 
     Cell (i, j) spans tree i of the first factor times tree j of the second,
@@ -78,6 +76,7 @@ class GridForest:
     or neither.
     """
 
+    _fields = ("s", "t", "cells", "coloring", "first", "second", "n_second")
     s: int
     t: int
     cells: Mapping[tuple[int, int], BranchTree]
@@ -85,6 +84,12 @@ class GridForest:
     first: Mapping[tuple[int, int], Edge]
     second: Mapping[tuple[int, int], Edge]
     n_second: int
+
+    def __init__(self, s: int, t: int, cells: Mapping[tuple[int, int], BranchTree],
+                 coloring: Mapping[int, int], first: Mapping[tuple[int, int], Edge],
+                 second: Mapping[tuple[int, int], Edge], n_second: int):
+        self.__dict__.update(s=s, t=t, cells=cells, coloring=coloring, first=first,
+                             second=second, n_second=n_second)
 
     def cell_edge(self, a: tuple[int, int], b: tuple[int, int]) -> Edge:
         """The monochromatic host edge joining cell a to cell b, cell a's end
@@ -157,14 +162,17 @@ def product_grid_forest(g: Graph, mg: OddExpansionModel,
 # Box products of complete graphs, lifting, Hamming powers
 
 
-@dataclass(frozen=True)
-class BaseModel:
+class BaseModel(Frozen):
     """A certificate on the box product of two complete graphs, kept with
     its factor sizes so it can seed the lifting construction."""
 
+    _fields = ("s", "t", "model")
     s: int
     t: int
     model: OddExpansionModel
+
+    def __init__(self, s: int, t: int, model: OddExpansionModel):
+        self.__dict__.update(s=s, t=t, model=model)
 
     def host(self) -> Graph:
         return _complete_host("cartesian", self.s, self.t)
@@ -629,8 +637,7 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
 # Theorem registry: the construction families by their command-line ids
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(Frozen):
     """One construction family as `construct` and `table` name it.
 
     `host` and `model` take the certified factors (g, mg, h, mh) first when
@@ -648,12 +655,19 @@ class Theorem:
     benchmark's tracer does) reaches every theorem.
     """
 
+    _fields = ("params", "host", "model", "factors", "base", "table")
     params: tuple[str, ...]
     host: Callable[..., Graph]
     model: Callable[..., Optional[OddExpansionModel]]
-    factors: bool = False
-    base: bool = False
-    table: tuple[str, ...] = ()
+    factors: bool
+    base: bool
+    table: tuple[str, ...]
+
+    def __init__(self, params: tuple[str, ...], host: Callable[..., Graph],
+                 model: Callable[..., Optional[OddExpansionModel]], factors: bool = False,
+                 base: bool = False, table: tuple[str, ...] = ()):
+        self.__dict__.update(params=params, host=host, model=model, factors=factors,
+                             base=base, table=table)
 
     def build(self, *args, **options) -> tuple[Optional[OddExpansionModel], Graph]:
         host = self.host(*args)

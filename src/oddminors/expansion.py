@@ -10,15 +10,14 @@ be stored explicitly or left to the verifier to find.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import ParameterError, ParseError
-from .graphs import Edge, Graph, find_odd_cycle, norm_edge
+from .graphs import Edge, Frozen, Graph, find_odd_cycle, norm_edge
 
-@dataclass(frozen=True)
-class BranchTree:
+
+class BranchTree(Frozen):
     """One branch tree: a vertex set plus the tree edges inside it.
 
     Structural validity (spanning-tree shape, host membership) is checked by
@@ -26,8 +25,12 @@ class BranchTree:
     claims; the model that holds the tree refuses ids that are not ints.
     """
 
+    _fields = ("vertices", "edges")
     vertices: frozenset[int]
     edges: frozenset[Edge]
+
+    def __init__(self, vertices: frozenset[int], edges: frozenset[Edge]):
+        self.__dict__.update(vertices=vertices, edges=edges)
 
     @property
     def sorted_vertices(self) -> tuple[int, ...]:
@@ -42,8 +45,7 @@ def branch_tree(vertices: Iterable[int], edges: Iterable[Edge] = ()) -> BranchTr
     return BranchTree(frozenset(vertices), frozenset(norm_edge(u, v) for u, v in edges))
 
 
-@dataclass(frozen=True, eq=True)
-class OddExpansionModel:
+class OddExpansionModel(Frozen):
     """An odd-expansion certificate.
 
     trees: ordered branch trees, one per clique vertex.
@@ -62,35 +64,38 @@ class OddExpansionModel:
     claim for the verifier.
     """
 
+    _fields = ("trees", "coloring", "connectors", "notes")
     trees: tuple[BranchTree, ...]
-    coloring: Mapping[int, int]
-    connectors: Optional[Mapping[tuple[int, int], Edge]] = None
-    notes: tuple[str, ...] = ()
+    coloring: dict[int, int]
+    connectors: Optional[dict[tuple[int, int], Edge]]
+    notes: tuple[str, ...]
 
-    def __post_init__(self):
-        coloring = dict(self.coloring)
-        object.__setattr__(self, "coloring", coloring)
+    def __init__(self, trees: tuple[BranchTree, ...], coloring: Mapping[int, int],
+                 connectors: Optional[Mapping[tuple[int, int], Edge]] = None,
+                 notes: Iterable[str] = ()):
+        coloring = dict(coloring)
         ids = [coloring]
-        for t in self.trees:
+        for t in trees:
             ids.append(t.vertices)
             ids.extend(t.edges)
         if not set(map(type, chain.from_iterable(ids))) <= {int}:
             bad = next(x for x in chain.from_iterable(ids) if type(x) is not int)
             raise ParameterError(f"vertex id {bad!r} is not an int")
-        if self.connectors is not None:
-            r = len(self.trees)
+        if connectors is not None:
+            r = len(trees)
             fixed = {}
-            for key, (u, v) in self.connectors.items():
+            for key, (u, v) in connectors.items():
                 i, j = key
                 if not (type(i) is type(j) is type(u) is type(v) is int and 0 <= i < j < r):
                     raise ParameterError(f"connector {i!r},{j!r}={u!r}-{v!r} needs int ids "
                                          f"and a tree pair 0 <= i < j < {r}")
                 fixed[key] = norm_edge(u, v)
-            object.__setattr__(self, "connectors", fixed)
-        object.__setattr__(self, "notes", tuple(self.notes))
-        for note in self.notes:
+            connectors = fixed
+        notes = tuple(notes)
+        for note in notes:
             if note.splitlines() not in ([], [note]):
                 raise ParameterError(f"note {note!r} contains a line break")
+        self.__dict__.update(trees=trees, coloring=coloring, connectors=connectors, notes=notes)
 
     @property
     def clique_order(self) -> int:
@@ -107,16 +112,22 @@ class OddExpansionModel:
         return OddExpansionModel(self.trees, flipped, self.connectors, self.notes)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of a verification run; failures carry a concrete witness."""
 
+    _fields = ("status", "clause", "trees", "vertices", "edges", "message")
     status: str  # "pass" or "fail"
-    clause: Optional[str] = None
-    trees: tuple[int, ...] = ()
-    vertices: tuple[int, ...] = ()
-    edges: tuple[Edge, ...] = ()
-    message: str = ""
+    clause: Optional[str]
+    trees: tuple[int, ...]
+    vertices: tuple[int, ...]
+    edges: tuple[Edge, ...]
+    message: str
+
+    def __init__(self, status: str, clause: Optional[str] = None, trees: tuple[int, ...] = (),
+                 vertices: tuple[int, ...] = (), edges: tuple[Edge, ...] = (),
+                 message: str = ""):
+        self.__dict__.update(status=status, clause=clause, trees=trees, vertices=vertices,
+                             edges=edges, message=message)
 
     @property
     def passed(self) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import lt
@@ -47,26 +46,63 @@ def _require_size(count: int, what: str, unit: str = "edges"):
         raise ParameterError(f"{what} would have at least {count} {unit}, more than {MAX_EDGES}")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Frozen:
+    """Base of the package's immutable values.
+
+    A subclass names its fields in `_fields` and stores them in its own
+    `__init__` through the instance dict, so that assigning or deleting an
+    attribute afterwards raises AttributeError.  Two values are equal when
+    they are of one class and their fields are equal; `hash` and `repr`
+    read the same fields.  (`cached_property` writes the instance dict too,
+    so it works on these values.)
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Graph(Frozen):
     """Simple loopless undirected graph on vertices 0..n-1.
 
     Immutable value: safe to share freely.  Edges are stored as a frozenset
     of (u, v) pairs with u < v.
     """
 
+    _fields = ("n", "edges")
     n: int
     edges: frozenset[Edge]
 
-    def __post_init__(self):
+    def __init__(self, n: int, edges: frozenset[Edge]):
         # plain ints only: True or 1.0 would compare equal to an int id but
         # render as different text, and so hash differently
-        if type(self.n) is not int or self.n < 0:
-            raise ParameterError(f"vertex count must be a non-negative int, got {self.n!r}")
-        for e in self.edges:
+        if type(n) is not int or n < 0:
+            raise ParameterError(f"vertex count must be a non-negative int, got {n!r}")
+        for e in edges:
             u, v = e
-            if not (type(u) is type(v) is int and 0 <= u < v < self.n):
-                raise ParameterError(f"bad edge {e!r} for n={self.n} (need ints 0 <= u < v < n)")
+            if not (type(u) is type(v) is int and 0 <= u < v < n):
+                raise ParameterError(f"bad edge {e!r} for n={n} (need ints 0 <= u < v < n)")
+        self.__dict__.update(n=n, edges=edges)
 
     @property
     def m(self) -> int:

@@ -54,37 +54,50 @@ with its twos.  The domain filters test against those unions and keep
 exactly the colorings, in the order, that the pairwise test kept.  Neither
 changes which families are searched or in what order, so neither can
 change the first model.
+
+Placed-tree budgets cut subsets before they are generated.  Each tree still
+to come needs its own vertex of N(P) among the free vertices above the
+anchor, for every placed tree P, so a subset may hold at most
+|N(P) & allowed| - k vertices of N(P); once it holds that many, no further
+vertex of N(P) is offered.  Such subsets were refused by the neighbour
+shortfall check right after being generated, and so is everything that
+contains one, since budgets only tighten as a subset grows.  The orbits
+they added to `seen` held only refused subsets: the automorphisms of the
+level fix each placed tree pointwise, so they map N(P) onto itself, and a
+later image is anchored no lower, so its `allowed` is no larger.  The
+subsets that pass, their order and the first model are therefore unchanged.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParameterError, SearchTimeout
 from .expansion import (OddExpansionModel, branch_tree, least_monochromatic_edge,
                         odd_cycle_model, single_edge_model, singleton_model)
-from .graphs import Graph, spanning_tree
+from .graphs import Frozen, Graph, spanning_tree
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(Frozen):
     """Limits for one exhaustive run: instance size cap, wall-clock seconds,
     and a search-node ceiling."""
 
-    max_vertices: int = 16
-    time_limit: float = 60.0
-    node_limit: int = 100_000_000
+    _fields = ("max_vertices", "time_limit", "node_limit")
+    max_vertices: int
+    time_limit: float
+    node_limit: int
 
-    def __post_init__(self):
+    def __init__(self, max_vertices: int = 16, time_limit: float = 60.0,
+                 node_limit: int = 100_000_000):
         # `not x > 0` and not `x <= 0`, so that a NaN is refused too
-        if not (self.max_vertices > 0 and self.time_limit > 0 and self.node_limit > 0):
+        if not (max_vertices > 0 and time_limit > 0 and node_limit > 0):
             raise ParameterError("all budget fields must be positive")
+        self.__dict__.update(max_vertices=max_vertices, time_limit=time_limit,
+                             node_limit=node_limit)
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(Frozen):
     """Outcome of odd_hadwiger.
 
     status: 'exact', 'lower_bound_only' (instance above the size cap), or
@@ -94,12 +107,18 @@ class ExactResult:
     edgeless fast paths).
     """
 
+    _fields = ("status", "value", "certificate", "refutation_order", "nodes", "elapsed")
     status: str
     value: int
     certificate: OddExpansionModel
-    refutation_order: Optional[int] = None
-    nodes: int = 0
-    elapsed: float = 0.0
+    refutation_order: Optional[int]
+    nodes: int
+    elapsed: float
+
+    def __init__(self, status: str, value: int, certificate: OddExpansionModel,
+                 refutation_order: Optional[int] = None, nodes: int = 0, elapsed: float = 0.0):
+        self.__dict__.update(status=status, value=value, certificate=certificate,
+                             refutation_order=refutation_order, nodes=nodes, elapsed=elapsed)
 
 
 class _Budget:
@@ -151,6 +170,10 @@ class _StabilizerChain:
     generators of levels k..n-1; orbit_sizes[k] is the size of k's orbit under
     it, so the product of orbit_sizes is |Aut(G)|.  groups[k] holds those
     generators as `_image_tables`, for k = 0..n (groups[n] is empty).
+
+    It also owns the searches' caches keyed by a vertex mask, a subset's
+    usable colorings and a mask's neighbourhood: they depend on the host
+    alone, so every deepening round of one call shares them.
     """
 
     def __init__(self, g: Graph, budget: _Budget):
@@ -162,6 +185,9 @@ class _StabilizerChain:
         self.levels: list[list[tuple[int, ...]]] = [[] for _ in range(g.n)]
         self.orbit_sizes = [1] * g.n
         self.groups: list[tuple] = [()] * (g.n + 1)
+        # subset mask -> tuple of (ones, ones_nbrs, twos, twos_nbrs)
+        self.colorings: dict[int, tuple] = {}
+        self.neighborhoods: dict[int, int] = {}
         found: list[tuple[int, ...]] = []  # generators of the levels above k
         tables: tuple = ()
         for k in range(g.n - 1, -1, -1):
@@ -236,9 +262,8 @@ class _Search:
         self.adj = chain.adj
         self.groups = chain.groups
         self.full = (1 << g.n) - 1
-        # subset mask -> tuple of (ones, ones_nbrs, twos, twos_nbrs)
-        self._coloring_cache: dict[int, tuple] = {}
-        self._nbr_cache: dict[int, int] = {}
+        self._coloring_cache = chain.colorings
+        self._nbr_cache = chain.neighborhoods
 
     # -- subset machinery -------------------------------------------------
 
@@ -290,37 +315,59 @@ class _Search:
             reach |= frontier
         return reach == mask
 
-    def _connected_subsets(self, anchor: int, allowed: int, max_size: int):
+    def _connected_subsets(self, anchor: int, allowed: int, max_size: int, budgets=()):
         """Connected subsets of `allowed` containing `anchor`, each exactly
         once, in a fixed depth-first order: after a subset come, for each of
         its candidates in ascending order, the subset with it added and then
         that one's own extensions.  A candidate once tried is barred from
-        the extensions of its later siblings."""
+        the extensions of its later siblings.
+
+        `budgets` holds (mask, limit) pairs, and a subset with more than
+        limit vertices in some mask is left out of that order, with every
+        subset that contains it."""
         adj = self.adj
         start = 1 << anchor
+        # a mask holding `limit` vertices of the subset is exhausted: its
+        # other vertices stop being candidates.  `live` keeps the budgets
+        # that a larger subset may still exhaust; adding a vertex re-tests
+        # only those whose mask holds it.
+        exhausted = 0
+        live = []
+        for mask, limit in budgets:
+            held = mask >> anchor & 1
+            if held > limit:
+                return
+            if held == limit:
+                exhausted |= mask
+            elif limit < max_size:
+                live.append((mask, limit))
         yield start
-        cand = adj[anchor] & allowed & ~start
+        cand = adj[anchor] & allowed & ~(start | exhausted)
         if max_size <= 1 or not cand:
             return
         # one frame per subset still being extended: the subset, its
-        # candidates not yet tried and the vertices barred below it.  Its
-        # untried candidates are also the part of its extension set that its
-        # children may use, so a child's candidates are those plus the new
-        # vertex's free neighbours.
-        stack = [(start, cand, 0)]
+        # candidates not yet tried, the vertices barred below it and its
+        # exhausted masks.  Its untried candidates are also the part of its
+        # extension set that its children may use, so a child's candidates
+        # are those plus the new vertex's free neighbours, less the child's
+        # exhausted masks.
+        stack = [(start, cand, 0, exhausted)]
         while stack:
-            cur, cand, barred = stack.pop()
+            cur, cand, barred, exhausted = stack.pop()
             vb = cand & -cand
             cand ^= vb
             barred |= vb
             if cand:
-                stack.append((cur, cand, barred))
+                stack.append((cur, cand, barred, exhausted))
             cur |= vb
             yield cur
             if cur.bit_count() < max_size:
-                cand |= adj[vb.bit_length() - 1] & allowed & ~(cur | barred)
+                for mask, limit in live:
+                    if mask & vb and (cur & mask).bit_count() >= limit:
+                        exhausted |= mask
+                cand = (cand | adj[vb.bit_length() - 1] & allowed & ~(cur | barred)) & ~exhausted
                 if cand:
-                    stack.append((cur, cand, barred))
+                    stack.append((cur, cand, barred, exhausted))
 
     # -- compatibility ----------------------------------------------------
 
@@ -396,24 +443,22 @@ class _Search:
                 break  # anchors are ascending; later ones only get worse
             allowed = unused & ~((1 << m) - 1)
             # a subset leaves |allowed| - |subset| free vertices above m,
-            # and the k future trees need one each
-            for subset in self._connected_subsets(m, allowed, allowed.bit_count() - k):
+            # and the k future trees need one each; they also need one
+            # each in N(P) for every placed tree P, so the subset may take
+            # at most |N(P) & allowed| - k vertices of N(P)
+            budgets = [(p, (p & allowed).bit_count() - k) for p in nbrs] if k else ()
+            for subset in self._connected_subsets(m, allowed, allowed.bit_count() - k, budgets):
                 self.budget.tick()
                 if group:
                     if subset in seen:
                         continue
                     self._add_orbit(seen, subset, group)
                 if k:
-                    # every future tree needs its own neighbor of each
-                    # placed tree among the still-free high vertices
+                    # every future tree needs its own neighbor of the new
+                    # tree among the still-free high vertices
                     future = allowed & ~subset
                     nbr = self._neighborhood(subset)
-                    short = (nbr & future).bit_count() < k
-                    for placed in nbrs:
-                        if short:
-                            break
-                        short = (placed & future).bit_count() < k
-                    if short:
+                    if (nbr & future).bit_count() < k:
                         continue
                     # the tree-count rule: with fewer than two future
                     # vertices per future tree, at least `spare` of those

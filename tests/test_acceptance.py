@@ -263,7 +263,7 @@ def test_criterion_11_mutation_suite():
 
 @pytest.mark.skipif(not os.environ.get("ODDMINORS_LONG"),
                     reason="long-running refutation; set ODDMINORS_LONG=1 to run "
-                           "(about a minute and a half; ODDMINORS_LONG_TIME overrides the limit)")
+                           "(about a minute; ODDMINORS_LONG_TIME overrides the limit)")
 def test_criterion_12_direct_k3_ceiling_refutation():
     t0 = time.monotonic()
     host = gr.product("direct", gr.complete(6), gr.complete(3))

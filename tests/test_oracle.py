@@ -81,12 +81,16 @@ def recursive_connected_subsets(adj, anchor, allowed, max_size):
     yield from rec(start, adj[anchor] & allowed & ~start, 0, 1)
 
 
-@pytest.mark.parametrize("g", [
-    gr.product("direct", gr.complete(4), gr.complete(4)),
-    gr.product("strong", gr.cycle(5), gr.cycle(3)),
-    gr.graph_from_edges(10, nx.petersen_graph().edges()),
-    gr.cycle(7), gr.star(5),
-], ids=["k4-direct-k4", "c5-strong-c3", "petersen", "c7", "s5"])
+SUBSET_HOSTS = {
+    "k4-direct-k4": gr.product("direct", gr.complete(4), gr.complete(4)),
+    "c5-strong-c3": gr.product("strong", gr.cycle(5), gr.cycle(3)),
+    "petersen": gr.graph_from_edges(10, nx.petersen_graph().edges()),
+    "c7": gr.cycle(7),
+    "s5": gr.star(5),
+}
+
+
+@pytest.mark.parametrize("g", SUBSET_HOSTS.values(), ids=SUBSET_HOSTS)
 def test_connected_subsets_come_in_the_recursive_order(g):
     # The order decides which model is found first, so the certificate
     # bytes; the test above compares sets only.
@@ -98,6 +102,24 @@ def test_connected_subsets_come_in_the_recursive_order(g):
             for max_size in (0, 1, 2, 4, 6):
                 expected = list(recursive_connected_subsets(search.adj, anchor, allowed, max_size))
                 assert list(search._connected_subsets(anchor, allowed, max_size)) == expected
+
+
+@pytest.mark.parametrize("g", SUBSET_HOSTS.values(), ids=SUBSET_HOSTS)
+def test_budgeted_subsets_are_the_unbudgeted_ones_filtered(g):
+    # `_place` passes one budget per placed tree; filtering the whole
+    # sequence keeps the order, so the orbits and the first model too
+    search = new_search(g, 1)
+    rng = random.Random(g.n)
+    for anchor in range(g.n):
+        for _ in range(4):
+            allowed = rng.getrandbits(g.n) | 1 << anchor
+            budgets = [(rng.getrandbits(g.n), rng.randint(-1, 4))
+                       for _ in range(rng.randint(1, 4))]
+            for max_size in (1, 2, 4, 6):
+                expected = [s for s in search._connected_subsets(anchor, allowed, max_size)
+                            if all((s & mask).bit_count() <= limit for mask, limit in budgets)]
+                got = list(search._connected_subsets(anchor, allowed, max_size, budgets))
+                assert got == expected, (anchor, allowed, budgets, max_size)
 
 
 def brute_tree_proper_colorings(g, verts):
@@ -443,21 +465,21 @@ def test_has_clique_matches_networkx(case):
 
 
 # odd_hadwiger's nodes on the exact hosts below, stabilizer chain included;
-# before the tree-count rule K4 x K3 took 14,663, and before the size bound
-# from `allowed` 8,969
-NODE_CEILINGS = {"c5-strong-c3": 6257, "k4-direct-k3": 6212, "c7-strong-k2": 6560,
-                 "k3-cartesian-k4": 2952, "p4-strong-c3": 1537}
+# before the tree-count rule K4 x K3 took 14,663, before the size bound
+# from `allowed` 8,969 and before the placed-tree budgets 6,212
+NODE_CEILINGS = {"c5-strong-c3": 5259, "k4-direct-k3": 3811, "c7-strong-k2": 5107,
+                 "k3-cartesian-k4": 1396, "p4-strong-c3": 1225}
 
 
 def test_tree_count_rule_keeps_node_counts_at_or_below_their_ceilings():
     for name, build, _, _ in PINNED_EXACT:
         assert odd_hadwiger(build()).nodes <= NODE_CEILINGS[name], name
-    # the order-7 K4 x K4 witness: 37,811 nodes before the tree-count rule
-    # and 26,858 before the size bound
+    # the order-7 K4 x K4 witness: 37,811 nodes before the tree-count rule,
+    # 26,858 before the size bound and 21,446 before the budgets
     host = gr.product("direct", gr.complete(4), gr.complete(4))
     budget = _Budget(SearchBudget(max_vertices=host.n))
     assert _Search(host, 7, budget, _StabilizerChain(host, budget)).run() is not None
-    assert budget.nodes <= 21446
+    assert budget.nodes <= 13028
 
 
 colorings = st.tuples(*[st.integers(0, 63)] * 4)
