@@ -11,7 +11,7 @@ be stored explicitly or left to the verifier to find.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import ParameterError, ParseError
 from .graphs import Edge, Frozen, Graph, find_odd_cycle, norm_edge
@@ -55,7 +55,8 @@ class OddExpansionModel(Frozen):
         verifier checks exactly that edge; otherwise it searches all cross
         edges.
     notes: free-text provenance flags carried into the serialized form, one
-        `meta:` line each, so a note may not contain a line break.
+        `meta:` line each, so a note may not contain a line break, nor
+        start or end with whitespace.
 
     Every id (tree vertex, tree-edge end, coloring key, connector key and
     end) must be a plain int, the rule `Graph` and `parse_model` apply, and
@@ -95,6 +96,8 @@ class OddExpansionModel(Frozen):
         for note in notes:
             if note.splitlines() not in ([], [note]):
                 raise ParameterError(f"note {note!r} contains a line break")
+            if note != note.strip():  # the parser strips each `meta:` line
+                raise ParameterError(f"note {note!r} has leading or trailing whitespace")
         self.__dict__.update(trees=trees, coloring=coloring, connectors=connectors, notes=notes)
 
     @property
@@ -403,24 +406,6 @@ def serialize_model(model: OddExpansionModel, graph_hash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(token: str, error: Callable[[str, str], ParseError], field: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise error(f"expected integer, found {token!r}", field)
-
-
-def _parse_edge_token(token: str, error: Callable[[str, str], ParseError], field: str) -> Edge:
-    parts = token.split("-")
-    if len(parts) != 2:
-        raise error(f"expected 'u-v' edge token, found {token!r}", field)
-    u = _parse_int(parts[0], error, field)
-    v = _parse_int(parts[1], error, field)
-    if u == v:
-        raise error(f"edge token {token!r} is a self-loop", field)
-    return norm_edge(u, v)
-
-
 def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     """Parse a certificate; returns (model, graph_hash).
 
@@ -432,9 +417,29 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     """
     lines = text.splitlines(keepends=True)
     index = -1  # the line just read
+    ids: dict[str, int] = {}  # token -> int, so that each id is one int object
 
     def error(message: str, field: str) -> ParseError:
         return ParseError.at(lines, index, message, field)
+
+    def number(token: str, field: str) -> int:
+        v = ids.get(token)
+        if v is None:
+            try:
+                v = ids[token] = int(token)
+            except ValueError:
+                raise error(f"expected integer, found {token!r}", field)
+        return v
+
+    def edge(token: str, field: str) -> Edge:
+        parts = token.split("-")
+        if len(parts) != 2:
+            raise error(f"expected 'u-v' edge token, found {token!r}", field)
+        u = number(parts[0], field)
+        v = number(parts[1], field)
+        if u == v:
+            raise error(f"edge token {token!r} is a self-loop", field)
+        return norm_edge(u, v)
 
     def next_key() -> str | None:
         if index + 1 < len(lines) and ":" in lines[index + 1]:
@@ -459,8 +464,8 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     graph_hash = take("graph_hash", "graph_hash")
     if not graph_hash or any(c not in "0123456789abcdef" for c in graph_hash):
         raise error("graph_hash must be lowercase hex", "graph_hash")
-    order = _parse_int(take("clique_order", "clique_order"), error, "clique_order")
-    count = _parse_int(take("trees", "trees"), error, "trees")
+    order = number(take("clique_order", "clique_order"), "clique_order")
+    count = number(take("trees", "trees"), "trees")
     if order != count:
         raise error(f"clique_order {order} does not match tree count {count}", "trees")
     if order < 1:
@@ -471,7 +476,7 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
         vtokens = take("tree", f"tree[{k}]").split()
         verts = set()
         for tok in vtokens:
-            v = _parse_int(tok, error, f"tree[{k}]")
+            v = number(tok, f"tree[{k}]")
             if v < 0:
                 raise error(f"negative vertex {v}", f"tree[{k}]")
             if v in verts:
@@ -480,7 +485,7 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
         etokens = take("edges", f"tree[{k}].edges").split()
         edges = set()
         for tok in etokens:
-            e = _parse_edge_token(tok, error, f"tree[{k}].edges")
+            e = edge(tok, f"tree[{k}].edges")
             if e in edges:
                 raise error(f"duplicate tree edge {tok}", f"tree[{k}].edges")
             edges.add(e)
@@ -491,8 +496,8 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
         parts = tok.split("=")
         if len(parts) != 2:
             raise error(f"expected 'v=c' token, found {tok!r}", "coloring")
-        v = _parse_int(parts[0], error, "coloring")
-        c = _parse_int(parts[1], error, "coloring")
+        v = number(parts[0], "coloring")
+        c = number(parts[1], "coloring")
         if c not in (1, 2):
             raise error(f"color for vertex {v} must be 1 or 2, found {c}", "coloring")
         if v in coloring:
@@ -509,13 +514,13 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
             pair = parts[0].split(",")
             if len(pair) != 2:
                 raise error(f"expected 'i,j' pair in {tok!r}", "connectors")
-            i = _parse_int(pair[0], error, "connectors")
-            j = _parse_int(pair[1], error, "connectors")
+            i = number(pair[0], "connectors")
+            j = number(pair[1], "connectors")
             if not (0 <= i < j < count):
                 raise error(f"connector pair ({i},{j}) out of range", "connectors")
             if (i, j) in connectors:
                 raise error(f"duplicate connector for pair ({i},{j})", "connectors")
-            connectors[(i, j)] = _parse_edge_token(parts[1], error, "connectors")
+            connectors[(i, j)] = edge(parts[1], "connectors")
 
     notes = []
     while next_key() == "meta":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import re
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from operator import lt
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -24,10 +24,12 @@ ProductVertex = tuple[int, int]
 
 PRODUCT_KINDS = ("cartesian", "direct", "lexicographic", "strong")
 
-# The most edges a named family or a product may have.  An edge costs about
-# 130 bytes in a complete graph and 150-170 bytes in a direct product while
-# it is built (CPython 3.11), so the cap is about 1.7 GB of edge set, before
-# the adjacency lists and canonical text a command adds.  It admits K60 x K60
+# The most edges a named family or a product may have.  An edge costs
+# 85-115 bytes while a complete graph or a product is built (CPython 3.11,
+# tracemalloc peak over K1500 to K2000 and K30 x K30 to K40 x K40): a
+# 56-byte tuple and its share of the set's table, as the tuples share one
+# int per vertex.  So the cap is about 1.2 GB of edge set, before the
+# adjacency lists and canonical text a command adds.  It admits K60 x K60
 # direct (6.3M edges).  It also bounds the vertex count of a product or of a
 # graph read from text: a vertex costs about as much as an edge to render,
 # and a ten-byte file can claim any number of them.
@@ -44,6 +46,10 @@ def _require_size(count: int, what: str, unit: str = "edges"):
     building it."""
     if count > MAX_EDGES:
         raise ParameterError(f"{what} would have at least {count} {unit}, more than {MAX_EDGES}")
+
+
+def _bad_edge(e, n: int) -> ParameterError:
+    return ParameterError(f"bad edge {e!r} for n={n} (need ints 0 <= u < v < n)")
 
 
 class Frozen:
@@ -99,9 +105,12 @@ class Graph(Frozen):
         if type(n) is not int or n < 0:
             raise ParameterError(f"vertex count must be a non-negative int, got {n!r}")
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):  # not a pair
+                raise _bad_edge(e, n) from None
             if not (type(u) is type(v) is int and 0 <= u < v < n):
-                raise ParameterError(f"bad edge {e!r} for n={n} (need ints 0 <= u < v < n)")
+                raise _bad_edge(e, n)
         self.__dict__.update(n=n, edges=edges)
 
     @property
@@ -164,7 +173,10 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a Graph, normalizing edge orientation and rejecting loops."""
     out = set()
     for e in edges:
-        u, v = e
+        try:
+            u, v = e
+        except (TypeError, ValueError):  # not a pair
+            raise _bad_edge(e, n) from None
         if u == v:
             raise ParameterError(f"self-loop at vertex {u}")
         out.add(norm_edge(u, v))
@@ -179,7 +191,8 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"complete graph needs n >= 1, got {n}")
     _require_size(n * (n - 1) // 2, f"complete:{n}")
-    return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
+    # the pairs share the pool's int objects, one per vertex
+    return Graph(n, frozenset(combinations(range(n), 2)))
 
 
 def star(k: int) -> Graph:
@@ -271,6 +284,14 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
     flattened pair is already ordered, and none is produced twice, and the
     vertex and edge counts are checked against MAX_EDGES before any edge
     is built.
+
+    Each flattened id is one int object, shared by all the edges at it: a
+    row per first-factor vertex maps the second-factor vertices that its
+    blocks pair it with to their ids.  A row holds only the columns of
+    those blocks, so the rows together are at most four entries per edge,
+    however many isolated vertices either factor has.  A product on at most
+    257 vertices skips the rows: CPython keeps one object for each int up
+    to 256, and the rows would only slow the oracle's small hosts.
     """
     if kind not in PRODUCT_KINDS:
         raise ParameterError(f"unknown product kind {kind!r} (expected one of {PRODUCT_KINDS})")
@@ -281,9 +302,22 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
         blocks.append(([(a, a) for a in range(g.n)], h.edges))
     _require_size(sum(len(firsts) * len(seconds) for firsts, seconds in blocks),
                   f"{kind} product")
-    return Graph(g.n * nh, frozenset((a1 * nh + b1, a2 * nh + b2)
+    if g.n * nh <= 257:
+        return Graph(g.n * nh, frozenset((a1 * nh + b1, a2 * nh + b2)
+                                         for firsts, seconds in blocks
+                                         for a1, a2 in firsts for b1, b2 in seconds))
+    blocks = [(firsts, seconds) for firsts, seconds in blocks if seconds]
+    rows: dict[int, dict[int, int]] = {}
+    for firsts, seconds in blocks:
+        columns = set(chain.from_iterable(seconds))
+        for a in set(chain.from_iterable(firsts)):
+            base = a * nh
+            # a later block may replace a row's ids: no edge is built yet
+            rows.setdefault(a, {}).update({b: base + b for b in columns})
+    return Graph(g.n * nh, frozenset((r1[b1], r2[b2])
                                      for firsts, seconds in blocks
-                                     for a1, a2 in firsts for b1, b2 in seconds))
+                                     for a1, a2 in firsts for r1, r2 in [(rows[a1], rows[a2])]
+                                     for b1, b2 in seconds))
 
 
 # ----------------------------------------------------------------------
@@ -397,11 +431,11 @@ def write_graph_text(g: Graph) -> str:
     return g.canonical_text()
 
 
-# Canonical header or edge lines: two decimal ints, with no sign and no
-# leading zero, one space between them and a line feed after.  Each token
-# is fixed by its first character and ended by a space or a line feed, so a
-# failed match gives back each character at most once: linear in its input.
-_CANONICAL_LINES = re.compile(r"(?:(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n)*")
+# The canonical header line: two decimal ints, with no sign and no leading
+# zero, one space between them and a line feed after.  Each token is fixed
+# by its first character and ended by a space or a line feed, so a failed
+# match gives back each character at most once: linear in its input.
+_CANONICAL_HEADER = re.compile(r"(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n")
 
 # The edge lines of canonical text are parsed this many characters at a
 # time, cut at a line end, so that only one chunk's tokens are alive at
@@ -437,7 +471,7 @@ def _canonical_edges(text: str) -> tuple[int, frozenset[Edge]]:
     raises ValueError when `text` is not in that form or its vertex count is
     above MAX_EDGES.  The range of each edge is left to `Graph`."""
     start = text.find("\n") + 1
-    if not start or not _CANONICAL_LINES.fullmatch(text, 0, start):
+    if not start or not _CANONICAL_HEADER.fullmatch(text, 0, start):
         raise ValueError("header is not canonical")
     n, m = map(int, text[:start].split())
     if n > MAX_EDGES:
@@ -452,13 +486,30 @@ def _canonical_edges(text: str) -> tuple[int, frozenset[Edge]]:
 def _canonical_chunks(text: str, start: int) -> Iterator[list[Edge]]:
     """The edges of the lines of text[start:], one list per chunk; raises
     ValueError unless each line is 'u v' in decimal and the lines strictly
-    ascend across the whole text."""
+    ascend across the whole text.
+
+    A chunk is canonical when its token count is even, deleting its digits
+    leaves a space and a line feed per two tokens, and each token is the
+    decimal form of its int.  Each distinct token is converted once, so
+    every edge at a vertex holds the same int object.
+    """
+    ids: dict[str, int] = {}
     last = (-1, -1)
     while start < len(text):
         end = text.rfind("\n", start, start + _CHUNK) + 1
-        if end <= start or not _CANONICAL_LINES.fullmatch(text, start, end):
+        if end <= start:
+            raise ValueError("edge line longer than a chunk")
+        chunk = text[start:end]
+        tokens = chunk.split()
+        # UnicodeEncodeError, a ValueError, refuses a character beyond ASCII
+        if len(tokens) % 2 or (chunk.encode("ascii").translate(None, b"0123456789")
+                               != b" \n" * (len(tokens) // 2)):
             raise ValueError("edge lines are not canonical")
-        ends = list(map(int, text[start:end].split()))
+        for token in set(tokens).difference(ids):
+            ids[token] = v = int(token)
+            if str(v) != token:  # a leading zero
+                raise ValueError("edge lines are not canonical")
+        ends = list(map(ids.__getitem__, tokens))
         edges = list(zip(ends[0::2], ends[1::2]))
         if not (last < edges[0] and all(map(lt, edges, edges[1:]))):
             raise ValueError("edge lines out of order")

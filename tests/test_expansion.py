@@ -8,7 +8,7 @@ from oddminors import graphs as gr
 from oddminors.errors import ParameterError, ParseError
 from oddminors.expansion import (BranchTree, OddExpansionModel, branch_tree,
                                  least_monochromatic_edge,
-                                 monochromatic_connector, parse_model,
+                                 monochromatic_connector, odd_cycle_model, parse_model,
                                  serialize_model, verify_odd_expansion)
 from oddminors.oracle import has_odd_clique_minor
 
@@ -270,6 +270,18 @@ def test_parse_errors_name_the_line_at_fault(mutate, field, line, offset):
     assert (exc.value.field, exc.value.line, exc.value.offset) == (field, line, offset)
 
 
+def test_parsed_ids_are_one_int_object_each():
+    # ids above 256, which CPython does not cache: every tree vertex, tree
+    # edge end, coloring key and connector end naming one vertex is one object
+    g = gr.cycle(601)
+    model, _ = parse_model(serialize_model(odd_cycle_model(g), g.content_hash()))
+    ids = [*model.coloring, *itertools.chain.from_iterable(model.connectors.values())]
+    for t in model.trees:
+        ids += [*t.vertices, *itertools.chain.from_iterable(t.edges)]
+    assert max(ids) > 256
+    assert len({id(x) for x in ids}) == len(set(ids))
+
+
 def test_parse_rejects_out_of_range_connector_pairs():
     model = OddExpansionModel(C5_MODEL.trees, dict(C5_MODEL.coloring),
                               {(0, 1): (0, 1), (0, 2): (0, 4), (1, 2): (2, 3)})
@@ -407,6 +419,13 @@ def test_note_with_a_line_break_is_refused(note):
         OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring, None, (note,))
 
 
+# the parser strips a `meta:` line, so such a note would not round-trip
+@pytest.mark.parametrize("note", [" padded ", " lead", "trail\t", " ", "\tx"])
+def test_note_with_whitespace_at_an_end_is_refused(note):
+    with pytest.raises(ParameterError, match="leading or trailing whitespace"):
+        OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring, None, (note,))
+
+
 def test_note_round_trips():
     model = OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring, None, ("from: a = b", ""))
     assert parse_model(serialize_model(model, C5.content_hash()))[0] == model
@@ -418,10 +437,11 @@ def perturbed_certificates(draw):
     perturbed: stored connectors dropped or given keys out of range or of
     type str, colors replaced by values of other types, extra colored
     vertices (True and "x" among them), vertex 1 renamed True or "a", notes
-    drawn with and without line breaks.  Returns the host, the model's
-    fields, and whether they hold an id that is not an int or a connector
-    key that is not a tree pair, since the model refuses those, and a note
-    with a line break, when it is made."""
+    drawn with and without line breaks and spaces.  Returns the host, the
+    model's fields, and whether they hold an id that is not an int or a
+    connector key that is not a tree pair, since the model refuses those,
+    and a note with a line break or with whitespace at an end, when it is
+    made."""
     n = draw(st.integers(3, 7))
     extra = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
     g = gr.graph_from_edges(n, extra | {(0, 1), (1, 2), (0, 2)})
@@ -442,7 +462,7 @@ def perturbed_certificates(draw):
     rename = draw(st.sampled_from((1, True, "a")))
     trees = tuple(BranchTree(frozenset(rename if v == 1 else v for v in t.vertices), t.edges)
                   for t in trees)
-    notes = draw(st.lists(st.text(st.sampled_from("a :=\n\r\u2028\x85"), max_size=3),
+    notes = draw(st.lists(st.text(st.sampled_from("a :=\t\n\r\u2028\x85"), max_size=3),
                           max_size=2))
     # True drawn as a colored vertex next to vertex 1 keeps the int key 1
     ids = [*coloring, *(v for t in trees for v in t.vertices)]
@@ -454,7 +474,8 @@ def perturbed_certificates(draw):
 @given(perturbed_certificates(), st.booleans())
 def test_passing_certificate_survives_round_trip(case, strict):
     g, fields, spoiled = case
-    refuse = spoiled or any(note.splitlines() not in ([], [note]) for note in fields[3])
+    refuse = spoiled or any(note.splitlines() not in ([], [note]) or note != note.strip()
+                            for note in fields[3])
     try:
         model = OddExpansionModel(*fields)
     except ParameterError:
@@ -463,6 +484,8 @@ def test_passing_certificate_survives_round_trip(case, strict):
     assert not refuse
     if not verify_odd_expansion(g, model, strict).passed:
         return
-    parsed, graph_hash = parse_model(serialize_model(model, g.content_hash()))
+    text = serialize_model(model, g.content_hash())
+    parsed, graph_hash = parse_model(text)
     assert graph_hash == g.content_hash()
+    assert parsed == model and serialize_model(parsed, graph_hash) == text
     assert verify_odd_expansion(g, parsed, strict).passed

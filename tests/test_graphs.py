@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import re
+import tracemalloc
 
 import pytest
 
@@ -53,6 +54,52 @@ def test_graph_validation():
 def test_graph_refuses_ids_that_are_not_ints(n, edges):
     with pytest.raises(ParameterError):
         gr.Graph(n, frozenset(edges))
+
+
+@pytest.mark.parametrize("build", [gr.Graph, gr.graph_from_edges])
+@pytest.mark.parametrize("edge", [(0, 1, 2), 5, (1,)])
+def test_graph_refuses_an_edge_that_is_not_a_pair(build, edge):
+    with pytest.raises(ParameterError, match=r"bad edge .* \(need ints 0 <= u < v < n\)"):
+        build(3, frozenset({edge}))
+
+
+def one_object_per_id(g):
+    """Whether the edges of g hold one int object per vertex id."""
+    ends = [x for e in g.edges for x in e]
+    return len({id(x) for x in ends}) == len(set(ends))
+
+
+# CPython caches the ints up to 256 only, so these hosts need shared ids
+@pytest.mark.parametrize("kind", gr.PRODUCT_KINDS)
+def test_product_shares_one_int_per_vertex(kind):
+    g = gr.product(kind, gr.complete(20), gr.complete(20))
+    assert g.n == 400 and one_object_per_id(g)
+
+
+def test_complete_shares_one_int_per_vertex():
+    assert one_object_per_id(gr.complete(300))
+
+
+def test_read_canonical_text_shares_one_int_per_vertex(monkeypatch):
+    text = gr.product("direct", gr.complete(3), gr.complete(100)).canonical_text()
+    monkeypatch.setattr(gr, "_CHUNK", 64)  # about eight lines a chunk
+    g = gr.read_graph_text(text)
+    assert g.canonical_text() is text  # the bulk path read it
+    assert one_object_per_id(g)
+
+
+def test_product_id_rows_grow_with_edges_not_vertices():
+    # two edges on 8M vertices: a row per first-factor vertex with an entry
+    # per second-factor vertex would take tens of MB here
+    sparse = gr.Graph(4_000_000, frozenset({(0, 1)}))
+    tracemalloc.start()
+    try:
+        g = gr.product("direct", gr.complete(2), sparse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 8_000_000 and g.edges == {(0, 4_000_001), (1, 4_000_000)}
+    assert peak < 64 * 1024
 
 
 def test_hamming_equals_iterated_cartesian_product():
@@ -330,6 +377,6 @@ def test_canonical_pattern_compiles_on_python_3_10():
     parser = getattr(re, "_parser", None)
     if parser is None:
         pytest.skip("this Python has no possessive repeats to find")
-    ops = set(_opcodes(parser.parse(gr._CANONICAL_LINES.pattern)))
+    ops = set(_opcodes(parser.parse(gr._CANONICAL_HEADER.pattern)))
     assert "MAX_REPEAT" in ops
     assert not ops & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}

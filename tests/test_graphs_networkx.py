@@ -35,6 +35,21 @@ FACTORS = {
 
 PAIRS = list(itertools.product(FACTORS, repeat=2))
 
+# Products on more than 257 vertices share ids through per-row tables; the
+# paw with isolated vertices and the edgeless factor leave some rows and
+# blocks empty.
+LARGE_FACTORS = {
+    "K17": gr.complete(17),
+    "C17": gr.cycle(17),
+    "S16": gr.star(16),
+    "paw+13": gr.graph_from_edges(17, [(0, 1), (1, 2), (0, 2), (2, 16)]),
+    "E150": gr.Graph(150, frozenset()),
+    "P300": gr.path(300),
+}
+LARGE_PAIRS = [("K17", "paw+13"), ("paw+13", "C17"), ("C17", "S16"), ("S16", "K17"),
+               ("E150", "K2"), ("K2", "E150"), ("K1", "P300"), ("P300", "K1")]
+ALL_FACTORS = {**FACTORS, **LARGE_FACTORS}
+
 
 def to_nx(g):
     out = nx.Graph()
@@ -53,9 +68,9 @@ def reference_text(g):
 
 
 @pytest.mark.parametrize("kind", sorted(NX_PRODUCTS))
-@pytest.mark.parametrize("first,second", PAIRS)
+@pytest.mark.parametrize("first,second", PAIRS + LARGE_PAIRS)
 def test_product_matches_networkx(kind, first, second):
-    g, h = FACTORS[first], FACTORS[second]
+    g, h = ALL_FACTORS[first], ALL_FACTORS[second]
     ours = gr.product(kind, g, h)
     theirs = NX_PRODUCTS[kind](to_nx(g), to_nx(h))
     assert ours.n == theirs.number_of_nodes() == g.n * h.n

@@ -191,12 +191,18 @@ def random_graphs(draw, min_edges=0):
 
 
 FLAWS = ("swapped-ends", "out-of-order", "duplicate", "leading-zeros", "plus-sign", "tab",
-         "crlf", "blank-line", "no-final-newline", "three-tokens", "wrong-m", "n-too-small")
+         "crlf", "blank-line", "no-final-newline", "three-tokens", "wrong-m", "n-too-small",
+         "non-ascii-digits", "double-space", "token-moved")
+
+# `int` reads these Arabic-Indic digits as 0-9, so the line loop accepts them
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
 
 
 def one_flaw(text, flaw, at):
     """Canonical `text` of a graph with at least two edges, with one flaw
-    at edge line `at` (0-based, not the last line for out-of-order)."""
+    at edge line `at` (0-based, not the last line for out-of-order and
+    token-moved)."""
     head, *lines = text.splitlines()
     n, m = head.split()
     u, v = lines[at].split()
@@ -221,6 +227,14 @@ def one_flaw(text, flaw, at):
         lines[at] += " 0"
     elif flaw == "wrong-m":
         head = f"{n} {int(m) - 1}"
+    elif flaw == "non-ascii-digits":
+        lines[at] = f"{u} {v.translate(ARABIC_INDIC)}"
+    elif flaw == "double-space":
+        lines[at] = f"{u}  {v}"
+    elif flaw == "token-moved":
+        # '1 2 3' then '4': as many spaces and line feeds as two edge lines
+        first, second = lines[at + 1].split()
+        lines[at:at + 2] = f"{u} {v} {first}", second
     elif flaw == "n-too-small":
         head = f"{max(int(x) for ln in lines for x in ln.split())} {m}"
     out = "\n".join([head, *lines]) + "\n"
