@@ -92,8 +92,12 @@ class OddExpansionModel(Frozen):
                                          f"and a tree pair 0 <= i < j < {r}")
                 fixed[key] = norm_edge(u, v)
             connectors = fixed
+        if isinstance(notes, str):
+            raise ParameterError(f"notes {notes!r} is one str, not a sequence of notes")
         notes = tuple(notes)
         for note in notes:
+            if not isinstance(note, str):
+                raise ParameterError(f"note {note!r} is not a str")
             if note.splitlines() not in ([], [note]):
                 raise ParameterError(f"note {note!r} contains a line break")
             if note != note.strip():  # the parser strips each `meta:` line
@@ -286,15 +290,17 @@ def least_monochromatic_edge(g: Graph, tree_a: BranchTree, tree_b: BranchTree,
     """The lexicographically least host edge with one endpoint in each tree
     and equal colors at both ends, or None when there is none.
 
-    Takes whichever loop does fewer set lookups.  When the larger tree has at
+    Takes whichever loop does fewer lookups.  When the larger tree has at
     most the host's average degree 2m/n vertices, it tests the |Ta|*|Tb|
-    vertex pairs against the host edge set, without building adjacency
-    lists.  Otherwise it walks the neighbours of the smaller tree's vertices
-    and tests membership in the other tree, so large trees in a sparse host
-    cost their degree sum, not the product of their sizes.
+    vertex pairs that would beat the best edge so far with `has_edge`,
+    without building adjacency lists.  Otherwise it walks the neighbours of
+    the smaller tree's vertices and tests membership in the other tree, so
+    large trees in a sparse host cost their degree sum, not the product of
+    their sizes.
     """
     small, large = sorted((tree_a.vertices, tree_b.vertices), key=len)
     pair_scan = len(large) * g.n <= 2 * g.m
+    has_edge = g.has_edge
     best = None
     for u in small:
         cu = coloring[u]
@@ -302,8 +308,8 @@ def least_monochromatic_edge(g: Graph, tree_a: BranchTree, tree_b: BranchTree,
             # the pair scan needs only the edge test and the walk only the
             # membership test; testing both keeps one loop body
             if v in large and coloring[v] == cu:
-                e = norm_edge(u, v)
-                if e in g.edges and (best is None or e < best):
+                e = (u, v) if u < v else (v, u)
+                if (best is None or e < best) and (not pair_scan or has_edge(u, v)):
                     best = e
     return best
 
@@ -341,7 +347,8 @@ def single_edge_model(g: Graph) -> OddExpansionModel:
     """Order-2 certificate from the least edge of the host."""
     if g.m == 0:
         raise ParameterError("host graph has no edges")
-    u, v = min(g.edges)
+    u, row = next(iter(g.rows()))
+    v = row[0]
     return OddExpansionModel((branch_tree([u]), branch_tree([v])),
                              {u: 1, v: 1}, {(0, 1): (u, v)})
 

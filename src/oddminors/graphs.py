@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left
 from functools import cached_property
-from itertools import chain, combinations
-from operator import lt
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, compress
+from operator import lt, ne, or_
+from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterError, ParseError, StructureError
 
@@ -24,15 +25,16 @@ ProductVertex = tuple[int, int]
 
 PRODUCT_KINDS = ("cartesian", "direct", "lexicographic", "strong")
 
-# The most edges a named family or a product may have.  An edge costs
-# 85-115 bytes while a complete graph or a product is built (CPython 3.11,
-# tracemalloc peak over K1500 to K2000 and K30 x K30 to K40 x K40): a
-# 56-byte tuple and its share of the set's table, as the tuples share one
-# int per vertex.  So the cap is about 1.2 GB of edge set, before the
-# adjacency lists and canonical text a command adds.  It admits K60 x K60
-# direct (6.3M edges).  It also bounds the vertex count of a product or of a
-# graph read from text: a vertex costs about as much as an edge to render,
-# and a ten-byte file can claim any number of them.
+# The most edges a named family or a product may have.  In a graph's rows an
+# edge costs about 8 bytes, one pointer in its smaller end's tuple, and a
+# vertex with a row 120-145 bytes: its dict entry, its tuple and its int
+# (CPython 3.11, tracemalloc over K1500, K2000, K30 x K30, K40 x K40 and the
+# 1M-cycle).  The canonical text adds 8-14 bytes an edge.  So the cap is
+# under 300 MB for a dense graph, before the adjacency lists a command may
+# add, and it admits K60 x K60 direct (6.3M edges).  It also bounds the
+# vertex count of a product or of a graph read from text: a vertex with an
+# edge costs more than an edge, and a ten-byte file can claim any number
+# of them.
 MAX_EDGES = 10_000_000
 
 
@@ -91,19 +93,26 @@ class Frozen:
 class Graph(Frozen):
     """Simple loopless undirected graph on vertices 0..n-1.
 
-    Immutable value: safe to share freely.  Edges are stored as a frozenset
-    of (u, v) pairs with u < v.
+    Immutable value: safe to share freely.  It is stored as upper-adjacency
+    rows: for each vertex u that has a larger neighbour, in ascending order
+    of u, the ascending tuple of those neighbours.  An isolated vertex costs
+    nothing, the canonical text is the rows written out in order, and
+    `has_edge` is one bisection in one row.  `edges`, the frozenset of
+    (u, v) pairs with u < v, is built from the rows when first asked for;
+    no routine in this package asks for it.
     """
 
-    _fields = ("n", "edges")
+    _fields = ("n", "edges")  # what repr shows; equality and hash read the rows
     n: int
-    edges: frozenset[Edge]
+    m: int
+    _rows: dict[int, tuple[int, ...]]
 
-    def __init__(self, n: int, edges: frozenset[Edge]):
+    def __init__(self, n: int, edges: Iterable[Edge]):
         # plain ints only: True or 1.0 would compare equal to an int id but
         # render as different text, and so hash differently
         if type(n) is not int or n < 0:
             raise ParameterError(f"vertex count must be a non-negative int, got {n!r}")
+        later: dict[int, list[int]] = {}
         for e in edges:
             try:
                 u, v = e
@@ -111,28 +120,54 @@ class Graph(Frozen):
                 raise _bad_edge(e, n) from None
             if not (type(u) is type(v) is int and 0 <= u < v < n):
                 raise _bad_edge(e, n)
-        self.__dict__.update(n=n, edges=edges)
+            if u in later:
+                later[u].append(v)
+            else:
+                later[u] = [v]
+        rows = {u: tuple(sorted(later[u])) for u in sorted(later)}
+        self.__dict__.update(n=n, m=sum(map(len, rows.values())), _rows=rows)
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n and self._rows == other._rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, tuple(self._rows.items())))
 
     @cached_property
-    def _adj(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+    def edges(self) -> frozenset[Edge]:
+        """The (u, v) pairs with u < v, built from the rows once."""
+        return frozenset([(u, v) for u, row in self._rows.items() for v in row])
+
+    def rows(self):
+        """(u, the ascending neighbours of u above u) for each vertex u that
+        has a larger neighbour, in ascending order of u: a read-only view."""
+        return self._rows.items()
+
+    @cached_property
+    def _adj(self) -> dict[int, tuple[int, ...]]:
+        # each vertex with a neighbour -> all its neighbours, ascending: the
+        # rows visit the smaller ends in ascending order
+        rows = self._rows
+        lower: dict[int, list[int]] = {}
+        for u, row in rows.items():
+            for v in row:
+                if v in lower:
+                    lower[v].append(u)
+                else:
+                    lower[v] = [u]
+        return {v: (*lower.get(v, ()), *rows.get(v, ())) for v in sorted(lower.keys() | rows.keys())}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self._adj.get(v, ())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) in self.edges if u != v else False
+        if u > v:
+            u, v = v, u
+        row = self._rows.get(u, ())
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
@@ -144,19 +179,11 @@ class Graph(Frozen):
 
     @cached_property
     def _text(self) -> str:
-        # each edge's larger end goes into its smaller end's bucket, so the
-        # lines come out ascending from n sorts of small int lists, not one
-        # sort of m tuples
-        later: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            later[u].append(v)
-        names = [str(v) for v in range(self.n)]
+        names = list(map(str, range(self.n)))
         parts = [f"{self.n} {self.m}\n"]
-        for u, ends in enumerate(later):
-            if ends:
-                ends.sort()
-                prefix = names[u] + " "
-                parts.append(prefix + ("\n" + prefix).join(map(names.__getitem__, ends)) + "\n")
+        for u, row in self._rows.items():
+            prefix = names[u] + " "
+            parts.append(prefix + ("\n" + prefix).join(map(names.__getitem__, row)) + "\n")
         return "".join(parts)
 
     def content_hash(self) -> str:
@@ -167,6 +194,14 @@ class Graph(Frozen):
     @cached_property
     def _content_hash(self) -> str:
         return hashlib.sha256(self._text.encode("ascii")).hexdigest()
+
+
+def _from_rows(n: int, m: int, rows: dict[int, tuple[int, ...]]) -> Graph:
+    """The Graph with these rows, made without the checks of `Graph`: each
+    caller builds its rows ascending, in range and m in number."""
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, m=m, _rows=rows)
+    return g
 
 
 def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -180,7 +215,7 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
         if u == v:
             raise ParameterError(f"self-loop at vertex {u}")
         out.add(norm_edge(u, v))
-    return Graph(n, frozenset(out))
+    return Graph(n, out)
 
 
 # ----------------------------------------------------------------------
@@ -191,8 +226,8 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"complete graph needs n >= 1, got {n}")
     _require_size(n * (n - 1) // 2, f"complete:{n}")
-    # the pairs share the pool's int objects, one per vertex
-    return Graph(n, frozenset(combinations(range(n), 2)))
+    ids = tuple(range(n))  # one int object per vertex, shared by the rows' slices
+    return _from_rows(n, n * (n - 1) // 2, {u: ids[u + 1:] for u in ids[:-1]})
 
 
 def star(k: int) -> Graph:
@@ -200,21 +235,26 @@ def star(k: int) -> Graph:
     if k < 0:
         raise ParameterError(f"star needs k >= 0 leaves, got {k}")
     _require_size(k, f"star:{k}")
-    return Graph(k + 1, frozenset((0, i) for i in range(1, k + 1)))
+    return _from_rows(k + 1, k, {0: tuple(range(1, k + 1))} if k else {})
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterError(f"cycle needs n >= 3, got {n}")
     _require_size(n, f"cycle:{n}")
-    return Graph(n, frozenset(norm_edge(i, (i + 1) % n) for i in range(n)))
+    ids = tuple(range(n))
+    rows = dict(zip(ids, zip(ids[1:])))  # u -> (u + 1,), as in `path`
+    rows[0] = (ids[1], ids[-1])
+    return _from_rows(n, n, rows)
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ParameterError(f"path needs n >= 1, got {n}")
     _require_size(n - 1, f"path:{n}")
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+    ids = tuple(range(n))
+    # u -> (u + 1,): zip makes the 1-tuples of the ids after the first
+    return _from_rows(n, n - 1, dict(zip(ids, zip(ids[1:]))))
 
 
 def hamming(n: int, d: int) -> Graph:
@@ -265,59 +305,70 @@ def unflatten(x: int, n_second: int) -> ProductVertex:
     return divmod(x, n_second)
 
 
-# kind -> the second-coordinate pairs (b1, b2) joined across a first-factor
-# edge a1 < a2
-_ACROSS = {
-    "cartesian": lambda h: [(b, b) for b in range(h.n)],
-    "direct": lambda h: [*h.edges, *((b2, b1) for b1, b2 in h.edges)],
-    "lexicographic": lambda h: [(b1, b2) for b1 in range(h.n) for b2 in range(h.n)],
-    "strong": lambda h: _ACROSS["cartesian"](h) + _ACROSS["direct"](h),
-}
-
-
 def product(kind: str, g: Graph, h: Graph) -> Graph:
     """Product of g and h on |V(g)|*|V(h)| vertices under the fixed flattening.
 
-    One rule serves all four kinds: across each edge a1 < a2 of g, (a1, b1)
-    joins (a2, b2) for the kind's pairs in `_ACROSS`, and every kind except
-    direct joins (a, b1) to (a, b2) for each edge b1 < b2 of h.  So every
-    flattened pair is already ordered, and none is produced twice, and the
-    vertex and edge counts are checked against MAX_EDGES before any edge
-    is built.
+    One rule serves all four kinds.  Across each edge a1 < a2 of g, (a1, b)
+    joins (a2, b') for each of the kind's columns b' of b in `across`: b
+    itself (cartesian), the neighbours of b (direct), both (strong) or every
+    vertex of h (lexicographic).  Every kind except direct also joins (a, b)
+    to (a, b') for each edge b < b' of h.  So the row of (a, b) comes out
+    ascending from the factors' rows: (a, b') for b' in the row of b, then
+    the columns of b in block a' for each a' in the row of a.  No pair is
+    produced twice, so the vertex and edge counts are checked against
+    MAX_EDGES before any row is built.
 
-    Each flattened id is one int object, shared by all the edges at it: a
-    row per first-factor vertex maps the second-factor vertices that its
-    blocks pair it with to their ids.  A row holds only the columns of
-    those blocks, so the rows together are at most four entries per edge,
-    however many isolated vertices either factor has.  A product on at most
-    257 vertices skips the rows: CPython keeps one object for each int up
-    to 256, and the rows would only slow the oracle's small hosts.
+    Each flattened id is one int object, shared by every row that holds it:
+    `ids` gives each first-factor vertex the ids of the columns its blocks
+    use, every column joined across when it has an edge in g and the
+    columns with an edge in h when it has none.  That is at most two ids an
+    edge, however many isolated vertices either factor has.
     """
     if kind not in PRODUCT_KINDS:
         raise ParameterError(f"unknown product kind {kind!r} (expected one of {PRODUCT_KINDS})")
-    _require_size(g.n * h.n, f"{kind} product", "vertices")
     nh = h.n
-    blocks = [(g.edges, _ACROSS[kind](h))]
-    if kind != "direct":
-        blocks.append(([(a, a) for a in range(g.n)], h.edges))
-    _require_size(sum(len(firsts) * len(seconds) for firsts, seconds in blocks),
-                  f"{kind} product")
+    _require_size(g.n * nh, f"{kind} product", "vertices")
+    direct = kind == "direct"
+    # the columns joined across one edge of g, summed over the columns of h
+    width = {"cartesian": nh, "direct": 2 * h.m, "lexicographic": nh * nh,
+             "strong": nh + 2 * h.m}[kind]
+    m = g.m * width + (0 if direct else g.n * h.m)
+    _require_size(m, f"{kind} product")
+    inner = {} if direct else h._rows
+    if not g.m:
+        across = {}
+    elif direct:
+        across = h._adj
+    elif kind == "cartesian":
+        across = {b: (b,) for b in range(nh)}
+    elif kind == "strong":
+        across = {b: tuple(sorted((b, *h.neighbors(b)))) for b in range(nh)}
+    else:
+        across = dict.fromkeys(range(nh), tuple(range(nh)))
     if g.n * nh <= 257:
-        return Graph(g.n * nh, frozenset((a1 * nh + b1, a2 * nh + b2)
-                                         for firsts, seconds in blocks
-                                         for a1, a2 in firsts for b1, b2 in seconds))
-    blocks = [(firsts, seconds) for firsts, seconds in blocks if seconds]
-    rows: dict[int, dict[int, int]] = {}
-    for firsts, seconds in blocks:
-        columns = set(chain.from_iterable(seconds))
-        for a in set(chain.from_iterable(firsts)):
-            base = a * nh
-            # a later block may replace a row's ids: no edge is built yet
-            rows.setdefault(a, {}).update({b: base + b for b in columns})
-    return Graph(g.n * nh, frozenset((r1[b1], r2[b2])
-                                     for firsts, seconds in blocks
-                                     for a1, a2 in firsts for r1, r2 in [(rows[a1], rows[a2])]
-                                     for b1, b2 in seconds))
+        # CPython keeps one object for each int up to 256: arithmetic shares them
+        ids = {a: list(range(a * nh, a * nh + nh)) for a in range(g.n)}
+    else:
+        touched = g._rows.keys() | set(chain.from_iterable(g._rows.values()))  # have an edge
+        columns = inner.keys() | set(chain.from_iterable(inner.values()))
+        ids = {a: _id_row(a * nh, nh, across if a in touched else columns)
+               for a in (range(g.n) if inner else sorted(touched))}
+    rows = {}
+    for a, ida in ids.items():
+        ups = [ids[x] for x in g._rows.get(a, ())]  # the id rows of the blocks above a that a joins
+        for b in across if ups else inner:
+            own = inner.get(b)
+            cross = [idx[c] for idx in ups for c in across[b]]
+            rows[ida[b]] = (*map(ida.__getitem__, own), *cross) if own else tuple(cross)
+    return _from_rows(g.n * nh, m, rows)
+
+
+def _id_row(base: int, nh: int, columns) -> Sequence[int]:
+    """The ids base + b of the given columns b of one block, indexed by b: a
+    list when the columns are all of 0..nh-1, a dict otherwise."""
+    if len(columns) == nh:
+        return list(range(base, base + nh))
+    return {b: base + b for b in columns}
 
 
 # ----------------------------------------------------------------------
@@ -349,10 +400,10 @@ def _odd_edge(g: Graph) -> tuple[dict[int, tuple[Optional[int], int]], Optional[
     """The BFS forest of g and its least edge whose ends have depths of equal
     parity, or None in its place when there is none (g is bipartite)."""
     forest = _bfs_forest(g, range(g.n))
-    for u in range(g.n):
+    for u, row in g.rows():
         side = forest[u][1] & 1
-        for w in g.neighbors(u):
-            if w > u and forest[w][1] & 1 == side:
+        for w in row:
+            if forest[w][1] & 1 == side:
                 return forest, (u, w)
     return forest, None
 
@@ -437,10 +488,10 @@ def write_graph_text(g: Graph) -> str:
 # match gives back each character at most once: linear in its input.
 _CANONICAL_HEADER = re.compile(r"(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n")
 
-# The edge lines of canonical text are parsed this many characters at a
-# time, cut at a line end, so that only one chunk's tokens are alive at
-# once.  A canonical line is at most 16 characters (n <= MAX_EDGES), so a
-# stretch this long without a line end is not canonical.
+# The edge lines of canonical text are read this many characters at a time
+# (see `_canonical_graph`).  A canonical line is at most 16 characters
+# (n <= MAX_EDGES), so a stretch this long without a line end is not
+# canonical.
 _CHUNK = 1 << 16
 
 
@@ -449,52 +500,45 @@ def read_graph_text(text: str) -> Graph:
 
     Two paths, picked by the input itself.  Text that is byte for byte the
     canonical text of a graph (what `canonical_text` and every writer in
-    this package produce) is split in bounded chunks by C-level splits and
-    comparisons, checked for strict ascent and the header's edge count, and
-    left to `Graph` for the range of each edge; the graph keeps the input as
-    its cached text, so `content_hash` hashes it without rendering it again.
-    Any other input goes through the tolerant line loop, the only path that
-    accepts unsorted lines, signs, leading zeros, tabs, CRLF or blank lines,
-    and the one that raises `ParseError`; the bulk path only ever declines.
-    Both refuse a vertex count above MAX_EDGES.
+    this package produce) is read by `_canonical_graph` straight into the
+    graph's rows; the graph keeps the input as its cached text, so
+    `content_hash` hashes it without rendering it again.  Any other input
+    goes through the tolerant line loop, the only path that accepts
+    unsorted lines, signs, leading zeros, tabs, CRLF or blank lines, and the
+    one that raises `ParseError`; the bulk path only ever declines.  Both
+    refuse a vertex count above MAX_EDGES.
     """
     try:
-        g = Graph(*_canonical_edges(text))
-    except ValueError:  # ParameterError from Graph too
+        g = _canonical_graph(text)
+    except ValueError:
         return _read_lines(text)
     g.__dict__["_text"] = text  # seeds the cached rendering: text is already it
     return g
 
 
-def _canonical_edges(text: str) -> tuple[int, frozenset[Edge]]:
-    """The vertex count and edge set written as canonical text in `text`;
-    raises ValueError when `text` is not in that form or its vertex count is
-    above MAX_EDGES.  The range of each edge is left to `Graph`."""
+def _canonical_graph(text: str) -> Graph:
+    """The graph whose canonical text is `text`; raises ValueError when
+    `text` is not in that form or its vertex count is above MAX_EDGES.
+
+    The edge lines are read in chunks, cut at a line end, so that only one
+    chunk's tokens are alive at once.  A chunk is canonical when its token
+    count is even, deleting its digits leaves a space and a line feed per
+    two tokens, and each token is the decimal form of its int.  Each
+    distinct token is converted once, so every row holds one int object per
+    vertex.  Each run of lines with one first token is one row; C-level
+    passes over the first and second tokens check that the lines strictly
+    ascend and that 0 <= u < v < n on each, and no edge tuple is built.
+    """
     start = text.find("\n") + 1
     if not start or not _CANONICAL_HEADER.fullmatch(text, 0, start):
         raise ValueError("header is not canonical")
     n, m = map(int, text[:start].split())
     if n > MAX_EDGES:
         raise ValueError("vertex count above MAX_EDGES")
-    # strictly ascending lines have no duplicates, so the set counts them
-    edges = frozenset(chain.from_iterable(_canonical_chunks(text, start)))
-    if len(edges) != m:
-        raise ValueError("edge count differs from the header")
-    return n, edges
-
-
-def _canonical_chunks(text: str, start: int) -> Iterator[list[Edge]]:
-    """The edges of the lines of text[start:], one list per chunk; raises
-    ValueError unless each line is 'u v' in decimal and the lines strictly
-    ascend across the whole text.
-
-    A chunk is canonical when its token count is even, deleting its digits
-    leaves a space and a line feed per two tokens, and each token is the
-    decimal form of its int.  Each distinct token is converted once, so
-    every edge at a vertex holds the same int object.
-    """
+    rows: dict[int, tuple[int, ...]] = {}
     ids: dict[str, int] = {}
-    last = (-1, -1)
+    last = (-1, -1)  # the last line of the chunks before
+    count = 0
     while start < len(text):
         end = text.rfind("\n", start, start + _CHUNK) + 1
         if end <= start:
@@ -509,13 +553,26 @@ def _canonical_chunks(text: str, start: int) -> Iterator[list[Edge]]:
             ids[token] = v = int(token)
             if str(v) != token:  # a leading zero
                 raise ValueError("edge lines are not canonical")
-        ends = list(map(ids.__getitem__, tokens))
-        edges = list(zip(ends[0::2], ends[1::2]))
-        if not (last < edges[0] and all(map(lt, edges, edges[1:]))):
-            raise ValueError("edge lines out of order")
-        last = edges[-1]
-        yield edges
+        ends = tuple(map(ids.__getitem__, tokens))
+        us, vs = ends[0::2], ends[1::2]
+        starts = [0, *compress(range(1, len(us)), map(ne, us, us[1:]))]  # of the runs
+        keys = list(map(us.__getitem__, starts))
+        # ascending keys make the first tokens non-decreasing; within a run
+        # the second tokens must ascend
+        if not (last < (us[0], vs[0]) and all(map(lt, keys, keys[1:]))
+                and all(map(or_, map(ne, us, us[1:]), map(lt, vs, vs[1:])))
+                and all(map(lt, us, vs)) and max(vs) < n):
+            raise ValueError("edge lines out of order or out of range")
+        runs = map(vs.__getitem__, map(slice, starts, starts[1:] + [len(us)]))
+        if keys[0] == last[0]:  # the last chunk's last row goes on
+            rows[keys.pop(0)] += next(runs)
+        rows.update(zip(keys, runs))
+        last = (us[-1], vs[-1])
+        count += len(vs)
         start = end
+    if count != m:
+        raise ValueError("edge count differs from the header")
+    return _from_rows(n, m, rows)
 
 
 def _read_lines(text: str) -> Graph:
@@ -554,7 +611,7 @@ def _read_lines(text: str) -> Graph:
         if e in edges:
             raise ParseError.at(lines, index, f"duplicate edge ({u},{v})", f"edges[{i}]")
         edges.add(e)
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 def read_graph6(line: str) -> Graph:
@@ -599,4 +656,4 @@ def read_graph6(line: str) -> Graph:
             if bits[idx]:
                 edges.add((u, v))
             idx += 1
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)

@@ -179,9 +179,10 @@ class _StabilizerChain:
     def __init__(self, g: Graph, budget: _Budget):
         self.n = g.n
         self.adj = [0] * g.n
-        for u, v in g.edges:
-            self.adj[u] |= 1 << v
-            self.adj[v] |= 1 << u
+        for u, row in g.rows():
+            for v in row:
+                self.adj[u] |= 1 << v
+                self.adj[v] |= 1 << u
         self.levels: list[list[tuple[int, ...]]] = [[] for _ in range(g.n)]
         self.orbit_sizes = [1] * g.n
         self.groups: list[tuple] = [()] * (g.n + 1)
@@ -549,7 +550,7 @@ class _Search:
                 for w in _bits(self.adj[u] & mask):
                     if u < w and coloring[u] != coloring[w]:
                         bi_edges.append((u, w))
-            sub = Graph(self.n, frozenset(bi_edges))
+            sub = Graph(self.n, bi_edges)
             trees.append(branch_tree(verts, spanning_tree(sub, verts)))
         connectors = {(i, j): least_monochromatic_edge(self.g, trees[i], trees[j], coloring)
                       for i in range(len(trees)) for j in range(i + 1, len(trees))}

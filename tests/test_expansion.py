@@ -431,6 +431,23 @@ def test_note_round_trips():
     assert parse_model(serialize_model(model, C5.content_hash()))[0] == model
 
 
+def test_note_that_is_not_a_str_is_refused():
+    with pytest.raises(ParameterError, match="is not a str"):
+        OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring, None, (5,))
+
+
+def test_note_of_bytes_is_refused():
+    # it would serialize as "meta: b'x'" and parse back as another model
+    with pytest.raises(ParameterError, match="is not a str"):
+        OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring, None, (b"x",))
+
+
+def test_notes_that_are_one_str_are_refused():
+    # a bare str would become one note per character
+    with pytest.raises(ParameterError, match="one str"):
+        OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring, None, "ab")
+
+
 @st.composite
 def perturbed_certificates(draw):
     """An oracle certificate on a small host with an odd cycle, then

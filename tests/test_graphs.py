@@ -4,6 +4,8 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddminors import graphs as gr
 from oddminors.errors import ParameterError, ParseError, StructureError
@@ -16,7 +18,7 @@ def test_named_families_basic():
     assert s4.n == 5 and s4.m == 4
     assert all(0 in e for e in s4.edges)
     c5 = gr.make_named_graph("cycle", [5])
-    assert c5.m == 5 and all(c5.degree(v) == 2 for v in range(5))
+    assert c5.m == 5 and all(len(c5.neighbors(v)) == 2 for v in range(5))
     p1 = gr.make_named_graph("path", [1])
     assert p1.n == 1 and p1.m == 0
 
@@ -81,11 +83,12 @@ def test_complete_shares_one_int_per_vertex():
 
 
 def test_read_canonical_text_shares_one_int_per_vertex(monkeypatch):
-    text = gr.product("direct", gr.complete(3), gr.complete(100)).canonical_text()
-    monkeypatch.setattr(gr, "_CHUNK", 64)  # about eight lines a chunk
+    built = gr.product("direct", gr.complete(3), gr.complete(100))
+    text = built.canonical_text()
+    monkeypatch.setattr(gr, "_CHUNK", 64)  # about eight lines a chunk, so rows span chunks
     g = gr.read_graph_text(text)
     assert g.canonical_text() is text  # the bulk path read it
-    assert one_object_per_id(g)
+    assert g == built and one_object_per_id(g)
 
 
 def test_product_id_rows_grow_with_edges_not_vertices():
@@ -100,6 +103,44 @@ def test_product_id_rows_grow_with_edges_not_vertices():
         tracemalloc.stop()
     assert g.n == 8_000_000 and g.edges == {(0, 4_000_001), (1, 4_000_000)}
     assert peak < 64 * 1024
+
+
+@st.composite
+def edge_sets(draw):
+    """A vertex count and a frozenset of (u, v) pairs with u < v, some of
+    them with ids above 256, where CPython no longer shares int objects;
+    most vertices of the larger graphs are isolated."""
+    n = draw(st.one_of(st.integers(0, 30), st.integers(250, 270)))
+    if n < 2:
+        return n, frozenset()
+    ends = st.integers(0, n - 1)
+    pairs = st.tuples(ends, ends).filter(lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e)))
+    return n, draw(st.frozensets(pairs, max_size=80))
+
+
+def sorted_edges_text(n, edges):
+    """The canonical text from one sort of all edge tuples."""
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_sets())
+def test_row_storage_matches_a_frozenset_reference(case):
+    n, ref = case
+    g = gr.Graph(n, ref)
+    assert g.edges == ref and g.m == len(ref)
+    assert [g.has_edge(u, v) for u in range(n) for v in range(n)] == [
+        (min(u, v), max(u, v)) in ref for u in range(n) for v in range(n)]
+    nbrs = {v: set() for v in range(n)}
+    for u, v in ref:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    assert [g.neighbors(v) for v in range(n)] == [tuple(sorted(nbrs[v])) for v in range(n)]
+    text = g.canonical_text()
+    assert text == sorted_edges_text(n, ref)
+    again = gr.read_graph_text(text)
+    assert again == g and hash(again) == hash(g)
+    assert again.canonical_text() is text  # the bulk path read it
 
 
 def test_hamming_equals_iterated_cartesian_product():
