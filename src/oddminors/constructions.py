@@ -116,9 +116,8 @@ def _joints(g: Graph, model: OddExpansionModel) -> dict[tuple[int, int], Edge]:
     for i, tree in enumerate(model.trees):
         low = min(tree.vertices)
         joints[i, i] = (low, low)
-        for j in range(i):
-            u, v = monochromatic_connector(g, model, j, i)
-            joints[j, i], joints[i, j] = (u, v), (v, u)
+    for (i, j), (u, v) in monochromatic_connector(g, model).items():
+        joints[i, j], joints[j, i] = (u, v), (v, u)
     return joints
 
 
@@ -138,7 +137,7 @@ def product_grid_forest(g: Graph, mg: OddExpansionModel,
     its two factor trees, built on the trees relabelled to ranks and mapped
     back to host ids; ranks keep the order of the flattened ids, so the BFS
     is the one the host would run on the cell.  Each factor's connectors
-    are selected once per tree pair, for the joint tables.
+    come from one `monochromatic_connector` table, for the joint tables.
     """
     _require_valid(g, mg, "first factor")
     _require_valid(h, mh, "second factor")
@@ -256,9 +255,10 @@ def cartesian_lift(g: Graph, mg: OddExpansionModel,
         edges.update(gf.cell_edge(cell_of(x), cell_of(y)) for x, y in rk.edges)
         trees.append(branch_tree(verts, edges))
 
+    joins = monochromatic_connector(base_host, base.model)
     connectors = {}
     for k1, k2 in combinations(range(base.model.clique_order), 2):
-        x, y = monochromatic_connector(base_host, base.model, k1, k2)
+        x, y = joins[k1, k2]
         connectors[k1, k2] = gf.cell_edge(cell_of(x), cell_of(y))
     return OddExpansionModel(tuple(trees), coloring, connectors)
 
@@ -446,21 +446,23 @@ def _path_model(host: Graph, specs, fixed: Mapping[tuple[int, int], Edge]) -> Od
     """Certificate whose trees are the paths of `specs`, (ids, anchor, color)
     each, colored by alternation from the anchor's color.  Connectors are
     the entries of `fixed`, keyed by 0-based tree pair, then the least
-    monochromatic edge for every other pair; a pair with none raises
+    monochromatic edge for every other pair, all from one
+    `monochromatic_connector` table; a pair with none raises
     ConsistencyError."""
     trees = []
     coloring: dict[int, int] = {}
     for ids, anchor, color in specs:
         trees.append(branch_tree(ids, zip(ids, ids[1:])))
         coloring.update(_alternate_path_coloring(ids, anchor, color))
-    model = OddExpansionModel(tuple(trees), coloring)
-    connectors = dict(fixed)
-    for a, b in combinations(range(len(trees)), 2):
-        if (a, b) not in connectors:
-            try:
-                connectors[a, b] = monochromatic_connector(host, model, a, b)
-            except LookupError:
-                raise ConsistencyError(f"no monochromatic edge between trees {a} and {b}")
+    model = OddExpansionModel(tuple(trees), coloring, fixed)
+    table = monochromatic_connector(host, model)
+    try:
+        # in pair order, not the sweep's: `serialize_model` sorts them, and
+        # sorting input that is already in order is one linear pass
+        connectors = {pair: table[pair] for pair in combinations(range(len(trees)), 2)}
+    except KeyError as missing:
+        a, b = missing.args[0]
+        raise ConsistencyError(f"no monochromatic edge between trees {a} and {b}") from None
     return OddExpansionModel(model.trees, coloring, connectors)
 
 
@@ -535,9 +537,7 @@ def direct_general_model(t: int, s: int) -> OddExpansionModel:
     colored 1 at (u_2, v_2) and 2 at (u_3, v_1).  Trailing columns beyond
     the last full triple stay unused.  The shared path builder colors the
     paths by alternation and takes the least monochromatic cross edge for
-    every pair, one `least_monochromatic_edge` call per pair: every tree has
-    at most three vertices and the host is dense, so a call tests at most
-    nine vertex pairs against the host edge set.
+    every pair, all from one sweep over the host's rows.
     """
     if t < 4 or s < 3:
         raise ParameterError(f"needs t >= 4 and s >= 3, got ({t}, {s})")

@@ -11,6 +11,7 @@ be stored explicitly or left to the verifier to find.
 from __future__ import annotations
 
 from itertools import chain
+from operator import lt
 from typing import Iterable, Mapping, Optional
 
 from .errors import ParameterError, ParseError
@@ -85,12 +86,14 @@ class OddExpansionModel(Frozen):
         if connectors is not None:
             r = len(trees)
             fixed = {}
-            for key, (u, v) in connectors.items():
+            for key, end in connectors.items():
+                u, v = end
                 i, j = key
                 if not (type(i) is type(j) is type(u) is type(v) is int and 0 <= i < j < r):
                     raise ParameterError(f"connector {i!r},{j!r}={u!r}-{v!r} needs int ids "
                                          f"and a tree pair 0 <= i < j < {r}")
-                fixed[key] = norm_edge(u, v)
+                # an ordered tuple is kept: a parsed certificate's ends are not copied
+                fixed[key] = end if u < v and type(end) is tuple else norm_edge(u, v)
             connectors = fixed
         if isinstance(notes, str):
             raise ParameterError(f"notes {notes!r} is one str, not a sequence of notes")
@@ -195,10 +198,11 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
     Checks run in a fixed order and the first failure is reported, with the
     lowest tree/vertex/edge ids first: disjointness, tree shape, tree-edge
     membership in the host, coloring totality on used vertices, properness
-    on every tree edge, then connectors pair by pair.  The model has
-    already refused ids that are not plain ints and connector keys that are
-    not tree pairs; a color that is not the int 1 or 2 (a bool, a float)
-    fails `coloring_missing`.
+    on every tree edge, then connectors pair by pair; the pairs without a
+    stored connector are looked up in one `monochromatic_connector` table,
+    built at the first of them.  The model has already refused ids that are
+    not plain ints and connector keys that are not tree pairs; a color that
+    is not the int 1 or 2 (a bool, a float) fails `coloring_missing`.
 
     strict=True additionally requires a stored connector for every pair;
     stored connectors are always checked literally.
@@ -258,14 +262,14 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
                              message=f"tree {i} edge {u}-{v} is monochromatic")
 
     stored = model.connectors or {}
+    table = None  # every pair's connector, found at the first pair without a stored one
     for i in range(r):
         for j in range(i + 1, r):
             edge = stored.get((i, j))
             if edge is not None:
                 u, v = edge
-                in_i = u in trees[i].vertices and v in trees[j].vertices
-                in_j = v in trees[i].vertices and u in trees[j].vertices
-                if not (in_i or in_j):
+                ou, ov = owner.get(u), owner.get(v)
+                if not (ou == i and ov == j or ou == j and ov == i):
                     return _fail("connector_invalid", trees=(i, j), edges=(edge,),
                                  message=f"stored connector {u}-{v} does not join trees {i} and {j}")
                 if not g.has_edge(u, v):
@@ -278,57 +282,60 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
             if strict:
                 return _fail("connector_missing", trees=(i, j),
                              message=f"strict mode: no stored connector for pair ({i},{j})")
-            if least_monochromatic_edge(g, trees[i], trees[j], coloring) is None:
+            if table is None:
+                table = monochromatic_connector(g, model)
+            if (i, j) not in table:
                 return _fail("connector_missing", trees=(i, j),
                              message=f"no monochromatic edge between trees {i} and {j}")
 
     return Verdict("pass", message=f"order={r}")
 
 
-def least_monochromatic_edge(g: Graph, tree_a: BranchTree, tree_b: BranchTree,
-                             coloring: Mapping[int, int]) -> Optional[Edge]:
-    """The lexicographically least host edge with one endpoint in each tree
-    and equal colors at both ends, or None when there is none.
+def monochromatic_connector(g: Graph, model: OddExpansionModel) -> dict[tuple[int, int], Edge]:
+    """The connector of every tree pair i < j, oriented with the tree-i end
+    first: the stored connector when the model has one, otherwise the
+    lexicographically least host edge with one end in each tree and equal
+    colors at both ends.  A pair with neither is left out.  The trees must
+    be disjoint and their vertices colored, as the verifier checks before
+    it asks.
 
-    Takes whichever loop does fewer lookups.  When the larger tree has at
-    most the host's average degree 2m/n vertices, it tests the |Ta|*|Tb|
-    vertex pairs that would beat the best edge so far with `has_edge`,
-    without building adjacency lists.  Otherwise it walks the neighbours of
-    the smaller tree's vertices and tests membership in the other tree, so
-    large trees in a sparse host cost their degree sum, not the product of
-    their sizes.
-    """
-    small, large = sorted((tree_a.vertices, tree_b.vertices), key=len)
-    pair_scan = len(large) * g.n <= 2 * g.m
-    has_edge = g.has_edge
-    best = None
-    for u in small:
-        cu = coloring[u]
-        for v in large if pair_scan else g.neighbors(u):
-            # the pair scan needs only the edge test and the walk only the
-            # membership test; testing both keeps one loop body
-            if v in large and coloring[v] == cu:
-                e = (u, v) if u < v else (v, u)
-                if (best is None or e < best) and (not pair_scan or has_edge(u, v)):
-                    best = e
-    return best
-
-
-def monochromatic_connector(g: Graph, model: OddExpansionModel, i: int, j: int) -> tuple[int, int]:
-    """Connector edge for tree pair (i, j), oriented tree-i endpoint first.
-
-    Prefers the stored connector; otherwise returns the
-    `least_monochromatic_edge` of the two trees.  Raises LookupError when no
-    such edge exists.
+    One sweep finds every least edge.  `g.rows()` ascends in (u, v) order,
+    so the first same-colored edge that crosses a pair of trees is that
+    pair's least.  A row is read only when u is a tree vertex, and C-level
+    passes map its ends to their trees and keep the least end per tree; the
+    sweep stops once every pair is filled.
     """
     trees = model.trees
-    edge = (model.connectors or {}).get((min(i, j), max(i, j)))
-    if edge is None:
-        edge = least_monochromatic_edge(g, trees[i], trees[j], model.coloring)
-    if edge is None:
-        raise LookupError(f"no monochromatic edge between trees {i} and {j}")
-    u, v = edge
-    return (u, v) if u in trees[i].vertices else (v, u)
+    table = {}
+    for (i, j), (u, v) in (model.connectors or {}).items():
+        table[i, j] = (u, v) if u in trees[i].vertices else (v, u)
+    missing = len(trees) * (len(trees) - 1) // 2 - len(table)
+    if not missing:
+        return table
+    coloring = model.coloring
+    owner = {v: k for k, t in enumerate(trees) for v in t.vertices}
+    same: dict[int, dict[int, int]] = {1: {}, 2: {}}  # color -> its tree vertices' owners
+    for v, k in owner.items():
+        same[coloring[v]][v] = k
+    for u, row in g.rows():
+        a = owner.get(u)
+        if a is None:
+            continue
+        down = row[::-1]  # descending, so the least end of each tree is kept
+        ends = dict(zip(map(same[coloring[u]].get, down), down))
+        ends.pop(None, None)
+        ends.pop(a, None)
+        for b, v in ends.items():
+            if a < b:
+                if (a, b) not in table:
+                    table[a, b] = (u, v)
+                    missing -= 1
+            elif (b, a) not in table:
+                table[b, a] = (v, u)
+                missing -= 1
+        if not missing:
+            break
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -411,6 +418,48 @@ def serialize_model(model: OddExpansionModel, graph_hash: str) -> str:
     for note in model.notes:
         lines.append(f"meta: {note}")
     return "\n".join(lines) + "\n"
+
+
+# The connector line is read this many characters at a time, cut at the
+# next space, so that only one chunk's tokens are alive at once: a line of
+# 45k connectors split whole holds 180k number strings, about 10 MB.
+_CHUNK = 1 << 16
+
+
+def _bulk_connectors(chunk: str, ids: dict[str, int], last: tuple[int, int], count: int):
+    """The pairs and ends of a chunk of the connector line, or None unless
+    the chunk is what `serialize_model` writes: 'i,j=u-v' tokens joined by
+    single spaces, each number the decimal form of its int, the pairs
+    ascending from after `last` with 0 <= i < j < count, and u < v.
+
+    C-level passes check the shape (deleting the digits leaves ',=- ' per
+    token) and the order, and each distinct number is converted once
+    through `ids`.  A chunk this declines goes to the token loop, the one
+    that raises ParseError, so the two read every chunk alike.
+    """
+    k = chunk.count(" ") + 1
+    try:  # UnicodeEncodeError, a ValueError, declines a character beyond ASCII
+        if (chunk + " ").encode("ascii").translate(None, b"0123456789") != b",=- " * k:
+            return None
+        fields = chunk.replace(",", " ").replace("=", " ").replace("-", " ").split(" ")
+        if not all(fields):
+            return None
+        ends = list(map(ids.get, fields))
+        if None in ends:  # a number not met before
+            for token in set(fields).difference(ids):
+                v = int(token)
+                if str(v) != token:  # a leading zero
+                    return None
+                ids[token] = v
+            ends = list(map(ids.__getitem__, fields))
+    except ValueError:  # also a number past int's digit limit
+        return None
+    i, j, u, v = ends[0::4], ends[1::4], ends[2::4], ends[3::4]
+    pairs = list(zip(i, j))
+    if (last < pairs[0] and all(map(lt, pairs, pairs[1:])) and all(map(lt, i, j))
+            and max(j) < count and all(map(lt, u, v))):
+        return pairs, zip(u, v)
+    return None
 
 
 def parse_model(text: str) -> tuple[OddExpansionModel, str]:
@@ -514,20 +563,36 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     connectors = None
     if next_key() == "connectors":
         connectors = {}
-        for tok in take("connectors", "connectors").split():
-            parts = tok.split("=")
-            if len(parts) != 2:
-                raise error(f"expected 'i,j=u-v' token, found {tok!r}", "connectors")
-            pair = parts[0].split(",")
-            if len(pair) != 2:
-                raise error(f"expected 'i,j' pair in {tok!r}", "connectors")
-            i = number(pair[0], "connectors")
-            j = number(pair[1], "connectors")
-            if not (0 <= i < j < count):
-                raise error(f"connector pair ({i},{j}) out of range", "connectors")
-            if (i, j) in connectors:
-                raise error(f"duplicate connector for pair ({i},{j})", "connectors")
-            connectors[(i, j)] = edge(parts[1], "connectors")
+        line = take("connectors", "connectors")
+        last = (-1, -1)  # the greatest pair read so far
+        start = 0
+        while start < len(line):  # one chunk at a time, cut at a space
+            end = line.find(" ", start + _CHUNK)
+            if end < 0:
+                end = len(line)
+            chunk = line[start:end]
+            start = end + 1
+            found = _bulk_connectors(chunk, ids, last, count)
+            if found is not None:
+                pairs, ends = found
+                connectors.update(zip(pairs, ends))
+                last = pairs[-1]
+                continue
+            for tok in chunk.split():
+                parts = tok.split("=")
+                if len(parts) != 2:
+                    raise error(f"expected 'i,j=u-v' token, found {tok!r}", "connectors")
+                pair = parts[0].split(",")
+                if len(pair) != 2:
+                    raise error(f"expected 'i,j' pair in {tok!r}", "connectors")
+                i = number(pair[0], "connectors")
+                j = number(pair[1], "connectors")
+                if not (0 <= i < j < count):
+                    raise error(f"connector pair ({i},{j}) out of range", "connectors")
+                if (i, j) in connectors:
+                    raise error(f"duplicate connector for pair ({i},{j})", "connectors")
+                connectors[(i, j)] = edge(parts[1], "connectors")
+                last = max(last, (i, j))
 
     notes = []
     while next_key() == "meta":

@@ -99,7 +99,7 @@ class Graph(Frozen):
     nothing, the canonical text is the rows written out in order, and
     `has_edge` is one bisection in one row.  `edges`, the frozenset of
     (u, v) pairs with u < v, is built from the rows when first asked for;
-    no routine in this package asks for it.
+    no routine in this package asks for it.  A pair given twice counts once.
     """
 
     _fields = ("n", "edges")  # what repr shows; equality and hash read the rows
@@ -125,6 +125,9 @@ class Graph(Frozen):
             else:
                 later[u] = [v]
         rows = {u: tuple(sorted(later[u])) for u in sorted(later)}
+        for u, row in rows.items():
+            if not all(map(lt, row, row[1:])):  # a pair given twice counts once
+                rows[u] = tuple(sorted(set(row)))
         self.__dict__.update(n=n, m=sum(map(len, rows.values())), _rows=rows)
 
     def __eq__(self, other):

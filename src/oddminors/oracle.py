@@ -74,7 +74,7 @@ import time
 from typing import Optional
 
 from .errors import ParameterError, SearchTimeout
-from .expansion import (OddExpansionModel, branch_tree, least_monochromatic_edge,
+from .expansion import (OddExpansionModel, branch_tree, monochromatic_connector,
                         odd_cycle_model, single_edge_model, singleton_model)
 from .graphs import Frozen, Graph, spanning_tree
 
@@ -552,9 +552,8 @@ class _Search:
                         bi_edges.append((u, w))
             sub = Graph(self.n, bi_edges)
             trees.append(branch_tree(verts, spanning_tree(sub, verts)))
-        connectors = {(i, j): least_monochromatic_edge(self.g, trees[i], trees[j], coloring)
-                      for i in range(len(trees)) for j in range(i + 1, len(trees))}
-        return OddExpansionModel(tuple(trees), coloring, connectors)
+        model = OddExpansionModel(tuple(trees), coloring)
+        return OddExpansionModel(model.trees, coloring, monochromatic_connector(self.g, model))
 
 
 def has_odd_clique_minor(g: Graph, r: int,

@@ -4,7 +4,7 @@ import pytest
 
 from oddminors import constructions as cons
 from oddminors import graphs as gr
-from oddminors.errors import (ColoringMissingError, FactorModelError,
+from oddminors.errors import (ColoringMissingError, ConsistencyError, FactorModelError,
                               ParameterError)
 from oddminors.expansion import (BranchTree, OddExpansionModel, branch_tree,
                                  odd_cycle_model, serialize_model, single_edge_model,
@@ -336,6 +336,22 @@ def test_direct_general_ignores_trailing_columns():
     model = cons.direct_general_model(5, 7)
     used_cols = {v % 7 for v in model.used_vertices()}
     assert used_cols <= set(range(6))
+
+
+def test_path_models_store_connectors_in_pair_order():
+    # the sweep fills pairs out of order; `serialize_model` sorts them, which
+    # is one linear pass only on input already in order
+    for model in (cons.direct_k3_model(9), cons.direct_general_model(6, 6)):
+        assert list(model.connectors) == sorted(model.connectors)
+
+
+def test_path_model_names_the_first_pair_without_a_connector():
+    # on the path 0-1-2-3, {0} and {3} have no edge between them; pair (1, 2)
+    # comes after the missing pair (0, 1) and has its own connector 1-2
+    specs = [([0], 0, 1), ([3], 3, 1), ([1], 1, 2), ([2], 2, 2)]
+    with pytest.raises(ConsistencyError, match="between trees 0 and 1$"):
+        cons._path_model(gr.path(4), specs, {})
+    assert cons._path_model(gr.path(4), specs[2:], {}).connectors == {(0, 1): (1, 2)}
 
 
 def test_direct_general_params():

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from oddminors import graphs as gr
 from oddminors.errors import ParameterError, ParseError
+from oddminors import expansion as ex
 from oddminors.expansion import (BranchTree, OddExpansionModel, branch_tree,
-                                 least_monochromatic_edge,
                                  monochromatic_connector, odd_cycle_model, parse_model,
                                  serialize_model, verify_odd_expansion)
+from oddminors.constructions import direct_general_model
 from oddminors.oracle import has_odd_clique_minor
 
 C5 = gr.cycle(5)
@@ -147,6 +148,34 @@ def test_strict_requires_all_connectors():
     assert verify_odd_expansion(C5, partial).passed
 
 
+def test_plain_mode_reports_a_missing_pair_before_a_later_invalid_one():
+    # pair (0, 1) has no stored connector and no monochromatic edge (0 and
+    # 2 are not adjacent); the stored connector of pair (1, 2) is bichromatic
+    model = OddExpansionModel((branch_tree([0]), branch_tree([2]), branch_tree([3])),
+                              {0: 1, 2: 1, 3: 2}, {(1, 2): (2, 3)})
+    v = verify_odd_expansion(C5, model)
+    assert v.clause == "connector_missing" and v.trees == (0, 1)
+    stored = OddExpansionModel(model.trees, model.coloring, {(0, 1): (0, 2), (1, 2): (2, 3)})
+    v = verify_odd_expansion(C5, stored)
+    assert v.clause == "connector_invalid" and v.trees == (0, 1)
+
+
+def test_connector_table_is_built_only_for_a_pair_without_a_stored_connector(monkeypatch):
+    calls = []
+    table = ex.monochromatic_connector
+    monkeypatch.setattr(ex, "monochromatic_connector",
+                        lambda g, model: calls.append(model) or table(g, model))
+    full = OddExpansionModel(C5_MODEL.trees, dict(C5_MODEL.coloring),
+                             {(0, 1): (0, 1), (0, 2): (0, 4), (1, 2): (2, 3)})
+    assert verify_odd_expansion(C5, full, strict=True).passed
+    assert verify_odd_expansion(C5, full).passed
+    assert calls == []
+    # plain mode builds it once, at the first pair that stores none
+    partial = OddExpansionModel(full.trees, full.coloring, {(0, 1): (0, 1)})
+    assert verify_odd_expansion(C5, partial).passed
+    assert calls == [partial]
+
+
 def test_color_swap_invariance():
     assert verify_odd_expansion(C5, C5_MODEL.with_swapped_colors()).passed
     stored = OddExpansionModel(C5_MODEL.trees, dict(C5_MODEL.coloring),
@@ -272,14 +301,21 @@ def test_parse_errors_name_the_line_at_fault(mutate, field, line, offset):
 
 def test_parsed_ids_are_one_int_object_each():
     # ids above 256, which CPython does not cache: every tree vertex, tree
-    # edge end, coloring key and connector end naming one vertex is one object
-    g = gr.cycle(601)
-    model, _ = parse_model(serialize_model(odd_cycle_model(g), g.content_hash()))
-    ids = [*model.coloring, *itertools.chain.from_iterable(model.connectors.values())]
-    for t in model.trees:
-        ids += [*t.vertices, *itertools.chain.from_iterable(t.edges)]
-    assert max(ids) > 256
-    assert len({id(x) for x in ids}) == len(set(ids))
+    # edge end, coloring key and connector end naming one vertex is one
+    # object.  The second certificate's connector line (94k characters) is
+    # read in two chunks.
+    cases = [(gr.cycle(601), odd_cycle_model(gr.cycle(601))),
+             (gr.product("direct", gr.complete(6), gr.complete(60)),
+              direct_general_model(6, 60))]
+    for g, model in cases:
+        text = serialize_model(model, g.content_hash())
+        model, _ = parse_model(text)
+        ids = [*model.coloring, *itertools.chain.from_iterable(model.connectors.values())]
+        for t in model.trees:
+            ids += [*t.vertices, *itertools.chain.from_iterable(t.edges)]
+        assert max(ids) > 256
+        assert len({id(x) for x in ids}) == len(set(ids))
+    assert len(text) - text.index("connectors:") > ex._CHUNK
 
 
 def test_parse_rejects_out_of_range_connector_pairs():
@@ -291,30 +327,54 @@ def test_parse_rejects_out_of_range_connector_pairs():
 
 
 def test_connector_lookup_orientation():
-    assert monochromatic_connector(C5, C5_MODEL, 0, 1) == (0, 1)
-    assert monochromatic_connector(C5, C5_MODEL, 1, 0) == (1, 0)
-    assert monochromatic_connector(C5, C5_MODEL, 0, 2) == (0, 4)
-    with pytest.raises(LookupError):
-        broken = OddExpansionModel(
-            (branch_tree([0]), branch_tree([2])), {0: 1, 2: 1})
-        monochromatic_connector(C5, broken, 0, 1)
+    # no stored connector: each pair's least monochromatic edge, tree-i end first
+    assert monochromatic_connector(C5, C5_MODEL) == {(0, 1): (0, 1), (0, 2): (0, 4),
+                                                     (1, 2): (2, 3)}
+    # the same trees, the last two swapped: pair (1, 2) reads 3-2 from tree 1
+    swapped = OddExpansionModel((C5_MODEL.trees[0], C5_MODEL.trees[2], C5_MODEL.trees[1]),
+                                C5_MODEL.coloring)
+    assert monochromatic_connector(C5, swapped) == {(0, 1): (0, 4), (0, 2): (0, 1),
+                                                    (1, 2): (3, 2)}
+    # a stored connector is returned as stored, oriented the same way
+    stored = OddExpansionModel(swapped.trees, swapped.coloring, {(1, 2): (1, 4)})
+    assert monochromatic_connector(C5, stored)[1, 2] == (4, 1)
+    # a pair with neither is left out
+    broken = OddExpansionModel((branch_tree([0]), branch_tree([2])), {0: 1, 2: 1})
+    assert monochromatic_connector(C5, broken) == {}
 
 
 # ----------------------------------------------------------------------
-# Connector kernel
+# Connector table
 
 
 @st.composite
 def connector_cases(draw):
-    """A host on up to 10 vertices, two disjoint non-empty trees (vertex sets
-    only: the kernel reads nothing else) and a coloring of the tree vertices."""
-    n = draw(st.integers(2, 10))
-    edges = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
-    order = draw(st.permutations(range(n)))
-    size_a = draw(st.integers(1, n - 1))
-    a, b = order[:size_a], order[size_a:size_a + draw(st.integers(1, n - size_a))]
-    coloring = {v: draw(st.sampled_from((1, 2))) for v in a + b}
-    return gr.Graph(n, frozenset(edges)), branch_tree(a), branch_tree(b), coloring
+    """A host, 1-6 disjoint non-empty trees (vertex sets only: the table
+    reads nothing else), a coloring of the tree vertices and a few stored
+    connectors.  Hosts are small, or have 257-300 vertices so that ids are
+    above 256, where CPython no longer shares int objects; the edges lie
+    within a pool of up to 24 vertices, all of its pairs but a few (dense)
+    or a few of them (sparse), so most vertices of a large host are
+    isolated, and trees may take isolated vertices too."""
+    n = draw(st.one_of(st.integers(2, 12), st.integers(257, 300)))
+    pool = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=24)))
+    pairs = list(itertools.combinations(pool, 2))
+    picked = draw(st.sets(st.sampled_from(pairs), max_size=40))
+    edges = set(pairs) - picked if draw(st.booleans()) else picked
+    extra = draw(st.sets(st.integers(0, n - 1), max_size=4))
+    verts = draw(st.permutations(sorted(set(pool) | extra)))
+    count = draw(st.integers(1, min(6, len(verts))))
+    cuts = sorted(draw(st.sets(st.integers(1, len(verts) - 1), min_size=count - 1,
+                               max_size=count - 1))) if count > 1 else []
+    bounds = [0, *cuts, draw(st.integers(cuts[-1] + 1 if cuts else 1, len(verts)))]
+    trees = tuple(branch_tree(verts[a:b]) for a, b in zip(bounds, bounds[1:]))
+    coloring = {v: draw(st.sampled_from((1, 2))) for t in trees for v in t.vertices}
+    stored = {}
+    for i, j in draw(st.sets(st.sampled_from(list(itertools.combinations(range(count), 2))),
+                             max_size=3)) if count > 1 else ():
+        stored[i, j] = (draw(st.sampled_from(sorted(trees[i].vertices))),
+                        draw(st.integers(0, n - 1)))
+    return gr.Graph(n, edges), OddExpansionModel(trees, coloring, stored or None)
 
 
 def brute_least_monochromatic_edge(g, a, b, coloring):
@@ -326,32 +386,41 @@ def brute_least_monochromatic_edge(g, a, b, coloring):
 
 @settings(max_examples=200, deadline=None)
 @given(connector_cases())
-# a dense host with small trees: the pair scan
-@example((gr.complete(6), branch_tree([0, 4]), branch_tree([1, 5]),
-          {0: 1, 4: 2, 1: 2, 5: 2}))
-# a sparse host with large trees: the neighbour walk
-@example((gr.path(8), branch_tree([4, 5, 6, 7]), branch_tree([0, 1, 2, 3]),
-          {v: 1 + v % 2 for v in range(8)}))
-def test_least_monochromatic_edge_matches_brute_force(case):
-    g, a, b, coloring = case
-    want = brute_least_monochromatic_edge(g, a, b, coloring)
-    assert least_monochromatic_edge(g, a, b, coloring) == want
-    assert least_monochromatic_edge(g, b, a, coloring) == want
-    # adjacency lists are built only by the neighbour walk, which is taken
-    # when the larger tree has more vertices than the host's average degree
-    walked = "_adj" in vars(g)
-    assert walked == (max(len(a.vertices), len(b.vertices)) * g.n > 2 * g.m)
+# a dense host with small trees
+@example((gr.complete(6), OddExpansionModel((branch_tree([0, 4]), branch_tree([1, 5])),
+                                            {0: 1, 4: 2, 1: 2, 5: 2})))
+# a sparse host with large trees, the second tree below the first
+@example((gr.path(8), OddExpansionModel((branch_tree([4, 5, 6, 7]), branch_tree([0, 1, 2, 3])),
+                                        {v: 1 + v % 2 for v in range(8)})))
+def test_connector_table_matches_brute_force(case):
+    g, model = case
+    trees, stored = model.trees, model.connectors or {}
+    table = monochromatic_connector(g, model)
+    for i, j in itertools.combinations(range(len(trees)), 2):
+        edge = stored.get((i, j)) or brute_least_monochromatic_edge(
+            g, trees[i], trees[j], model.coloring)
+        if edge is not None and edge[0] not in trees[i].vertices:
+            edge = edge[::-1]
+        assert table.get((i, j)) == edge, (i, j)
+    assert set(table) <= set(itertools.combinations(range(len(trees)), 2))
 
 
-def test_connector_kernel_picks_its_loop_by_size():
-    dense = gr.product("direct", gr.complete(6), gr.complete(6))
-    pair = (branch_tree([0, 7]), branch_tree([14, 21]))
-    assert least_monochromatic_edge(dense, *pair, {0: 1, 7: 2, 14: 1, 21: 2}) == (0, 14)
-    assert "_adj" not in vars(dense)
-    sparse = gr.cycle(40)
-    halves = (branch_tree(range(20)), branch_tree(range(20, 40)))
-    assert least_monochromatic_edge(sparse, *halves, {v: 1 for v in range(40)}) == (0, 39)
-    assert "_adj" in vars(sparse)
+def test_connector_table_reads_no_row_after_the_last_pair_is_filled():
+    # vertex 0's row fills pairs (0, 1) and (0, 2), vertex 1's pair (1, 2)
+    g = gr.complete(300)
+    model = OddExpansionModel(tuple(branch_tree([v]) for v in (0, 1, 2)),
+                              dict.fromkeys((0, 1, 2), 1))
+    seen = []
+
+    class Host:
+        def rows(self):
+            for u, row in g.rows():
+                seen.append(u)
+                yield u, row
+
+    assert monochromatic_connector(Host(), model) == {(0, 1): (0, 1), (0, 2): (0, 2),
+                                                      (1, 2): (1, 2)}
+    assert seen == [0, 1]
 
 
 # ----------------------------------------------------------------------

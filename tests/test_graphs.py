@@ -45,6 +45,18 @@ def test_graph_validation():
     assert g.edges == frozenset({(0, 2)})
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (0, 1)],
+    [(1, 2), (0, 1), (1, 2), (0, 2), (1, 2)],
+    [(300, 400), (5, 400), (300, 400), (5, 300), (5, 400)],  # ids above 256
+])
+def test_graph_counts_a_repeated_pair_once(edges):
+    g = gr.Graph(401, edges)
+    assert g == gr.Graph(401, set(edges)) and g.m == len(set(edges))
+    assert g.canonical_text() == f"401 {g.m}\n" + "".join(f"{u} {v}\n" for u, v in sorted(set(edges)))
+    assert gr.read_graph_text(g.canonical_text()) == g
+
+
 @pytest.mark.parametrize("n, edges", [
     (3, {(False, True)}),  # compares equal to (0, 1) but renders "False True"
     (3, {(0, True)}),

@@ -5,7 +5,10 @@ the format's own keys and tokens, or from valid documents with edits.
 
 `read_graph_text` is also checked against a test-local copy of its tolerant
 line loop: canonical text takes a bulk path, and every input must read as
-the line loop reads it, to the same graph or the same error."""
+the line loop reads it, to the same graph or the same error.  Likewise
+`parse_model` reads the connector line in bulk chunks, and every input
+must parse as it does with the bulk path switched off, which leaves the
+token loop to read every chunk."""
 
 import hashlib
 import itertools
@@ -15,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddminors import expansion as ex
 from oddminors import graphs as gr
-from oddminors.constructions import strong_model
+from oddminors.constructions import identity_model, strong_model
 from oddminors.errors import ParseError
 from oddminors.expansion import odd_cycle_model, parse_model, serialize_model
 
@@ -283,3 +287,91 @@ def test_canonical_text_over_many_chunks_is_kept():
     text = reference_text(BIG)
     g = gr.read_graph_text(text)
     assert g == BIG and g.canonical_text() is text
+
+
+# ----------------------------------------------------------------------
+# The connector line: bulk chunks against the token loop
+
+
+def assert_parses_like_the_token_loop(text):
+    """`parse_model` gives the model, graph hash or error (message, field,
+    line and offset) that it gives with the bulk path switched off."""
+    with mock.patch.object(ex, "_bulk_connectors", lambda *args: None):
+        try:
+            expected = parse_model(text)
+        except ParseError as e:
+            expected = e
+    if isinstance(expected, ParseError):
+        with pytest.raises(ParseError) as got:
+            parse_model(text)
+        fields = lambda err: (str(err), err.field, err.line, err.offset)
+        assert fields(got.value) == fields(expected)
+    else:
+        assert parse_model(text) == expected
+
+
+K4 = gr.complete(4)
+K4_MODEL = identity_model(K4)
+STRONG_K4 = gr.product("strong", K4, K4)
+# 16 trees and 120 connectors, with two-digit tree pairs and vertex ids
+# (the line ends the text: the model has no notes)
+CONNECTED = serialize_model(strong_model(K4, K4_MODEL, K4, K4_MODEL, "strong"),
+                            STRONG_K4.content_hash())
+CONNECTOR_TOKENS = 120
+
+CONNECTOR_FLAWS = ("plus-sign", "leading-zero", "non-ascii-digits", "underscore", "tab",
+                   "double-space", "reversed-pair", "duplicate-pair", "self-loop",
+                   "pair-out-of-range", "no-equals", "no-comma", "no-dash", "swapped-ends")
+
+
+def connector_flaw(text, flaw, at):
+    """`text` with one flaw at token `at` of its connector line (for tab and
+    double-space, in the separator before it, or after the first token)."""
+    lines = text.split("\n")
+    k = next(k for k, ln in enumerate(lines) if ln.startswith("connectors: "))
+    tokens = lines[k][len("connectors: "):].split(" ")
+    seps = [" "] * (len(tokens) - 1)
+    pair, edge = tokens[at].split("=")
+    i, j = pair.split(",")
+    u, v = edge.split("-")
+    replace = {
+        "plus-sign": f"+{i},{j}={u}-{v}",
+        "leading-zero": f"{i},{j}=0{u}-{v}",
+        "non-ascii-digits": f"{i},{j}={u}-{v.translate(ARABIC_INDIC)}",
+        "underscore": f"{i},{j}={u}-{v[:1]}_{v[1:] or 0}",
+        "reversed-pair": f"{j},{i}={u}-{v}",
+        "self-loop": f"{i},{j}={u}-{u}",
+        "pair-out-of-range": f"{i},{int(j) + 100}={u}-{v}",
+        "no-equals": f"{i},{j}{u}-{v}",
+        "no-comma": f"{i}{j}={u}-{v}",
+        "no-dash": f"{i},{j}={u}{v}",
+        "swapped-ends": f"{i},{j}={v}-{u}",
+    }
+    if flaw in replace:
+        tokens[at] = replace[flaw]
+    elif flaw == "duplicate-pair":
+        tokens.insert(at, f"{i},{j}={u}-{v}")
+        seps.append(" ")
+    else:
+        seps[max(at - 1, 0)] = "\t" if flaw == "tab" else "  "
+    lines[k] = "connectors: " + "".join(t + sep for t, sep in zip(tokens, seps + [""]))
+    return "\n".join(lines)
+
+
+# A 20-character chunk holds two or three connector tokens, so flaws fall
+# on every side of a cut; 1 << 16 reads the line in one chunk.
+@pytest.mark.parametrize("chunk", [20, ex._CHUNK])
+@pytest.mark.parametrize("flaw", CONNECTOR_FLAWS)
+def test_connector_line_parses_like_the_token_loop(flaw, chunk):
+    with mock.patch.object(ex, "_CHUNK", chunk):
+        assert_parses_like_the_token_loop(CONNECTED)
+        for at in range(CONNECTOR_TOKENS):
+            assert_parses_like_the_token_loop(connector_flaw(CONNECTED, flaw, at))
+
+
+@pytest.mark.parametrize("chunk", [12, ex._CHUNK])
+@settings(max_examples=300, deadline=None)
+@given(CERTIFICATE_TEXTS)
+def test_parse_model_matches_the_token_loop(chunk, text):
+    with mock.patch.object(ex, "_CHUNK", chunk):
+        assert_parses_like_the_token_loop(text)

@@ -173,6 +173,10 @@ def test_benchmark_tracer_sees_every_theorem(capsys, tmp_path, monkeypatch):
     assert Counter(s.op for s in spans if s.name == "constructions.build"
                    and spans[s.parent].name == "op") == dict.fromkeys(CASES, 1)
     assert {s.op for s in spans if s.name == "graphs.product"} == set(CASES)
+    # the direct theorems select connectors through the traced name
+    assert metrics["expansion.connector_calls"] > 0 and metrics["expansion.connector_s"] > 0
+    assert {"direct-k3", "direct-general"} <= {s.op for s in spans
+                                              if s.name == "expansion.connector"}
 
 
 @pytest.mark.parametrize("theorem, argv, t, s", [
