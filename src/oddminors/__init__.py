@@ -10,8 +10,8 @@ import importlib
 
 _HOMES = {
     "graphs": ("Graph", "complete", "cycle", "flatten", "graph_from_edges", "hamming",
-               "is_bipartite", "make_named_graph", "path", "product", "read_graph6",
-               "read_graph_text", "spanning_tree", "star", "unflatten", "write_graph_text"),
+               "is_bipartite", "make_named_graph", "path", "product", "read_graph_text",
+               "spanning_tree", "star", "write_graph_text"),
     "expansion": ("BranchTree", "OddExpansionModel", "Verdict", "branch_tree",
                   "odd_cycle_model", "parse_model", "serialize_model",
                   "verify_odd_expansion"),

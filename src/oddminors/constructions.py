@@ -10,7 +10,7 @@ boundary only.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Mapping, Optional
 
@@ -174,7 +174,13 @@ class BaseModel(Frozen):
         self.__dict__.update(s=s, t=t, model=model)
 
     def host(self) -> Graph:
-        return _complete_host("cartesian", self.s, self.t)
+        """K_s box K_t, built on first use and kept with the certificate, so
+        that checking a loaded base's hash and verifying it share one host."""
+        return self._host
+
+    @cached_property
+    def _host(self) -> Graph:
+        return product("cartesian", complete(self.s), complete(self.t))
 
 
 def cartesian_complete_model(s: int, t: int) -> BaseModel:
@@ -466,17 +472,9 @@ def _path_model(host: Graph, specs, fixed: Mapping[tuple[int, int], Edge]) -> Od
     return OddExpansionModel(model.trees, coloring, connectors)
 
 
-@lru_cache(maxsize=1)
-def _complete_host(kind: str, a: int, b: int) -> Graph:
-    """K_a <kind> K_b.  The direct constructions search it for connectors, a
-    lift verifies its base certificate on it, and the theorems on complete
-    factors serialize and verify against it, so the last host is kept for
-    the second call; one entry keeps at most one host alive."""
-    return product(kind, complete(a), complete(b))
-
-
-def direct_k3_model(t: int) -> OddExpansionModel:
-    """Order t+2 certificate on the direct product K_t x K_3, t >= 6.
+def direct_k3_model(t: int, host: Optional[Graph] = None) -> OddExpansionModel:
+    """Order t+2 certificate on the direct product K_t x K_3, t >= 6, whose
+    connectors are searched on `host`, that product, built here when None.
 
     Eight catalogued trees cover the first rows; trees 9..t+2 are paths laid
     out by parity (odd rows route through column 1, even rows through column
@@ -490,7 +488,8 @@ def direct_k3_model(t: int) -> OddExpansionModel:
     if t < 6:
         raise ParameterError(f"construction needs t >= 6, got {t}")
     fl = lambda row, col: flatten(row - 1, col - 1, 3)
-    host = _complete_host("direct", t, 3)
+    if host is None:
+        host = product("direct", complete(t), complete(3))
 
     specs = list(_K3_FIXED_TREES)
     if t == 6:
@@ -525,9 +524,10 @@ def direct_k3_upper_bound(t: int) -> int:
     return best
 
 
-def direct_general_model(t: int, s: int) -> OddExpansionModel:
+def direct_general_model(t: int, s: int, host: Optional[Graph] = None) -> OddExpansionModel:
     """Order t*floor(s/3) certificate on the direct product K_t x K_s,
-    t >= 4, s >= 3.
+    t >= 4, s >= 3, whose connectors are searched on `host`, that product,
+    built here when None.
 
     The first 3*floor(s/3) columns split into consecutive column triples.
     The first triple hosts two singletons, one two-vertex tree and t-3
@@ -544,7 +544,8 @@ def direct_general_model(t: int, s: int) -> OddExpansionModel:
     m = s // 3
     fl = lambda row, col: flatten(row - 1, col - 1, s)
     col = lambda ell, j: j + 3 * (ell - 1)
-    host = _complete_host("direct", t, s)
+    if host is None:
+        host = product("direct", complete(t), complete(s))
 
     paths: list[list[tuple[int, int]]] = []
     for ell in range(1, m + 1):
@@ -578,7 +579,8 @@ def direct_general_model(t: int, s: int) -> OddExpansionModel:
 
 def best_lower_bound(g: Graph, mg: OddExpansionModel,
                      h: Graph, mh: OddExpansionModel,
-                     kind: str) -> Optional[tuple[int, OddExpansionModel]]:
+                     kind: str, host: Optional[Graph] = None
+                     ) -> Optional[tuple[int, OddExpansionModel]]:
     """Largest certified order the constructions reach for the given product.
 
     cartesian: lift through the default complete-product base, order s+t-2,
@@ -587,6 +589,8 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
     the K_t x K_3 and column-triple constructions (transported across the
     coordinate swap when needed); otherwise only what bipartiteness or an
     odd cycle of the product yields.  Returns None when nothing applies.
+    `host` is the product of g and h when the caller has built it; a direct
+    construction searches it unless its factors are swapped.
     """
     if kind not in PRODUCT_KINDS:
         raise ParameterError(f"unknown product kind {kind!r}")
@@ -610,11 +614,11 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
         a, b = g.n, h.n
         candidates: list[tuple[int, Callable[[], OddExpansionModel]]] = []
         if b == 3 and a >= 6:
-            candidates.append((a + 2, lambda: direct_k3_model(a)))
+            candidates.append((a + 2, lambda: direct_k3_model(a, host)))
         if a == 3 and b >= 6:
             candidates.append((b + 2, lambda: _swap_product_model(direct_k3_model(b), b, 3)))
         if a >= 4 and b >= 3:
-            candidates.append((a * (b // 3), lambda: direct_general_model(a, b)))
+            candidates.append((a * (b // 3), lambda: direct_general_model(a, b, host)))
         if b >= 4 and a >= 3:
             candidates.append((b * (a // 3), lambda: _swap_product_model(direct_general_model(b, a), b, a)))
         if candidates:
@@ -622,7 +626,8 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
             order, build = candidates[pick]
             return order, build()
 
-    host = product("direct", g, h)
+    if host is None:
+        host = product("direct", g, h)
     if host.n == 0:
         return None
     if host.m == 0:
@@ -640,15 +645,16 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
 class Theorem(Frozen):
     """One construction family as `construct` and `table` name it.
 
-    `host` and `model` take the certified factors (g, mg, h, mh) first when
-    `factors` is set, then one value per name in `params`; `model` also
-    takes `base=`, a certificate on the box product of the factor-order
-    cliques, when `base` is set.  `build` returns the certificate and its
-    host, and builds the host first, for every family, so that the edge
-    cap refuses an oversized host before any certificate is made; the
-    family's own preconditions are checked by `model`.  `best`'s `model`
-    returns None when no construction applies.  `table` holds the default
-    'a..b' range of each param for the families `table` reproduces.
+    `host` takes the certified factors (g, mg, h, mh) first when `factors`
+    is set, then one value per name in `params`; `model` takes the host
+    first and then the same values, and also `base=`, a certificate on the
+    box product of the factor-order cliques, when `base` is set.  `build`
+    builds the host once, first, for every family, so that the edge cap
+    refuses an oversized host before any certificate is made, and returns
+    the certificate and that host; the family's own preconditions are
+    checked by `model`.  `best`'s `model` returns None when no construction
+    applies.  `table` holds the default 'a..b' range of each param for the
+    families `table` reproduces.
 
     Builders call the construction functions and `product` through this
     module's globals at call time, so that patching them (as the
@@ -671,47 +677,39 @@ class Theorem(Frozen):
 
     def build(self, *args, **options) -> tuple[Optional[OddExpansionModel], Graph]:
         host = self.host(*args)
-        return self.model(*args, **options), host
+        return self.model(host, *args, **options), host
 
 
 def _grid_theorem(kind: str) -> Theorem:
     return Theorem((), lambda g, mg, h, mh: product(kind, g, h),
-                   lambda g, mg, h, mh: strong_model(g, mg, h, mh, kind), factors=True)
+                   lambda host, g, mg, h, mh: strong_model(g, mg, h, mh, kind), factors=True)
 
 
-def _factor_host(g, mg, h, mh, kind) -> Graph:
-    """The product host.  On complete factors it is the `_complete_host`
-    entry, which the direct constructions search and a lift verifies its
-    base certificate on, so it is built once."""
-    if g.n and h.n and g.is_complete() and h.is_complete():
-        return _complete_host(kind, g.n, h.n)
-    return product(kind, g, h)
-
-
-def _best_model(g, mg, h, mh, kind) -> Optional[OddExpansionModel]:
-    found = best_lower_bound(g, mg, h, mh, kind)
+def _best_model(host, g, mg, h, mh, kind) -> Optional[OddExpansionModel]:
+    found = best_lower_bound(g, mg, h, mh, kind, host)
     return None if found is None else found[1]
 
 
 THEOREMS: dict[str, Theorem] = {
     "cartesian-complete": Theorem(
-        ("s", "t"), lambda s, t: _complete_host("cartesian", s, t),
-        lambda s, t: cartesian_complete_model(s, t).model, table=("2..6", "2..6")),
+        ("s", "t"), lambda s, t: product("cartesian", complete(s), complete(t)),
+        lambda host, s, t: cartesian_complete_model(s, t).model, table=("2..6", "2..6")),
     "cartesian-lift": Theorem(
-        (), lambda g, mg, h, mh: _factor_host(g, mg, h, mh, "cartesian"),
-        lambda g, mg, h, mh, base=None: cartesian_lift(g, mg, h, mh, base),
+        (), lambda g, mg, h, mh: product("cartesian", g, h),
+        lambda host, g, mg, h, mh, base=None: cartesian_lift(g, mg, h, mh, base),
         factors=True, base=True),
     "strong": _grid_theorem("strong"),
     "lex": _grid_theorem("lexicographic"),
     "stars": Theorem(
         ("r", "t"), lambda r, t: product("strong", star(r), star(t)),
-        lambda r, t: star_model(r, t), table=("1..4", "1..4")),
+        lambda host, r, t: star_model(r, t), table=("1..4", "1..4")),
     "direct-k3": Theorem(
-        ("t",), lambda t: _complete_host("direct", t, 3),
-        lambda t: direct_k3_model(t), table=("6..10",)),
+        ("t",), lambda t: product("direct", complete(t), complete(3)),
+        lambda host, t: direct_k3_model(t, host), table=("6..10",)),
     "direct-general": Theorem(
-        ("t", "s"), lambda t, s: _complete_host("direct", t, s),
-        lambda t, s: direct_general_model(t, s), table=("4..6", "3..6")),
-    "hamming": Theorem(("n", "d"), hamming, lambda n, d: hamming_model(n, d)),
-    "best": Theorem(("kind",), _factor_host, _best_model, factors=True),
+        ("t", "s"), lambda t, s: product("direct", complete(t), complete(s)),
+        lambda host, t, s: direct_general_model(t, s, host), table=("4..6", "3..6")),
+    "hamming": Theorem(("n", "d"), hamming, lambda host, n, d: hamming_model(n, d)),
+    "best": Theorem(("kind",), lambda g, mg, h, mh, kind: product(kind, g, h), _best_model,
+                    factors=True),
 }

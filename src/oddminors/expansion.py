@@ -111,16 +111,6 @@ class OddExpansionModel(Frozen):
     def clique_order(self) -> int:
         return len(self.trees)
 
-    def used_vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for t in self.trees:
-            out |= t.vertices
-        return frozenset(out)
-
-    def with_swapped_colors(self) -> "OddExpansionModel":
-        flipped = {v: 3 - c for v, c in self.coloring.items()}
-        return OddExpansionModel(self.trees, flipped, self.connectors, self.notes)
-
 
 class Verdict(Frozen):
     """Outcome of a verification run; failures carry a concrete witness."""

@@ -1,7 +1,7 @@
 """Immutable simple graphs, named families, the four graph products (one
 edge rule; `hamming` is the iterated Cartesian product), structural routines
 read off one deterministic BFS forest (bipartiteness, components, odd cycles,
-spanning trees), the canonical text format and a graph6 reader.
+spanning trees) and the canonical text format.
 
 Vertices are the integers 0..n-1.  Product vertices (a, b) are flattened to
 a * |V(H)| + b, with the first factor most significant; every certificate in
@@ -21,7 +21,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import ParameterError, ParseError, StructureError
 
 Edge = tuple[int, int]
-ProductVertex = tuple[int, int]
 
 PRODUCT_KINDS = ("cartesian", "direct", "lexicographic", "strong")
 
@@ -182,9 +181,17 @@ class Graph(Frozen):
 
     @cached_property
     def _text(self) -> str:
-        names = list(map(str, range(self.n)))
+        # a decimal name for each id 0..n-1 when there are at most two ids
+        # an edge, else for the ends of the edges only: an isolated vertex
+        # costs nothing here either
+        rows = self._rows
+        if self.n <= 2 * self.m:
+            names = list(map(str, range(self.n)))
+        else:
+            ends = set(rows).union(*rows.values())
+            names = dict(zip(ends, map(str, ends)))
         parts = [f"{self.n} {self.m}\n"]
-        for u, row in self._rows.items():
+        for u, row in rows.items():
             prefix = names[u] + " "
             parts.append(prefix + ("\n" + prefix).join(map(names.__getitem__, row)) + "\n")
         return "".join(parts)
@@ -302,10 +309,6 @@ def make_named_graph(family: str, params: Sequence[int]) -> Graph:
 
 def flatten(a: int, b: int, n_second: int) -> int:
     return a * n_second + b
-
-
-def unflatten(x: int, n_second: int) -> ProductVertex:
-    return divmod(x, n_second)
 
 
 def product(kind: str, g: Graph, h: Graph) -> Graph:
@@ -614,49 +617,4 @@ def _read_lines(text: str) -> Graph:
         if e in edges:
             raise ParseError.at(lines, index, f"duplicate edge ({u},{v})", f"edges[{i}]")
         edges.add(e)
-    return Graph(n, edges)
-
-
-def read_graph6(line: str) -> Graph:
-    """Decode one graph in graph6 format (small test corpora)."""
-    s = line.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
-    if not s:
-        raise ParseError("empty graph6 input", offset=0)
-    data = []
-    for i, ch in enumerate(s):
-        val = ord(ch) - 63
-        if not (0 <= val < 64):
-            raise ParseError(f"invalid graph6 character {ch!r}", offset=i)
-        data.append(val)
-    if data[0] < 63:
-        n = data[0]
-        rest = data[1:]
-    elif len(data) >= 4 and data[1] < 63:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        rest = data[4:]
-    elif len(data) >= 8:
-        n = 0
-        for v in data[2:8]:
-            n = (n << 6) | v
-        rest = data[8:]
-    else:
-        raise ParseError("truncated graph6 size block", offset=0)
-    if n > MAX_EDGES:
-        raise ParseError(f"vertex count {n} is more than {MAX_EDGES}", offset=0)
-    need = n * (n - 1) // 2
-    bits = []
-    for v in rest:
-        for k in range(5, -1, -1):
-            bits.append((v >> k) & 1)
-    if len(bits) < need:
-        raise ParseError(f"graph6 body too short: need {need} bits, have {len(bits)}", offset=len(s))
-    edges = set()
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.add((u, v))
-            idx += 1
     return Graph(n, edges)

@@ -284,6 +284,17 @@ def test_table_direct_k3(capsys):
     assert all(row.split()[2] == "PASS" for row in rows[1:])
 
 
+def test_table_direct_general_default_ranges(capsys):
+    code, stdout, _ = run(capsys, "table", "direct-general")
+    assert code == 0
+    rows = [row.split() for row in stdout.splitlines()]
+    assert rows[0] == ["t", "s", "order", "verdict"]
+    assert [(int(t), int(s)) for t, s, _, _ in rows[1:]] == [
+        (t, s) for t in range(4, 7) for s in range(3, 7)]
+    for t, s, order, verdict in rows[1:]:
+        assert int(order) == int(t) * (int(s) // 3) and verdict == "PASS"
+
+
 def test_table_stars_case_split(capsys):
     code, stdout, _ = run(capsys, "table", "stars", "--r", "1..4", "--t", "1..4")
     assert code == 0

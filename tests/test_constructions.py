@@ -158,7 +158,7 @@ def test_cartesian_complete_model(s, t):
     check_on(host, base.model, s + t - 2)
     # the top-right corner stays unused
     corner = gr.flatten(0, t - 1, t)
-    assert corner not in base.model.used_vertices()
+    assert corner not in set().union(*(tree.vertices for tree in base.model.trees))
 
 
 def test_cartesian_complete_rejects_small_params():
@@ -221,7 +221,6 @@ def test_hamming_model_builds_each_lift_host_once(monkeypatch):
         return product(kind, g, h)
     monkeypatch.setattr(gr, "product", counted)  # what graphs.hamming calls
     monkeypatch.setattr(cons, "product", counted)
-    cons._complete_host.cache_clear()
     cons.hamming_model(4, 4)
     lift_hosts = [("cartesian", 4, 4), ("cartesian", 16, 4)]
     bases = [("cartesian", s, 4) for s in (4, 6, 8)]
@@ -334,7 +333,7 @@ def test_direct_general_model(t, s, order):
 
 def test_direct_general_ignores_trailing_columns():
     model = cons.direct_general_model(5, 7)
-    used_cols = {v % 7 for v in model.used_vertices()}
+    used_cols = {v % 7 for tree in model.trees for v in tree.vertices}
     assert used_cols <= set(range(6))
 
 

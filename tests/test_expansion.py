@@ -177,10 +177,11 @@ def test_connector_table_is_built_only_for_a_pair_without_a_stored_connector(mon
 
 
 def test_color_swap_invariance():
-    assert verify_odd_expansion(C5, C5_MODEL.with_swapped_colors()).passed
-    stored = OddExpansionModel(C5_MODEL.trees, dict(C5_MODEL.coloring),
+    swapped = {v: 3 - c for v, c in C5_MODEL.coloring.items()}
+    assert verify_odd_expansion(C5, OddExpansionModel(C5_MODEL.trees, swapped)).passed
+    stored = OddExpansionModel(C5_MODEL.trees, swapped,
                                {(0, 1): (0, 1), (0, 2): (0, 4), (1, 2): (2, 3)})
-    assert verify_odd_expansion(C5, stored.with_swapped_colors(), strict=True).passed
+    assert verify_odd_expansion(C5, stored, strict=True).passed
 
 
 def test_monotone_embedding_into_supergraph():

@@ -1,6 +1,6 @@
-"""Fuzz tests of the three parsers: whatever the input, `parse_model`,
-`read_graph_text` and `read_graph6` return a value or raise `ParseError`,
-never another exception.  Inputs are arbitrary text, and text built from
+"""Fuzz tests of the two parsers: whatever the input, `parse_model` and
+`read_graph_text` return a value or raise `ParseError`, never another
+exception.  Inputs are arbitrary text, and text built from
 the format's own keys and tokens, or from valid documents with edits.
 
 `read_graph_text` is also checked against a test-local copy of its tolerant
@@ -79,12 +79,6 @@ GRAPH_TEXTS = st.one_of(
     edited(VALID_GRAPHS),
 )
 
-GRAPH6_TEXTS = st.one_of(
-    st.text(max_size=40),
-    st.text(alphabet=[chr(c) for c in range(58, 130)], max_size=40),
-    st.text(alphabet=[chr(c) for c in range(63, 127)], max_size=40).map(lambda s: ">>graph6<<" + s),
-)
-
 
 @settings(max_examples=300, deadline=None)
 @given(CERTIFICATE_TEXTS)
@@ -104,15 +98,6 @@ def test_read_graph_text_raises_only_parse_error(text):
     except ParseError:
         return
     assert gr.read_graph_text(g.canonical_text()) == g
-
-
-@settings(max_examples=300, deadline=None)
-@given(GRAPH6_TEXTS)
-def test_read_graph6_raises_only_parse_error(text):
-    try:
-        gr.read_graph6(text)
-    except ParseError:
-        pass
 
 
 def reference_read(text):

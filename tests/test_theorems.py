@@ -3,9 +3,11 @@ the certificate bytes and report lines the per-id CLI code produced, and
 the registry's ids as the CLI's choices."""
 
 import argparse
+import gc
 import hashlib
 import importlib.util
 import sys
+import weakref
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
@@ -150,7 +152,6 @@ def test_benchmark_tracer_sees_every_theorem(capsys, tmp_path, monkeypatch):
     tracing = _load_bench_module(monkeypatch, "tracing")
     witness = _load_bench_module(monkeypatch, "witness")
     assert set(tracing.THEOREM_IDS) == set(cons.THEOREMS)
-    cons._complete_host.cache_clear()  # a host cached by an earlier test hides its product
     tracer = tracing.Tracer()
     tracer.install(cli, cons, gr.Graph, witness)
     try:
@@ -179,32 +180,48 @@ def test_benchmark_tracer_sees_every_theorem(capsys, tmp_path, monkeypatch):
                                               if s.name == "expansion.connector"}
 
 
+def count_products(monkeypatch):
+    """The (kind, first order, second order) of each `product` call that
+    `constructions` makes from now on."""
+    products = []
+    product = cons.product
+
+    def counted_product(kind, g, h):
+        products.append((kind, g.n, h.n))
+        return product(kind, g, h)
+
+    monkeypatch.setattr(cons, "product", counted_product)
+    return products
+
+
 @pytest.mark.parametrize("theorem, argv, t, s", [
     ("direct-general", ["--t", "9", "--s", "9"], 9, 9),
     ("direct-k3", ["--t", "12"], 12, 3),
     ("best", ["--kind", "direct"], 9, 12),
     ("cartesian-lift", [], 8, 8),
     ("best", ["--kind", "cartesian"], 8, 8),
+    ("best", ["--kind", "direct"], C5, C5),
 ])
 def test_construct_builds_and_renders_its_host_once(capsys, tmp_path, monkeypatch,
                                                     theorem, argv, t, s):
-    """The K_t x K_s host is built once for the connector search or the
-    lift's base certificate, the certificate and the graph file, and its
-    text is rendered once for the hash and `--graph-out`.  A theorem on
-    factors takes K_t and K_s with identity certificates."""
+    """The host is built once for the connector search, the certificate and
+    the graph file, and its text is rendered once for the hash and
+    `--graph-out`.  A theorem on factors takes K_t and K_s with identity
+    certificates, or the given factors."""
     kind = "cartesian" if theorem == "cartesian-lift" or "cartesian" in argv else "direct"
     if cons.THEOREMS[theorem].factors:
-        kt, ks = (("complete:%d" % n, gr.complete(n), cons.identity_model(gr.complete(n)))
+        kt, ks = (n if isinstance(n, tuple) else
+                  ("complete:%d" % n, gr.complete(n), cons.identity_model(gr.complete(n)))
                   for n in (t, s))
         argv = argv + factor_argv(tmp_path, kt, ks)
-    cons._complete_host.cache_clear()
-    products, renders = [], []
-    product = cons.product
+        t, s = kt[1].n, ks[1].n
+    # On K8, K8 the lift's default base certificate lies on K8 box K8 too,
+    # the box product of the factor orders' cliques, and it builds that
+    # host itself: equal to the theorem's host, but built apart.
+    builds = 2 if kind == "cartesian" else 1
+    products = count_products(monkeypatch)
+    renders = []
     render = gr.Graph.__dict__["_text"].func
-
-    def counted_product(kind, g, h):
-        products.append((kind, g.n, h.n))
-        return product(kind, g, h)
 
     def counted_render(g):
         renders.append(g.n)
@@ -212,13 +229,32 @@ def test_construct_builds_and_renders_its_host_once(capsys, tmp_path, monkeypatc
 
     counted_text = cached_property(counted_render)
     counted_text.__set_name__(gr.Graph, "_text")
-    monkeypatch.setattr(cons, "product", counted_product)
     monkeypatch.setattr(gr.Graph, "_text", counted_text)
     out, graph = tmp_path / "out.cert", tmp_path / "out.graph"
     code = cli.main(["construct", theorem, *argv, "--out", str(out), "--graph-out", str(graph),
                      "--strict"])
     stdout = capsys.readouterr().out
     assert code == 0
-    assert products.count((kind, t, s)) == 1
+    assert products.count((kind, t, s)) == builds
     assert renders.count(t * s) == 1
     assert f"hash={hashlib.sha256(graph.read_bytes()).hexdigest()}" in stdout
+
+
+def test_construct_builds_a_given_base_host_once(capsys, tmp_path, monkeypatch):
+    """`--base`'s hash check and the lift's check of the base certificate
+    share one K3 box K3."""
+    argv = factor_argv(tmp_path, C5, K3) + base_argv(tmp_path, 3, 3)
+    products = count_products(monkeypatch)
+    code, _, stderr, _ = construct(capsys, tmp_path, "cartesian-lift", *argv)
+    assert code == 0, stderr
+    assert products.count(("cartesian", 3, 3)) == 1
+
+
+@pytest.mark.parametrize("theorem, args", [
+    ("direct-k3", (7,)), ("direct-general", (5, 7)), ("cartesian-complete", (3, 4))])
+def test_built_host_is_not_kept_alive(theorem, args):
+    model, host = cons.THEOREMS[theorem].build(*args)
+    alive = weakref.ref(host)
+    del model, host
+    gc.collect()
+    assert alive() is None
