@@ -105,8 +105,19 @@ def cmd_product(args) -> int:
     return EXIT_OK
 
 
+_FACTOR_OPTIONS = ("factor_a", "model_a", "factor_b", "model_b")
+
+
+def _refuse_unread(args, theorem: str, read) -> None:
+    """Refuse each theorem option given that `theorem` does not read, rather
+    than ignore it."""
+    for name in ("s", "t", "n", "d", "r", "kind", *_FACTOR_OPTIONS, "base"):
+        if name not in read and getattr(args, name, None) is not None:
+            raise _CliError(f"theorem {theorem!r} takes no --{name.replace('_', '-')}")
+
+
 def _factor_inputs(args):
-    for opt in ("factor_a", "model_a", "factor_b", "model_b"):
+    for opt in _FACTOR_OPTIONS:
         if getattr(args, opt) is None:
             raise _CliError(f"theorem {args.theorem!r} needs --{opt.replace('_', '-')}")
     g = _load_graph(args.factor_a)
@@ -138,10 +149,12 @@ def _load_base(path: str, mg: OddExpansionModel, mh: OddExpansionModel) -> cons.
 def cmd_construct(args) -> int:
     t0 = time.monotonic()
     theorem = cons.THEOREMS[args.theorem]
+    read = [*theorem.params, *(_FACTOR_OPTIONS if theorem.factors else ())]
+    _refuse_unread(args, args.theorem, read + ["base"] if theorem.base else read)
     inputs, options = (), {}
     if theorem.factors:
         inputs = _factor_inputs(args)
-        if theorem.base and args.base is not None:
+        if args.base is not None:
             options["base"] = _load_base(args.base, inputs[1], inputs[3])
     values = [_need(args, name) for name in theorem.params]
     model, host = theorem.build(*inputs, *values, **options)
@@ -204,6 +217,7 @@ def cmd_exact(args) -> int:
 
 def cmd_table(args) -> int:
     theorem = cons.THEOREMS[args.which]
+    _refuse_unread(args, args.which, theorem.params)
     ranges = []
     for name, default in zip(theorem.params, theorem.table):
         given = getattr(args, name)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
 from .errors import (ColoringMissingError, ConsistencyError, FactorModelError,
@@ -579,9 +580,9 @@ def direct_general_model(t: int, s: int, host: Optional[Graph] = None) -> OddExp
 
 def best_lower_bound(g: Graph, mg: OddExpansionModel,
                      h: Graph, mh: OddExpansionModel,
-                     kind: str, host: Optional[Graph] = None
-                     ) -> Optional[tuple[int, OddExpansionModel]]:
-    """Largest certified order the constructions reach for the given product.
+                     kind: str, host: Optional[Graph] = None) -> Optional[OddExpansionModel]:
+    """The certificate of the largest order the constructions reach for the
+    given product.
 
     cartesian: lift through the default complete-product base, order s+t-2,
     needing both factor orders >= 2.  strong and lexicographic: the full
@@ -599,11 +600,9 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
     # strong_model and cartesian_lift verify the factor certificates
     # themselves; every other path verifies them here
     if kind in ("strong", "lexicographic"):
-        model = strong_model(g, mg, h, mh, kind)
-        return model.clique_order, model
+        return strong_model(g, mg, h, mh, kind)
     if kind == "cartesian" and s >= 2 and t >= 2:
-        model = cartesian_lift(g, mg, h, mh)
-        return model.clique_order, model
+        return cartesian_lift(g, mg, h, mh)
     _require_valid(g, mg, "first factor")
     _require_valid(h, mh, "second factor")
     if kind == "cartesian":
@@ -621,21 +620,16 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
             candidates.append((a * (b // 3), lambda: direct_general_model(a, b, host)))
         if b >= 4 and a >= 3:
             candidates.append((b * (a // 3), lambda: _swap_product_model(direct_general_model(b, a), b, a)))
-        if candidates:
-            pick = max(range(len(candidates)), key=lambda k: (candidates[k][0], -k))
-            order, build = candidates[pick]
-            return order, build()
+        if candidates:  # the first of the largest orders
+            return max(candidates, key=itemgetter(0))[1]()
 
     if host is None:
         host = product("direct", g, h)
     if host.n == 0:
         return None
     if host.m == 0:
-        return 1, singleton_model(host)
-    cyc_model = odd_cycle_model(host)
-    if cyc_model is not None:
-        return 3, cyc_model
-    return 2, single_edge_model(host)
+        return singleton_model(host)
+    return odd_cycle_model(host) or single_edge_model(host)
 
 
 # ----------------------------------------------------------------------
@@ -685,11 +679,6 @@ def _grid_theorem(kind: str) -> Theorem:
                    lambda host, g, mg, h, mh: strong_model(g, mg, h, mh, kind), factors=True)
 
 
-def _best_model(host, g, mg, h, mh, kind) -> Optional[OddExpansionModel]:
-    found = best_lower_bound(g, mg, h, mh, kind, host)
-    return None if found is None else found[1]
-
-
 THEOREMS: dict[str, Theorem] = {
     "cartesian-complete": Theorem(
         ("s", "t"), lambda s, t: product("cartesian", complete(s), complete(t)),
@@ -710,6 +699,8 @@ THEOREMS: dict[str, Theorem] = {
         ("t", "s"), lambda t, s: product("direct", complete(t), complete(s)),
         lambda host, t, s: direct_general_model(t, s, host), table=("4..6", "3..6")),
     "hamming": Theorem(("n", "d"), hamming, lambda host, n, d: hamming_model(n, d)),
-    "best": Theorem(("kind",), lambda g, mg, h, mh, kind: product(kind, g, h), _best_model,
-                    factors=True),
+    "best": Theorem(
+        ("kind",), lambda g, mg, h, mh, kind: product(kind, g, h),
+        lambda host, g, mg, h, mh, kind: best_lower_bound(g, mg, h, mh, kind, host),
+        factors=True),
 }

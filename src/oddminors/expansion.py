@@ -15,7 +15,7 @@ from operator import lt
 from typing import Iterable, Mapping, Optional
 
 from .errors import ParameterError, ParseError
-from .graphs import Edge, Frozen, Graph, find_odd_cycle, norm_edge
+from .graphs import Edge, Frozen, Graph, _decimal_chunks, find_odd_cycle, norm_edge
 
 
 class BranchTree(Frozen):
@@ -410,48 +410,6 @@ def serialize_model(model: OddExpansionModel, graph_hash: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The connector line is read this many characters at a time, cut at the
-# next space, so that only one chunk's tokens are alive at once: a line of
-# 45k connectors split whole holds 180k number strings, about 10 MB.
-_CHUNK = 1 << 16
-
-
-def _bulk_connectors(chunk: str, ids: dict[str, int], last: tuple[int, int], count: int):
-    """The pairs and ends of a chunk of the connector line, or None unless
-    the chunk is what `serialize_model` writes: 'i,j=u-v' tokens joined by
-    single spaces, each number the decimal form of its int, the pairs
-    ascending from after `last` with 0 <= i < j < count, and u < v.
-
-    C-level passes check the shape (deleting the digits leaves ',=- ' per
-    token) and the order, and each distinct number is converted once
-    through `ids`.  A chunk this declines goes to the token loop, the one
-    that raises ParseError, so the two read every chunk alike.
-    """
-    k = chunk.count(" ") + 1
-    try:  # UnicodeEncodeError, a ValueError, declines a character beyond ASCII
-        if (chunk + " ").encode("ascii").translate(None, b"0123456789") != b",=- " * k:
-            return None
-        fields = chunk.replace(",", " ").replace("=", " ").replace("-", " ").split(" ")
-        if not all(fields):
-            return None
-        ends = list(map(ids.get, fields))
-        if None in ends:  # a number not met before
-            for token in set(fields).difference(ids):
-                v = int(token)
-                if str(v) != token:  # a leading zero
-                    return None
-                ids[token] = v
-            ends = list(map(ids.__getitem__, fields))
-    except ValueError:  # also a number past int's digit limit
-        return None
-    i, j, u, v = ends[0::4], ends[1::4], ends[2::4], ends[3::4]
-    pairs = list(zip(i, j))
-    if (last < pairs[0] and all(map(lt, pairs, pairs[1:])) and all(map(lt, i, j))
-            and max(j) < count and all(map(lt, u, v))):
-        return pairs, zip(u, v)
-    return None
-
-
 def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     """Parse a certificate; returns (model, graph_hash).
 
@@ -460,6 +418,12 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     are accepted and normalized.  A `ParseError` names the line just read,
     the line found in place of an expected key, or the first non-blank
     trailing line.
+
+    A connector line as `serialize_model` writes it ('i,j=u-v' tokens
+    joined by single spaces, the pairs ascending with 0 <= i < j < count,
+    and u < v) is read in chunks by the scanner `_decimal_chunks`.  Any
+    other connector line goes, whole, to the token loop, the one that
+    raises ParseError, so the two read every line alike.
     """
     lines = text.splitlines(keepends=True)
     index = -1  # the line just read
@@ -552,23 +516,21 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
 
     connectors = None
     if next_key() == "connectors":
-        connectors = {}
         line = take("connectors", "connectors")
+        connectors = {}
         last = (-1, -1)  # the greatest pair read so far
-        start = 0
-        while start < len(line):  # one chunk at a time, cut at a space
-            end = line.find(" ", start + _CHUNK)
-            if end < 0:
-                end = len(line)
-            chunk = line[start:end]
-            start = end + 1
-            found = _bulk_connectors(chunk, ids, last, count)
-            if found is not None:
-                pairs, ends = found
-                connectors.update(zip(pairs, ends))
+        try:
+            for ends in _decimal_chunks(line, 0, ",=- ", ids):
+                i, j, u, v = ends[0::4], ends[1::4], ends[2::4], ends[3::4]
+                pairs = list(zip(i, j))
+                if not (last < pairs[0] and all(map(lt, pairs, pairs[1:])) and all(map(lt, i, j))
+                        and max(j) < count and all(map(lt, u, v))):
+                    raise ValueError("connectors out of order or out of range")
+                connectors.update(zip(pairs, zip(u, v)))
                 last = pairs[-1]
-                continue
-            for tok in chunk.split():
+        except ValueError:  # not as `serialize_model` writes it: the token loop reads it all
+            connectors = {}
+            for tok in line.split():
                 parts = tok.split("=")
                 if len(parts) != 2:
                     raise error(f"expected 'i,j=u-v' token, found {tok!r}", "connectors")
@@ -582,7 +544,6 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
                 if (i, j) in connectors:
                     raise error(f"duplicate connector for pair ({i},{j})", "connectors")
                 connectors[(i, j)] = edge(parts[1], "connectors")
-                last = max(last, (i, j))
 
     notes = []
     while next_key() == "meta":

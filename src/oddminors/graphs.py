@@ -11,7 +11,6 @@ this package relies on that fixed flattening.
 from __future__ import annotations
 
 import hashlib
-import re
 from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, compress
@@ -488,17 +487,57 @@ def write_graph_text(g: Graph) -> str:
     return g.canonical_text()
 
 
-# The canonical header line: two decimal ints, with no sign and no leading
-# zero, one space between them and a line feed after.  Each token is fixed
-# by its first character and ended by a space or a line feed, so a failed
-# match gives back each character at most once: linear in its input.
-_CANONICAL_HEADER = re.compile(r"(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n")
-
-# The edge lines of canonical text are read this many characters at a time
-# (see `_canonical_graph`).  A canonical line is at most 16 characters
-# (n <= MAX_EDGES), so a stretch this long without a line end is not
-# canonical.
+# Canonical number lists (the graph text, a certificate's connector line)
+# are read this many characters at a time, so that only one chunk's tokens
+# are alive at once.  A canonical edge line is at most 16 characters (n <=
+# MAX_EDGES) and a connector token little more, so a stretch this long
+# without a separator is not canonical.
 _CHUNK = 1 << 16
+
+
+def _decimal_chunks(text: str, start: int, unit: str, ids: dict[str, int]):
+    """The ints of text[start:], a chunk at a time, when that text is a
+    canonical number list: each number the decimal form of its int (no
+    sign, no leading zero), each followed by one separator, and the
+    separators `unit` over and over; the end of the text may stand in for
+    the last one.  Raises ValueError, at the first chunk that is not, to
+    decline the list.
+
+    A chunk ends after the last `unit[-1]` within `_CHUNK` characters, or
+    at the end of the text.  C-level passes check its shape: deleting the
+    digits leaves `unit` once per len(unit) numbers.  Each distinct token
+    is converted once through `ids`, so every int yielded for one token is
+    one object.
+    """
+    # the separators become spaces for `split`, which already splits at white space
+    blank = None if unit.isspace() else str.maketrans(unit, " " * len(unit))
+    shape = unit.encode("ascii")
+    final = unit[-1]
+    while start < len(text):
+        end = start + _CHUNK
+        if end < len(text):
+            end = text.rfind(final, start, end) + 1
+            if end <= start:
+                raise ValueError(f"no {final!r} within a chunk")
+        chunk = text[start:end]
+        tokens = (chunk.translate(blank) if blank else chunk).split()
+        # UnicodeEncodeError, a ValueError, refuses a character beyond ASCII
+        seps = chunk.encode("ascii").translate(None, b"0123456789")
+        if chunk[-1] != final:  # the end of the text
+            seps += shape[-1:]
+        # as many numbers as separators: one right before each
+        if seps != shape * (len(tokens) // len(unit)):
+            raise ValueError("not a canonical number list")
+        ends = tuple(map(ids.get, tokens))
+        if None in ends:  # a token not met before
+            for token in set(tokens).difference(ids):
+                ids[token] = v = int(token)  # also refuses a token past int's digit limit
+                if str(v) != token:  # a leading zero
+                    raise ValueError("not a canonical number list")
+            ends = tuple(map(ids.__getitem__, tokens))
+        del chunk, tokens  # only the ints stay alive while the caller reads them
+        yield ends
+        start = end
 
 
 def read_graph_text(text: str) -> Graph:
@@ -509,7 +548,7 @@ def read_graph_text(text: str) -> Graph:
     this package produce) is read by `_canonical_graph` straight into the
     graph's rows; the graph keeps the input as its cached text, so
     `content_hash` hashes it without rendering it again.  Any other input
-    goes through the tolerant line loop, the only path that accepts
+    goes, whole, through the tolerant line loop, the only path that accepts
     unsorted lines, signs, leading zeros, tabs, CRLF or blank lines, and the
     one that raises `ParseError`; the bulk path only ever declines.  Both
     refuse a vertex count above MAX_EDGES.
@@ -526,40 +565,21 @@ def _canonical_graph(text: str) -> Graph:
     """The graph whose canonical text is `text`; raises ValueError when
     `text` is not in that form or its vertex count is above MAX_EDGES.
 
-    The edge lines are read in chunks, cut at a line end, so that only one
-    chunk's tokens are alive at once.  A chunk is canonical when its token
-    count is even, deleting its digits leaves a space and a line feed per
-    two tokens, and each token is the decimal form of its int.  Each
-    distinct token is converted once, so every row holds one int object per
-    vertex.  Each run of lines with one first token is one row; C-level
-    passes over the first and second tokens check that the lines strictly
-    ascend and that 0 <= u < v < n on each, and no edge tuple is built.
+    The header and the edge lines are read by `_decimal_chunks` with the
+    separators space and line feed, one chunk of lines at a time.  Each run
+    of lines with one first token is one row; C-level passes over the first
+    and second tokens check that the lines strictly ascend and that
+    0 <= u < v < n on each, and no edge tuple is built.
     """
     start = text.find("\n") + 1
-    if not start or not _CANONICAL_HEADER.fullmatch(text, 0, start):
-        raise ValueError("header is not canonical")
-    n, m = map(int, text[:start].split())
-    if n > MAX_EDGES:
-        raise ValueError("vertex count above MAX_EDGES")
-    rows: dict[int, tuple[int, ...]] = {}
     ids: dict[str, int] = {}
+    (n, m), = _decimal_chunks(text[:start], 0, " \n", ids)
+    if n > MAX_EDGES or not text.endswith("\n"):
+        raise ValueError("vertex count above MAX_EDGES or no final line end")
+    rows: dict[int, tuple[int, ...]] = {}
     last = (-1, -1)  # the last line of the chunks before
     count = 0
-    while start < len(text):
-        end = text.rfind("\n", start, start + _CHUNK) + 1
-        if end <= start:
-            raise ValueError("edge line longer than a chunk")
-        chunk = text[start:end]
-        tokens = chunk.split()
-        # UnicodeEncodeError, a ValueError, refuses a character beyond ASCII
-        if len(tokens) % 2 or (chunk.encode("ascii").translate(None, b"0123456789")
-                               != b" \n" * (len(tokens) // 2)):
-            raise ValueError("edge lines are not canonical")
-        for token in set(tokens).difference(ids):
-            ids[token] = v = int(token)
-            if str(v) != token:  # a leading zero
-                raise ValueError("edge lines are not canonical")
-        ends = tuple(map(ids.__getitem__, tokens))
+    for ends in _decimal_chunks(text, start, " \n", ids):
         us, vs = ends[0::2], ends[1::2]
         starts = [0, *compress(range(1, len(us)), map(ne, us, us[1:]))]  # of the runs
         keys = list(map(us.__getitem__, starts))
@@ -575,7 +595,6 @@ def _canonical_graph(text: str) -> Graph:
         rows.update(zip(keys, runs))
         last = (us[-1], vs[-1])
         count += len(vs)
-        start = end
     if count != m:
         raise ValueError("edge count differs from the header")
     return _from_rows(n, m, rows)

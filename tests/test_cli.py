@@ -197,6 +197,23 @@ def test_construct_with_factor_files(tmp_path, capsys):
     assert code == 0 and "order: 4" in stdout
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "stars", "--r", "2", "--t", "2", "--s", "99"], "theorem 'stars' takes no --s"),
+    (["construct", "stars", "--r", "2", "--t", "2", "--factor-a", "nothing"],
+     "theorem 'stars' takes no --factor-a"),
+    (["construct", "strong", "--factor-a", "complete:3", "--model-a", "a.cert",
+      "--factor-b", "complete:3", "--model-b", "b.cert", "--base", "nonexistent.cert"],
+     "theorem 'strong' takes no --base"),
+    (["table", "stars", "--s", "3"], "theorem 'stars' takes no --s"),
+], ids=["param", "factor-file", "base", "table-range"])
+def test_options_a_theorem_does_not_read_are_refused(tmp_path, capsys, argv, message):
+    if argv[0] == "construct":
+        argv = [*argv, "--out", str(tmp_path / "c.cert")]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and message in stderr and stdout == ""
+    assert not (tmp_path / "c.cert").exists()
+
+
 def test_verify_detects_tampering(tmp_path, capsys):
     cert = tmp_path / "c.cert"
     graph = tmp_path / "c.graph"

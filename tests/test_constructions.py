@@ -365,40 +365,40 @@ def test_direct_general_params():
 
 
 def test_best_lower_bound_strong_and_cartesian():
-    order, model = cons.best_lower_bound(C5, C5_K3, C5, C5_K3, "strong")
-    assert order == 9
+    model = cons.best_lower_bound(C5, C5_K3, C5, C5_K3, "strong")
+    assert model.clique_order == 9
     check_on(gr.product("strong", C5, C5), model)
-    order, model = cons.best_lower_bound(C5, C5_K3, C5, C5_K3, "cartesian")
-    assert order == 4
+    model = cons.best_lower_bound(C5, C5_K3, C5, C5_K3, "cartesian")
+    assert model.clique_order == 4
     check_on(gr.product("cartesian", C5, C5), model)
-    order, model = cons.best_lower_bound(C5, C5_K3, C5, C5_K3, "lexicographic")
-    assert order == 9
+    model = cons.best_lower_bound(C5, C5_K3, C5, C5_K3, "lexicographic")
+    assert model.clique_order == 9
 
 
 def test_best_lower_bound_direct_cliques():
     k7, k3 = gr.complete(7), gr.complete(3)
     m7, m3 = cons.identity_model(k7), cons.identity_model(k3)
-    order, model = cons.best_lower_bound(k7, m7, k3, m3, "direct")
-    assert order == 9  # max(7 + 2, 7 * 1)
+    model = cons.best_lower_bound(k7, m7, k3, m3, "direct")
+    assert model.clique_order == 9  # max(7 + 2, 7 * 1)
     check_on(gr.product("direct", k7, k3), model)
-    order, model = cons.best_lower_bound(k3, m3, k7, m7, "direct")
-    assert order == 9
+    model = cons.best_lower_bound(k3, m3, k7, m7, "direct")
+    assert model.clique_order == 9
     check_on(gr.product("direct", k3, k7), model)
     k6, k9 = gr.complete(6), gr.complete(9)
-    order, model = cons.best_lower_bound(k6, cons.identity_model(k6),
-                                         k9, cons.identity_model(k9), "direct")
-    assert order == 18  # 6 * 3 beats nothing else
+    model = cons.best_lower_bound(k6, cons.identity_model(k6),
+                                  k9, cons.identity_model(k9), "direct")
+    assert model.clique_order == 18  # 6 * 3 beats nothing else
     check_on(gr.product("direct", k6, k9), model)
 
 
 def test_best_lower_bound_direct_fallbacks():
     k2 = gr.complete(2)
     mk2 = cons.identity_model(k2)
-    order, model = cons.best_lower_bound(k2, mk2, k2, mk2, "direct")
-    assert order == 2  # bipartite product with an edge
+    model = cons.best_lower_bound(k2, mk2, k2, mk2, "direct")
+    assert model.clique_order == 2  # bipartite product with an edge
     check_on(gr.product("direct", k2, k2), model)
-    order, model = cons.best_lower_bound(C5, C5_K3, C5, C5_K3, "direct")
-    assert order == 3  # odd cycle in the product
+    model = cons.best_lower_bound(C5, C5_K3, C5, C5_K3, "direct")
+    assert model.clique_order == 3  # odd cycle in the product
     check_on(gr.product("direct", C5, C5), model)
 
 
@@ -494,8 +494,8 @@ def _base_3_3():
 
 def _best_direct_k3_k7():
     k3, k7 = gr.complete(3), gr.complete(7)
-    found = cons.best_lower_bound(k3, cons.identity_model(k3), k7, cons.identity_model(k7), "direct")
-    return gr.product("direct", k3, k7), found[1]
+    model = cons.best_lower_bound(k3, cons.identity_model(k3), k7, cons.identity_model(k7), "direct")
+    return gr.product("direct", k3, k7), model
 
 
 # Cells that are real grids, with same-row, same-column and diagonal joints,

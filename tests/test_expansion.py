@@ -316,7 +316,7 @@ def test_parsed_ids_are_one_int_object_each():
             ids += [*t.vertices, *itertools.chain.from_iterable(t.edges)]
         assert max(ids) > 256
         assert len({id(x) for x in ids}) == len(set(ids))
-    assert len(text) - text.index("connectors:") > ex._CHUNK
+    assert len(text) - text.index("connectors:") > gr._CHUNK
 
 
 def test_parse_rejects_out_of_range_connector_pairs():

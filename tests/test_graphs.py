@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import re
 import tracemalloc
 
 import pytest
@@ -384,23 +383,3 @@ def test_graph_text_errors_name_the_line_at_fault(text, field, line, offset):
     with pytest.raises(ParseError) as exc:
         gr.read_graph_text(text)
     assert (exc.value.field, exc.value.line, exc.value.offset) == (field, line, offset)
-
-
-def _opcodes(node):
-    """The names of the opcodes anywhere in a parsed regex."""
-    if isinstance(node, tuple) and len(node) == 2 and type(node[0]).__name__ == "_NamedIntConstant":
-        yield str(node[0])
-    if isinstance(node, (tuple, list)) or hasattr(node, "data"):
-        for sub in getattr(node, "data", node):
-            yield from _opcodes(sub)
-
-
-def test_canonical_pattern_compiles_on_python_3_10():
-    # possessive repeats and atomic groups came in 3.11; with either, the
-    # module would fail to import on the 3.10 that pyproject.toml allows
-    parser = getattr(re, "_parser", None)
-    if parser is None:
-        pytest.skip("this Python has no possessive repeats to find")
-    ops = set(_opcodes(parser.parse(gr._CANONICAL_HEADER.pattern)))
-    assert "MAX_REPEAT" in ops
-    assert not ops & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}

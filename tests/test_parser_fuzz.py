@@ -3,12 +3,14 @@
 exception.  Inputs are arbitrary text, and text built from
 the format's own keys and tokens, or from valid documents with edits.
 
-`read_graph_text` is also checked against a test-local copy of its tolerant
-line loop: canonical text takes a bulk path, and every input must read as
-the line loop reads it, to the same graph or the same error.  Likewise
-`parse_model` reads the connector line in bulk chunks, and every input
-must parse as it does with the bulk path switched off, which leaves the
-token loop to read every chunk."""
+Both parsers read a canonical number list in bulk, through the one chunked
+scanner `graphs._decimal_chunks`, and hand any other input whole to their
+tolerant loop.  `read_graph_text` is checked against a test-local copy of
+its tolerant line loop: every input must read as the line loop reads it,
+to the same graph or the same error.  Likewise every input must parse as
+`parse_model` parses it with the scanner switched off, which leaves the
+token loop to read the whole connector line.  Both checks run at small
+chunk sizes too, so that flaws fall on every side of a cut."""
 
 import hashlib
 import itertools
@@ -181,7 +183,7 @@ def random_graphs(draw, min_edges=0):
 
 FLAWS = ("swapped-ends", "out-of-order", "duplicate", "leading-zeros", "plus-sign", "tab",
          "crlf", "blank-line", "no-final-newline", "three-tokens", "wrong-m", "n-too-small",
-         "non-ascii-digits", "double-space", "token-moved")
+         "non-ascii-digits", "double-space", "token-moved", "missing-end")
 
 # `int` reads these Arabic-Indic digits as 0-9, so the line loop accepts them
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
@@ -214,6 +216,8 @@ def one_flaw(text, flaw, at):
         lines.insert(at, "")
     elif flaw == "three-tokens":
         lines[at] += " 0"
+    elif flaw == "missing-end":
+        lines[at] = f"{u} "
     elif flaw == "wrong-m":
         head = f"{n} {int(m) - 1}"
     elif flaw == "non-ascii-digits":
@@ -274,14 +278,45 @@ def test_canonical_text_over_many_chunks_is_kept():
     assert g == BIG and g.canonical_text() is text
 
 
+# one flaw in the header 'n m'; the last count is past int's digit limit,
+# so both paths refuse it
+HEADER_FLAWS = {"leading-zero": "0{n} {m}", "plus-sign": "+{n} {m}", "tab": "{n}\t{m}",
+                "double-space": "{n}  {m}", "trailing-space": "{n} {m} ",
+                "non-ascii-digits": "{n} {arabic_m}", "crlf": "{n} {m}\r",
+                "huge-count": "9" * 5000 + "{n} {m}"}
+
+
+@pytest.mark.parametrize("flaw", HEADER_FLAWS)
+@pytest.mark.parametrize("g", [C5, gr.Graph(3, ())], ids=["C5", "three-vertices"])
+def test_read_graph_text_matches_the_line_loop_on_header_flaws(g, flaw):
+    body = g.canonical_text().split("\n", 1)[1]
+    head = HEADER_FLAWS[flaw].format(n=g.n, m=g.m, arabic_m=str(g.m).translate(ARABIC_INDIC))
+    assert_reads_like_reference(head + "\n" + body)
+
+
+def test_an_edge_line_longer_than_a_chunk_goes_to_the_line_loop(monkeypatch):
+    text = "1000000 1\n123456 654321\n"
+    monkeypatch.setattr(gr, "_CHUNK", 12)  # no line end in the 12 characters after the header
+    with pytest.raises(ValueError):
+        list(gr._decimal_chunks(text, text.index("\n") + 1, " \n", {}))
+    g = gr.read_graph_text(text)
+    assert g == reference_read(text) and g.canonical_text() == text
+    assert g.canonical_text() is not text  # rendered anew: the line loop read it
+
+
 # ----------------------------------------------------------------------
 # The connector line: bulk chunks against the token loop
+
+
+def decline(*args):
+    """A stand-in for `_decimal_chunks` that declines every list."""
+    raise ValueError("switched off")
 
 
 def assert_parses_like_the_token_loop(text):
     """`parse_model` gives the model, graph hash or error (message, field,
     line and offset) that it gives with the bulk path switched off."""
-    with mock.patch.object(ex, "_bulk_connectors", lambda *args: None):
+    with mock.patch.object(ex, "_decimal_chunks", decline):
         try:
             expected = parse_model(text)
         except ParseError as e:
@@ -306,7 +341,8 @@ CONNECTOR_TOKENS = 120
 
 CONNECTOR_FLAWS = ("plus-sign", "leading-zero", "non-ascii-digits", "underscore", "tab",
                    "double-space", "reversed-pair", "duplicate-pair", "self-loop",
-                   "pair-out-of-range", "no-equals", "no-comma", "no-dash", "swapped-ends")
+                   "pair-out-of-range", "no-equals", "no-comma", "no-dash", "swapped-ends",
+                   "past-digit-limit", "missing-number")
 
 
 def connector_flaw(text, flaw, at):
@@ -331,6 +367,8 @@ def connector_flaw(text, flaw, at):
         "no-comma": f"{i}{j}={u}-{v}",
         "no-dash": f"{i},{j}={u}{v}",
         "swapped-ends": f"{i},{j}={v}-{u}",
+        "past-digit-limit": f"{i},{j}={'7' * 5000}-{v}",  # int refuses it
+        "missing-number": f"{i},{j}=-{v}",
     }
     if flaw in replace:
         tokens[at] = replace[flaw]
@@ -345,18 +383,35 @@ def connector_flaw(text, flaw, at):
 
 # A 20-character chunk holds two or three connector tokens, so flaws fall
 # on every side of a cut; 1 << 16 reads the line in one chunk.
-@pytest.mark.parametrize("chunk", [20, ex._CHUNK])
+@pytest.mark.parametrize("chunk", [20, gr._CHUNK])
 @pytest.mark.parametrize("flaw", CONNECTOR_FLAWS)
 def test_connector_line_parses_like_the_token_loop(flaw, chunk):
-    with mock.patch.object(ex, "_CHUNK", chunk):
+    with mock.patch.object(gr, "_CHUNK", chunk):
         assert_parses_like_the_token_loop(CONNECTED)
         for at in range(CONNECTOR_TOKENS):
             assert_parses_like_the_token_loop(connector_flaw(CONNECTED, flaw, at))
 
 
-@pytest.mark.parametrize("chunk", [12, ex._CHUNK])
+@pytest.mark.parametrize("chunk", [12, gr._CHUNK])
 @settings(max_examples=300, deadline=None)
 @given(CERTIFICATE_TEXTS)
 def test_parse_model_matches_the_token_loop(chunk, text):
-    with mock.patch.object(ex, "_CHUNK", chunk):
+    with mock.patch.object(gr, "_CHUNK", chunk):
         assert_parses_like_the_token_loop(text)
+
+
+def test_a_connector_token_longer_than_a_chunk_goes_to_the_token_loop():
+    line = CONNECTED.split("connectors: ")[1].rstrip("\n")
+    with mock.patch.object(gr, "_CHUNK", 5):  # shorter than every connector token
+        with pytest.raises(ValueError):
+            list(gr._decimal_chunks(line, 0, ",=- ", {}))
+        assert_parses_like_the_token_loop(CONNECTED)
+        assert parse_model(CONNECTED)[0] == strong_model(K4, K4_MODEL, K4, K4_MODEL, "strong")
+
+
+@pytest.mark.parametrize("chunk", [20, gr._CHUNK])
+def test_the_scanner_reads_a_written_connector_line_to_its_end(chunk):
+    line = CONNECTED.split("connectors: ")[1].rstrip("\n")
+    with mock.patch.object(gr, "_CHUNK", chunk):
+        ints = [x for ends in gr._decimal_chunks(line, 0, ",=- ", {}) for x in ends]
+    assert ints == list(map(int, line.replace(",", " ").replace("=", " ").replace("-", " ").split()))
