@@ -18,14 +18,16 @@ import sys
 import time
 from pathlib import Path
 
-from . import constructions as cons
 from .errors import (ColoringMissingError, ConsistencyError, FactorModelError,
                      ParameterError, ParseError, SearchTimeout, StructureError)
 from .expansion import (OddExpansionModel, parse_model, serialize_model,
                         verify_odd_expansion)
 from .graphs import (PRODUCT_KINDS, Graph, make_named_graph, product,
                      read_graph_text, write_graph_text)
-from .oracle import SearchBudget, has_odd_clique_minor, odd_hadwiger
+
+# `constructions` is imported by `construct` and `table` alone, and `oracle`
+# by `exact` and `table`: every command is a fresh process, and the others
+# need not compile them.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -87,9 +89,32 @@ def _parse_range(text: str) -> range:
     return values
 
 
-def _budget_from_args(args) -> SearchBudget:
+def _budget_from_args(args):
+    from .oracle import SearchBudget
     return SearchBudget(max_vertices=args.max_n, time_limit=args.time,
                         node_limit=args.nodes)
+
+
+def odd_hadwiger(g: Graph, budget):
+    """`oracle.odd_hadwiger`, looked up here at call time, where the
+    benchmark's tracer wraps it."""
+    from . import oracle
+    return oracle.odd_hadwiger(g, budget)
+
+
+class _TheoremIds:
+    """The theorem ids a command accepts (with `tabled`, those with a
+    table), read from `constructions.THEOREMS` when argparse first checks
+    or lists them, so that building the parser does not import the module.
+    The argument that takes them needs a metavar: argparse lists `choices`
+    to make one."""
+
+    def __init__(self, tabled: bool = False):
+        self.tabled = tabled
+
+    def __iter__(self):
+        from .constructions import THEOREMS
+        return iter([k for k, theorem in THEOREMS.items() if theorem.table or not self.tabled])
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +163,8 @@ def _need(args, name):
     return value
 
 
-def _load_base(path: str, mg: OddExpansionModel, mh: OddExpansionModel) -> cons.BaseModel:
+def _load_base(path: str, mg: OddExpansionModel, mh: OddExpansionModel):
+    from . import constructions as cons
     model, stored_hash = _load_certificate(path)
     base = cons.BaseModel(mg.clique_order, mh.clique_order, model)
     if stored_hash != base.host().content_hash():
@@ -147,6 +173,7 @@ def _load_base(path: str, mg: OddExpansionModel, mh: OddExpansionModel) -> cons.
 
 
 def cmd_construct(args) -> int:
+    from . import constructions as cons
     t0 = time.monotonic()
     theorem = cons.THEOREMS[args.theorem]
     read = [*theorem.params, *(_FACTOR_OPTIONS if theorem.factors else ())]
@@ -162,8 +189,12 @@ def cmd_construct(args) -> int:
         print("no construction applies")
         return EXIT_OK
 
+    order = model.clique_order
     text = serialize_model(model, host.content_hash())
     _write_text(args.out, text)
+    # the self-verify reads the file back with the built model and its text
+    # freed, so that one certificate is alive at a time
+    del model, text
     if args.graph_out:
         _write_text(args.graph_out, write_graph_text(host))
     reparsed, _ = parse_model(Path(args.out).read_text())
@@ -171,7 +202,7 @@ def cmd_construct(args) -> int:
 
     print(f"command: construct {args.theorem}")
     print(f"host: n={host.n} m={host.m} hash={host.content_hash()}")
-    print(f"order: {model.clique_order}")
+    print(f"order: {order}")
     print(f"verdict: {verdict.summary()}")
     print(f"certificate: {args.out}")
     if not args.strict:
@@ -216,6 +247,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from . import constructions as cons
+    from .oracle import has_odd_clique_minor
     theorem = cons.THEOREMS[args.which]
     _refuse_unread(args, args.which, theorem.params)
     ranges = []
@@ -269,7 +302,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("construct", help="emit and self-verify a certificate")
-    p.add_argument("theorem", choices=tuple(cons.THEOREMS))
+    p.add_argument("theorem", choices=_TheoremIds(), metavar="theorem",
+                   help="one of: %(choices)s")
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--n", type=int)
@@ -304,7 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("table", help="reproduce a bound family as a text table")
-    p.add_argument("which", choices=tuple(k for k, th in cons.THEOREMS.items() if th.table))
+    p.add_argument("which", choices=_TheoremIds(tabled=True), metavar="which",
+                   help="one of: %(choices)s")
     p.add_argument("--s")
     p.add_argument("--t")
     p.add_argument("--r")

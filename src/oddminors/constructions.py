@@ -463,14 +463,10 @@ def _path_model(host: Graph, specs, fixed: Mapping[tuple[int, int], Edge]) -> Od
         coloring.update(_alternate_path_coloring(ids, anchor, color))
     model = OddExpansionModel(tuple(trees), coloring, fixed)
     table = monochromatic_connector(host, model)
-    try:
-        # in pair order, not the sweep's: `serialize_model` sorts them, and
-        # sorting input that is already in order is one linear pass
-        connectors = {pair: table[pair] for pair in combinations(range(len(trees)), 2)}
-    except KeyError as missing:
-        a, b = missing.args[0]
-        raise ConsistencyError(f"no monochromatic edge between trees {a} and {b}") from None
-    return OddExpansionModel(model.trees, coloring, connectors)
+    if len(table) < len(trees) * (len(trees) - 1) // 2:
+        a, b = next(pair for pair in combinations(range(len(trees)), 2) if pair not in table)
+        raise ConsistencyError(f"no monochromatic edge between trees {a} and {b}")
+    return OddExpansionModel(model.trees, coloring, table)
 
 
 def direct_k3_model(t: int, host: Optional[Graph] = None) -> OddExpansionModel:

@@ -282,50 +282,51 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
 
 
 def monochromatic_connector(g: Graph, model: OddExpansionModel) -> dict[tuple[int, int], Edge]:
-    """The connector of every tree pair i < j, oriented with the tree-i end
-    first: the stored connector when the model has one, otherwise the
-    lexicographically least host edge with one end in each tree and equal
-    colors at both ends.  A pair with neither is left out.  The trees must
-    be disjoint and their vertices colored, as the verifier checks before
-    it asks.
+    """The connector of every tree pair i < j, in pair order and oriented
+    with the tree-i end first: the stored connector when the model has one,
+    otherwise the lexicographically least host edge with one end in each
+    tree and equal colors at both ends.  A pair with neither is left out.
+    The trees must be disjoint and their vertices colored, as the verifier
+    checks before it asks.
 
     One sweep finds every least edge.  `g.rows()` ascends in (u, v) order,
     so the first same-colored edge that crosses a pair of trees is that
     pair's least.  A row is read only when u is a tree vertex, and C-level
     passes map its ends to their trees and keep the least end per tree; the
-    sweep stops once every pair is filled.
+    sweep stops once every pair is filled.  It fills one dict per tree,
+    from which the table is made once, in pair order, each key made once.
     """
     trees = model.trees
-    table = {}
+    found: list[dict[int, Edge]] = [{} for _ in trees]  # found[i][j], i < j
     for (i, j), (u, v) in (model.connectors or {}).items():
-        table[i, j] = (u, v) if u in trees[i].vertices else (v, u)
-    missing = len(trees) * (len(trees) - 1) // 2 - len(table)
-    if not missing:
-        return table
-    coloring = model.coloring
-    owner = {v: k for k, t in enumerate(trees) for v in t.vertices}
-    same: dict[int, dict[int, int]] = {1: {}, 2: {}}  # color -> its tree vertices' owners
-    for v, k in owner.items():
-        same[coloring[v]][v] = k
-    for u, row in g.rows():
-        a = owner.get(u)
-        if a is None:
-            continue
-        down = row[::-1]  # descending, so the least end of each tree is kept
-        ends = dict(zip(map(same[coloring[u]].get, down), down))
-        ends.pop(None, None)
-        ends.pop(a, None)
-        for b, v in ends.items():
-            if a < b:
-                if (a, b) not in table:
-                    table[a, b] = (u, v)
+        found[i][j] = (u, v) if u in trees[i].vertices else (v, u)
+    missing = len(trees) * (len(trees) - 1) // 2 - sum(map(len, found))
+    if missing:
+        coloring = model.coloring
+        owner = {v: k for k, t in enumerate(trees) for v in t.vertices}
+        same: dict[int, dict[int, int]] = {1: {}, 2: {}}  # color -> its tree vertices' owners
+        for v, k in owner.items():
+            same[coloring[v]][v] = k
+        for u, row in g.rows():
+            a = owner.get(u)
+            if a is None:
+                continue
+            down = row[::-1]  # descending, so the least end of each tree is kept
+            ends = dict(zip(map(same[coloring[u]].get, down), down))
+            ends.pop(None, None)
+            ends.pop(a, None)
+            mine = found[a]
+            for b, v in ends.items():
+                if a < b:
+                    if b not in mine:
+                        mine[b] = (u, v)
+                        missing -= 1
+                elif a not in found[b]:
+                    found[b][a] = (v, u)
                     missing -= 1
-            elif (b, a) not in table:
-                table[b, a] = (v, u)
-                missing -= 1
-        if not missing:
-            break
-    return table
+            if not missing:
+                break
+    return {(i, j): edge for i, row in enumerate(found) for j, edge in sorted(row.items())}
 
 
 # ----------------------------------------------------------------------
@@ -388,6 +389,9 @@ def odd_cycle_model(g: Graph) -> Optional[OddExpansionModel]:
 # orders each.  Tree order is semantic and preserved.
 
 
+_JOIN = 4096  # connector tokens joined at a time
+
+
 def serialize_model(model: OddExpansionModel, graph_hash: str) -> str:
     lines = [
         "version: 1",
@@ -403,11 +407,24 @@ def serialize_model(model: OddExpansionModel, graph_hash: str) -> str:
     cs = " ".join(f"{v}={c}" for v, c in sorted(model.coloring.items()))
     lines.append(f"coloring: {cs}" if cs else "coloring:")
     if model.connectors is not None:
-        ks = " ".join(f"{i},{j}={u}-{v}" for (i, j), (u, v) in sorted(model.connectors.items()))
-        lines.append(f"connectors: {ks}" if ks else "connectors:")
+        lines.append(_connector_line(model.connectors))
     for note in model.notes:
         lines.append(f"meta: {note}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final line feed, without a copy of the text to add it
+    return "\n".join(lines)
+
+
+def _connector_line(connectors: Mapping[tuple[int, int], Edge]) -> str:
+    """The `connectors:` line, its tokens in pair order and joined
+    `_JOIN` at a time, so that no list holds a string per token.  The pairs
+    of a dict that is already in pair order sort in one linear pass."""
+    pairs = sorted(connectors)
+    chunks = ["connectors:"]
+    for k in range(0, len(pairs), _JOIN):
+        some = pairs[k:k + _JOIN]
+        chunks.append(" ".join([f"{i},{j}={u}-{v}"
+                                for (i, j), (u, v) in zip(some, map(connectors.__getitem__, some))]))
+    return " ".join(chunks)
 
 
 def parse_model(text: str) -> tuple[OddExpansionModel, str]:
@@ -421,9 +438,10 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
 
     A connector line as `serialize_model` writes it ('i,j=u-v' tokens
     joined by single spaces, the pairs ascending with 0 <= i < j < count,
-    and u < v) is read in chunks by the scanner `_decimal_chunks`.  Any
-    other connector line goes, whole, to the token loop, the one that
-    raises ParseError, so the two read every line alike.
+    and u < v) is read in place, in chunks, by the scanner
+    `_decimal_chunks`.  Any other connector line goes, whole, to the token
+    loop, the one that raises ParseError, so the two read every line
+    alike.
     """
     lines = text.splitlines(keepends=True)
     index = -1  # the line just read
@@ -451,22 +469,34 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
             raise error(f"edge token {token!r} is a self-loop", field)
         return norm_edge(u, v)
 
+    # the key and value of a line are read by offset, not split off: a
+    # certificate's connector line is most of its text
+
     def next_key() -> str | None:
-        if index + 1 < len(lines) and ":" in lines[index + 1]:
-            return lines[index + 1].split(":", 1)[0].strip()
+        if index + 1 < len(lines):
+            colon = lines[index + 1].find(":")
+            if colon >= 0:
+                return lines[index + 1][:colon].strip()
         return None
 
-    def take(key: str, field: str) -> str:
+    def take_line(key: str, field: str) -> int:
+        """Move to the next line, which must be a `key:` line; returns where
+        its value starts."""
         nonlocal index
         index += 1
         if index == len(lines):
             raise error(f"unexpected end of input, expected '{key}:'", field)
-        if ":" not in lines[index]:
+        line = lines[index]
+        colon = line.find(":")
+        if colon < 0:
             raise error(f"expected '{key}:' line", field)
-        k, rest = lines[index].split(":", 1)
-        if k.strip() != key:
-            raise error(f"expected '{key}:' but found '{k.strip()}:'", field)
-        return rest.strip()
+        if line[:colon].strip() != key:
+            raise error(f"expected '{key}:' but found '{line[:colon].strip()}:'", field)
+        return colon + 1
+
+    def take(key: str, field: str) -> str:
+        start = take_line(key, field)
+        return lines[index][start:].strip()
 
     version = take("version", "version")
     if version != "1":
@@ -516,11 +546,14 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
 
     connectors = None
     if next_key() == "connectors":
-        line = take("connectors", "connectors")
+        start = take_line("connectors", "connectors")
         connectors = {}
         last = (-1, -1)  # the greatest pair read so far
         try:
-            for ends in _decimal_chunks(line, 0, ",=- ", ids):
+            if lines[index][start:start + 1] != " ":
+                raise ValueError("no space after the key")
+            stop = len(lines[index]) - lines[index].endswith("\n")
+            for ends in _decimal_chunks(lines[index], start + 1, ",=- ", ids, stop):
                 i, j, u, v = ends[0::4], ends[1::4], ends[2::4], ends[3::4]
                 pairs = list(zip(i, j))
                 if not (last < pairs[0] and all(map(lt, pairs, pairs[1:])) and all(map(lt, i, j))
@@ -530,7 +563,7 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
                 last = pairs[-1]
         except ValueError:  # not as `serialize_model` writes it: the token loop reads it all
             connectors = {}
-            for tok in line.split():
+            for tok in lines[index][start:].split():
                 parts = tok.split("=")
                 if len(parts) != 2:
                     raise error(f"expected 'i,j=u-v' token, found {tok!r}", "connectors")
@@ -551,6 +584,7 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     for index in range(index + 1, len(lines)):
         if lines[index].strip():
             raise error("unexpected trailing content", "trailer")
+    del lines  # the text's lines are not kept while the model is made
 
     model = OddExpansionModel(tuple(trees), coloring, connectors, tuple(notes))
     return model, graph_hash

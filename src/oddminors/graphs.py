@@ -495,35 +495,39 @@ def write_graph_text(g: Graph) -> str:
 _CHUNK = 1 << 16
 
 
-def _decimal_chunks(text: str, start: int, unit: str, ids: dict[str, int]):
-    """The ints of text[start:], a chunk at a time, when that text is a
+def _decimal_chunks(text: str, start: int, unit: str, ids: dict[str, int],
+                    stop: Optional[int] = None):
+    """The ints of text[start:stop], a chunk at a time, when that text is a
     canonical number list: each number the decimal form of its int (no
     sign, no leading zero), each followed by one separator, and the
-    separators `unit` over and over; the end of the text may stand in for
-    the last one.  Raises ValueError, at the first chunk that is not, to
-    decline the list.
+    separators `unit` over and over; `stop` (the end of the text when None)
+    may stand in for the last one.  Raises ValueError, at the first chunk
+    that is not, to decline the list.  The list is read where it lies in
+    `text`: only a chunk at a time is copied.
 
     A chunk ends after the last `unit[-1]` within `_CHUNK` characters, or
-    at the end of the text.  C-level passes check its shape: deleting the
-    digits leaves `unit` once per len(unit) numbers.  Each distinct token
-    is converted once through `ids`, so every int yielded for one token is
-    one object.
+    at `stop`.  C-level passes check its shape: deleting the digits leaves
+    `unit` once per len(unit) numbers.  Each distinct token is converted
+    once through `ids`, so every int yielded for one token is one object.
     """
     # the separators become spaces for `split`, which already splits at white space
     blank = None if unit.isspace() else str.maketrans(unit, " " * len(unit))
     shape = unit.encode("ascii")
     final = unit[-1]
-    while start < len(text):
+    stop = len(text) if stop is None else stop
+    while start < stop:
         end = start + _CHUNK
-        if end < len(text):
+        if end < stop:
             end = text.rfind(final, start, end) + 1
             if end <= start:
                 raise ValueError(f"no {final!r} within a chunk")
+        else:
+            end = stop
         chunk = text[start:end]
         tokens = (chunk.translate(blank) if blank else chunk).split()
         # UnicodeEncodeError, a ValueError, refuses a character beyond ASCII
         seps = chunk.encode("ascii").translate(None, b"0123456789")
-        if chunk[-1] != final:  # the end of the text
+        if chunk[-1] != final:  # `stop`
             seps += shape[-1:]
         # as many numbers as separators: one right before each
         if seps != shape * (len(tokens) // len(unit)):
@@ -573,7 +577,7 @@ def _canonical_graph(text: str) -> Graph:
     """
     start = text.find("\n") + 1
     ids: dict[str, int] = {}
-    (n, m), = _decimal_chunks(text[:start], 0, " \n", ids)
+    (n, m), = _decimal_chunks(text, 0, " \n", ids, start)
     if n > MAX_EDGES or not text.endswith("\n"):
         raise ValueError("vertex count above MAX_EDGES or no final line end")
     rows: dict[int, tuple[int, ...]] = {}

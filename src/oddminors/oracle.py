@@ -193,10 +193,11 @@ class _StabilizerChain:
         tables: tuple = ()
         for k in range(g.n - 1, -1, -1):
             orbit = self._point_orbit(k, found)
+            order = self._search_order(k)
             for x in range(k + 1, g.n):
                 if x in orbit:
                     continue
-                perm = self._automorphism(k, x, budget)
+                perm = self._automorphism(k, x, order, budget)
                 if perm is not None:
                     self.levels[k].append(perm)
                     found.append(perm)
@@ -218,19 +219,27 @@ class _StabilizerChain:
                     stack.append(w)
         return orbit
 
-    def _automorphism(self, k: int, x: int, budget: _Budget) -> Optional[tuple[int, ...]]:
-        """An automorphism fixing 0..k-1 and mapping k to x, or None, by
-        backtracking over the images of k and then of the other vertices,
-        each next one the vertex with the most neighbours already mapped, so
-        that adjacency cuts the choices early."""
-        adj, n = self.adj, self.n
-        everything = (1 << n) - 1
+    def _search_order(self, k: int) -> list[int]:
+        """The order in which `_automorphism` maps the vertices at level k:
+        k, then each next one the vertex with the most neighbours among
+        0..k and those before it, so that adjacency cuts the choices early."""
+        adj = self.adj
+        everything = (1 << self.n) - 1
         order = [k]
         domain = (1 << (k + 1)) - 1
         while domain != everything:
             v = max(_bits(everything & ~domain), key=lambda u: (adj[u] & domain).bit_count())
             order.append(v)
             domain |= 1 << v
+        return order
+
+    def _automorphism(self, k: int, x: int, order: list[int],
+                      budget: _Budget) -> Optional[tuple[int, ...]]:
+        """An automorphism fixing 0..k-1 and mapping k to x, or None, by
+        backtracking over the images of the vertices in `order`, level k's
+        `_search_order`."""
+        adj, n = self.adj, self.n
+        everything = (1 << n) - 1
         image = list(range(n))
 
         def extend(i: int, domain: int, used: int) -> bool:

@@ -424,6 +424,25 @@ def test_connector_table_reads_no_row_after_the_last_pair_is_filled():
     assert seen == [0, 1]
 
 
+def test_connector_table_comes_in_pair_order():
+    # the sweep fills pairs out of order; the table is made in pair order,
+    # so that `serialize_model`'s sort of it is one linear pass.  The trees
+    # are an oracle model's and a path model's, with no stored connector
+    # and with each model's own; the oracle's model keeps the table's
+    # order.
+    k4k3 = gr.product("direct", gr.complete(4), gr.complete(3))
+    found = has_odd_clique_minor(k4k3, 6)
+    paths = direct_general_model(6, 6)
+    k6k6 = gr.product("direct", gr.complete(6), gr.complete(6))
+    assert list(found.connectors) == sorted(found.connectors)
+    for g, model in [(k4k3, found), (k6k6, paths)]:
+        for stored in (None, model.connectors):
+            table = monochromatic_connector(g, OddExpansionModel(model.trees, model.coloring,
+                                                                 stored))
+            assert list(table) == sorted(table)
+            assert len(table) == len(model.trees) * (len(model.trees) - 1) // 2
+
+
 # ----------------------------------------------------------------------
 # Verifier contract: a passing certificate survives its serialized form
 

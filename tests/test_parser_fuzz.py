@@ -415,3 +415,53 @@ def test_the_scanner_reads_a_written_connector_line_to_its_end(chunk):
     with mock.patch.object(gr, "_CHUNK", chunk):
         ints = [x for ends in gr._decimal_chunks(line, 0, ",=- ", {}) for x in ends]
     assert ints == list(map(int, line.replace(",", " ").replace("=", " ").replace("-", " ").split()))
+
+
+def test_the_scanner_reads_a_list_up_to_its_stop():
+    # the list read where it lies in a longer text: what comes after `stop`
+    # is not read, and `stop` stands in for the last separator
+    line = CONNECTED.split("connectors: ")[1].rstrip("\n")
+    text = "connectors: " + line + "\nmeta: 7,8=9-10\n"
+    start = len("connectors: ")
+    for chunk in (20, gr._CHUNK):
+        with mock.patch.object(gr, "_CHUNK", chunk):
+            whole = [x for ends in gr._decimal_chunks(line, 0, ",=- ", {}) for x in ends]
+            inside = [x for ends in gr._decimal_chunks(text, start, ",=- ", {},
+                                                       start + len(line))
+                      for x in ends]
+        assert inside == whole
+
+
+STRONG_K4_MODEL = strong_model(K4, K4_MODEL, K4, K4_MODEL, "strong")
+WITH_NOTES = serialize_model(ex.OddExpansionModel(STRONG_K4_MODEL.trees, STRONG_K4_MODEL.coloring,
+                                                  STRONG_K4_MODEL.connectors, ("one", "two")),
+                             STRONG_K4.content_hash())
+VALUE = WITH_NOTES.split("connectors: ")[1].split("\n")[0]  # the connector line's value
+
+
+def assert_the_scanner_reads_it(text):
+    """`parse_model` reads the text's connector line with the scanner, to
+    its end, and gives what the token loop gives."""
+    done = []
+
+    def scan(*args):
+        yield from gr._decimal_chunks(*args)
+        done.append(args)
+
+    with mock.patch.object(ex, "_decimal_chunks", scan):
+        model, _ = parse_model(text)
+    assert len(done) == 1
+    assert_parses_like_the_token_loop(text)
+    return model
+
+
+# One chunk that ends one short of the line's end, at it or one past it
+# (where the line feed would be read if the stop were not kept), and small
+# chunks whose cuts fall on every token of the line, its last one included.
+@pytest.mark.parametrize("chunk", [len(VALUE) - 1, len(VALUE), len(VALUE) + 1,
+                                   *range(12, 40)])
+@pytest.mark.parametrize("text", [CONNECTED, WITH_NOTES], ids=["last-line", "before-meta"])
+def test_the_connector_line_is_read_in_place(text, chunk):
+    with mock.patch.object(gr, "_CHUNK", chunk):
+        model = assert_the_scanner_reads_it(text)
+    assert serialize_model(model, STRONG_K4.content_hash()) == text

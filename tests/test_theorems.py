@@ -258,3 +258,28 @@ def test_built_host_is_not_kept_alive(theorem, args):
     del model, host
     gc.collect()
     assert alive() is None
+
+
+@pytest.mark.parametrize("theorem", sorted(CASES))
+def test_construct_rereads_its_certificate_with_the_built_model_freed(capsys, tmp_path,
+                                                                      monkeypatch, theorem):
+    # the self-verify holds one certificate at a time: the model that
+    # `Theorem.build` returned is dead, without a collection, when the
+    # written file is parsed back (the last `parse_model` call)
+    built, dead = [], []
+    build, parse = cons.Theorem.build, cli.parse_model
+
+    def keep_a_weakref(self, *args, **options):
+        model, host = build(self, *args, **options)
+        built.append(weakref.ref(model))
+        return model, host
+
+    def note_the_dead(text):
+        dead.append([ref() is None for ref in built])
+        return parse(text)
+
+    monkeypatch.setattr(cons.Theorem, "build", keep_a_weakref)
+    monkeypatch.setattr(cli, "parse_model", note_the_dead)
+    code, *_ = construct(capsys, tmp_path, theorem, *CASES[theorem](tmp_path))
+    assert code == 0
+    assert dead[-1] == [True]

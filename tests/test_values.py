@@ -118,3 +118,22 @@ def test_commands_start_without_dataclasses_or_inspect(modules):
     loaded = proc.stdout.split()
     assert modules.split(", ")[-1] in loaded
     assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_verify_loads_neither_the_constructions_nor_the_oracle(tmp_path):
+    # `python -m oddminors verify ...` compiles only the modules it runs:
+    # `cli` imports `constructions` for `construct` and `table` alone, and
+    # `oracle` for `exact` and `table`.  `-X importtime` names every module
+    # the command imports.
+    from oddminors.expansion import odd_cycle_model, serialize_model
+    g = gr.cycle(5)
+    (tmp_path / "c5.graph").write_text(g.canonical_text())
+    (tmp_path / "c5.cert").write_text(serialize_model(odd_cycle_model(g), g.content_hash()))
+    src = str(Path(gr.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "oddminors", "verify",
+                           "c5.graph", "c5.cert", "--strict"], capture_output=True, text=True,
+                          timeout=60, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (0, "PASS order=3\n"), proc.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert {m for m in loaded if m.startswith("oddminors.")} == {
+        "oddminors.cli", "oddminors.errors", "oddminors.expansion", "oddminors.graphs"}
