@@ -477,10 +477,11 @@ def direct_k3_model(t: int, host: Optional[Graph] = None) -> OddExpansionModel:
     out by parity (odd rows route through column 1, even rows through column
     2, the last row doubles back on row t).  Connectors, fixed before the
     shared path builder fills in the rest: the catalogue for pairs among
-    the first eight, and the inner vertices for parity paths of different
-    parity.  Every other pair takes the least monochromatic cross edge,
-    which is an end-to-end edge for equal parity and realizes the prose
-    rules for mixed pairs.
+    the first eight.  Every other pair takes the least monochromatic cross
+    edge.  For two parity paths that is an end-to-end edge when their
+    parities are equal and the edge between their inner vertices when they
+    differ, the mixed-parity rule; for a catalogued tree and a parity path
+    it realizes the prose rules.
     """
     if t < 6:
         raise ParameterError(f"construction needs t >= 6, got {t}")
@@ -498,9 +499,6 @@ def direct_k3_model(t: int, host: Optional[Graph] = None) -> OddExpansionModel:
     fixed = {(a - 1, b - 1): (fl(*x), fl(*y)) for (a, b), (x, y) in _K3_PAIR_EDGES.items()}
     if t == 6:
         fixed[5, 7] = tuple(fl(*p) for p in _K3_PAIR_68_SMALL)
-    for a, b in combinations(range(8, t + 2), 2):
-        if (b - a) % 2:
-            fixed[a, b] = (specs[a][0][1], specs[b][0][1])
     return _path_model(host, specs, fixed)
 
 

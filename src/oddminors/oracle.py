@@ -66,6 +66,15 @@ they added to `seen` held only refused subsets: the automorphisms of the
 level fix each placed tree pointwise, so they map N(P) onto itself, and a
 later image is anchored no lower, so its `allowed` is no larger.  The
 subsets that pass, their order and the first model are therefore unchanged.
+
+No domain runs empty, so none is tested for.  A subset generated is
+connected, so coloring a BFS tree of it by depth parity is usable, and it
+or its swap gives the largest vertex color 2; at the first tree the
+anchor's color keeps one of each swapped pair.  Compatibility is
+symmetric, as N() comes from a symmetric adjacency, and a new domain keeps
+only colorings with a compatible member in every placed domain; so once
+it is non-empty, each placed domain keeps that member when it is cut to
+the colorings compatible with some of the new one.
 """
 
 from __future__ import annotations
@@ -121,26 +130,6 @@ class ExactResult(Frozen):
                              refutation_order=refutation_order, nodes=nodes, elapsed=elapsed)
 
 
-class _Budget:
-    """Shared countdown across deepening rounds; the stabilizer chain's
-    automorphism search ticks it too."""
-
-    def __init__(self, budget: SearchBudget):
-        self.node_limit = budget.node_limit
-        self.deadline = time.monotonic() + budget.time_limit
-        self.start = time.monotonic()
-        self.nodes = 0
-
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.node_limit:
-            raise SearchTimeout("node limit exhausted", nodes=self.nodes,
-                                elapsed=time.monotonic() - self.start)
-        if self.nodes % 256 == 0 and time.monotonic() > self.deadline:
-            raise SearchTimeout("time limit exhausted", nodes=self.nodes,
-                                elapsed=time.monotonic() - self.start)
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -161,9 +150,11 @@ def _image_tables(perm) -> tuple:
     return tuple(tables)
 
 
-class _StabilizerChain:
-    """The host's bitmask adjacency and its automorphism group, as a
-    stabilizer chain on the base 0, 1, ..., n-1.
+class _Search:
+    """One `has_odd_clique_minor` or `odd_hadwiger` call: the node countdown,
+    which the automorphism search ticks too, the host's bitmask adjacency,
+    its automorphism group as a stabilizer chain on the base 0, 1, ..., n-1,
+    and the caches; `run` searches one order.
 
     levels[k] holds the generators found at level k: automorphisms that fix
     0..k-1 and move k.  The group fixing 0..k-1 pointwise is generated by the
@@ -171,24 +162,30 @@ class _StabilizerChain:
     it, so the product of orbit_sizes is |Aut(G)|.  groups[k] holds those
     generators as `_image_tables`, for k = 0..n (groups[n] is empty).
 
-    It also owns the searches' caches keyed by a vertex mask, a subset's
-    usable colorings and a mask's neighbourhood: they depend on the host
-    alone, so every deepening round of one call shares them.
+    The caches, a subset's usable colorings and a mask's neighbourhood, are
+    keyed by a vertex mask and depend on the host alone, so every order
+    searched in one call shares them.
     """
 
-    def __init__(self, g: Graph, budget: _Budget):
+    def __init__(self, g: Graph, budget: SearchBudget):
+        self.g = g
         self.n = g.n
+        self.full = (1 << g.n) - 1
+        self.node_limit = budget.node_limit
+        self.start = time.monotonic()
+        self.deadline = self.start + budget.time_limit
+        self.nodes = 0
         self.adj = [0] * g.n
         for u, row in g.rows():
             for v in row:
                 self.adj[u] |= 1 << v
                 self.adj[v] |= 1 << u
+        # subset mask -> tuple of (ones, ones_nbrs, twos, twos_nbrs)
+        self._coloring_cache: dict[int, tuple] = {}
+        self._nbr_cache: dict[int, int] = {}
         self.levels: list[list[tuple[int, ...]]] = [[] for _ in range(g.n)]
         self.orbit_sizes = [1] * g.n
         self.groups: list[tuple] = [()] * (g.n + 1)
-        # subset mask -> tuple of (ones, ones_nbrs, twos, twos_nbrs)
-        self.colorings: dict[int, tuple] = {}
-        self.neighborhoods: dict[int, int] = {}
         found: list[tuple[int, ...]] = []  # generators of the levels above k
         tables: tuple = ()
         for k in range(g.n - 1, -1, -1):
@@ -197,7 +194,7 @@ class _StabilizerChain:
             for x in range(k + 1, g.n):
                 if x in orbit:
                     continue
-                perm = self._automorphism(k, x, order, budget)
+                perm = self._automorphism(k, x, order)
                 if perm is not None:
                     self.levels[k].append(perm)
                     found.append(perm)
@@ -205,6 +202,15 @@ class _StabilizerChain:
                     orbit = self._point_orbit(k, found)
             self.orbit_sizes[k] = len(orbit)
             self.groups[k] = tables
+
+    def tick(self):
+        self.nodes += 1
+        if self.nodes > self.node_limit:
+            raise SearchTimeout("node limit exhausted", nodes=self.nodes,
+                                elapsed=time.monotonic() - self.start)
+        if self.nodes % 256 == 0 and time.monotonic() > self.deadline:
+            raise SearchTimeout("time limit exhausted", nodes=self.nodes,
+                                elapsed=time.monotonic() - self.start)
 
     @staticmethod
     def _point_orbit(k: int, perms) -> set[int]:
@@ -223,8 +229,7 @@ class _StabilizerChain:
         """The order in which `_automorphism` maps the vertices at level k:
         k, then each next one the vertex with the most neighbours among
         0..k and those before it, so that adjacency cuts the choices early."""
-        adj = self.adj
-        everything = (1 << self.n) - 1
+        adj, everything = self.adj, self.full
         order = [k]
         domain = (1 << (k + 1)) - 1
         while domain != everything:
@@ -233,20 +238,18 @@ class _StabilizerChain:
             domain |= 1 << v
         return order
 
-    def _automorphism(self, k: int, x: int, order: list[int],
-                      budget: _Budget) -> Optional[tuple[int, ...]]:
+    def _automorphism(self, k: int, x: int, order: list[int]) -> Optional[tuple[int, ...]]:
         """An automorphism fixing 0..k-1 and mapping k to x, or None, by
         backtracking over the images of the vertices in `order`, level k's
         `_search_order`."""
-        adj, n = self.adj, self.n
-        everything = (1 << n) - 1
-        image = list(range(n))
+        adj, everything = self.adj, self.full
+        image = list(range(self.n))
 
         def extend(i: int, domain: int, used: int) -> bool:
             # domain: the vertices mapped so far; used: their images
             if i == len(order):
                 return True
-            budget.tick()
+            self.tick()
             v = order[i]
             degree = adj[v].bit_count()
             earlier = 0  # images of v's mapped neighbours
@@ -262,18 +265,6 @@ class _StabilizerChain:
         fixed = (1 << k) - 1
         return tuple(image) if extend(0, fixed, fixed) else None
 
-
-class _Search:
-    def __init__(self, g: Graph, r: int, budget: _Budget, chain: _StabilizerChain):
-        self.g = g
-        self.r = r
-        self.n = g.n
-        self.budget = budget
-        self.adj = chain.adj
-        self.groups = chain.groups
-        self.full = (1 << g.n) - 1
-        self._coloring_cache = chain.colorings
-        self._nbr_cache = chain.neighborhoods
 
     # -- subset machinery -------------------------------------------------
 
@@ -418,24 +409,18 @@ class _Search:
     @staticmethod
     def _filter_old(domains, new_dom):
         """Each domain cut to the colorings compatible with some member of
-        new_dom, or None if one is left empty."""
+        new_dom."""
         ones = twos = 0
         for c in new_dom:
             ones |= c[0]
             twos |= c[2]
-        out = []
-        for d in domains:
-            kept = tuple(ci for ci in d if ci[1] & ones or ci[3] & twos)
-            if not kept:
-                return None
-            out.append(kept)
-        return out
+        return [tuple(ci for ci in d if ci[1] & ones or ci[3] & twos) for d in domains]
 
     # -- main recursion ----------------------------------------------------
 
-    def run(self) -> Optional[OddExpansionModel]:
-        if self.r > self.n:
-            return None
+    def run(self, r: int) -> Optional[OddExpansionModel]:
+        """The first order-r model in the enumeration order, or None."""
+        self.r = r
         return self._place(0, [], [], [], self.full, self.full, -1)
 
     def _place(self, depth, masks, domains, nbrs, common, unused, last_anchor):
@@ -458,7 +443,7 @@ class _Search:
             # at most |N(P) & allowed| - k vertices of N(P)
             budgets = [(p, (p & allowed).bit_count() - k) for p in nbrs] if k else ()
             for subset in self._connected_subsets(m, allowed, allowed.bit_count() - k, budgets):
-                self.budget.tick()
+                self.tick()
                 if group:
                     if subset in seen:
                         continue
@@ -478,8 +463,6 @@ class _Search:
                     if spare > 0 and not self._has_clique(future & nbr & common, spare):
                         continue
                 dom = self._admissible_colorings(subset)
-                if not dom:
-                    continue
                 if depth == 0:
                     # fix the anchor's color to 1: global color swap symmetry
                     dom = tuple(c for c in dom if c[0] & (1 << m))
@@ -487,8 +470,6 @@ class _Search:
                 if not dom:
                     continue
                 filtered = self._filter_old(domains, dom)
-                if filtered is None:
-                    continue
                 if k:
                     found = self._place(depth + 1, masks + [subset], filtered + [dom],
                                         nbrs + [nbr], common & nbr, unused & ~subset, m)
@@ -539,7 +520,6 @@ class _Search:
                     chosen[k] = c
                     if backtrack(k + 1):
                         return True
-            chosen[k] = None
             return False
 
         if not backtrack(0):
@@ -580,8 +560,7 @@ def has_odd_clique_minor(g: Graph, r: int,
         raise ParameterError(
             f"instance has {g.n} vertices, above the budget cap {budget.max_vertices}; "
             f"pass an extended budget to search anyway")
-    shared = _Budget(budget)
-    return _Search(g, r, shared, _StabilizerChain(g, shared)).run()
+    return _Search(g, budget).run(r)
 
 
 def odd_hadwiger(g: Graph, budget: Optional[SearchBudget] = None) -> ExactResult:
@@ -607,18 +586,16 @@ def odd_hadwiger(g: Graph, budget: Optional[SearchBudget] = None) -> ExactResult
     if g.n > budget.max_vertices:
         return ExactResult("lower_bound_only", 3, cycle_cert, None, 0,
                            time.monotonic() - t0)
-    shared = _Budget(budget)
     best_value, best_cert = 3, cycle_cert
     try:
-        chain = _StabilizerChain(g, shared)
-        for r in range(3, g.n + 1):
-            model = _Search(g, r, shared, chain).run()
+        search = _Search(g, budget)  # the stabilizer chain may time out too
+        # run(n + 1) is None without a node: no anchor has n vertices above it
+        for r in range(3, g.n + 2):
+            model = search.run(r)
             if model is None:
                 return ExactResult("exact", best_value, best_cert, r,
-                                   shared.nodes, time.monotonic() - t0)
+                                   search.nodes, time.monotonic() - t0)
             best_value, best_cert = r, model
-    except SearchTimeout:
+    except SearchTimeout as e:
         return ExactResult("timeout", best_value, best_cert, None,
-                           shared.nodes, time.monotonic() - t0)
-    return ExactResult("exact", best_value, best_cert, g.n + 1,
-                       shared.nodes, time.monotonic() - t0)
+                           e.nodes, time.monotonic() - t0)

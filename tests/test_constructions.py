@@ -515,6 +515,8 @@ PINNED_CERTIFICATES += [
      "c2fdd04506f89c04b94ef8148278619c86d68fb94fa2e62459293aedcafc886f"),
     (lambda: (gr.product("direct", gr.complete(9), gr.complete(3)), cons.direct_k3_model(9)),
      "860f27a5fc5297772bf3b9b4d70ea229b587d99f0c02a2da6277e4fec2cc8896"),
+    (lambda: (gr.product("direct", gr.complete(57), gr.complete(3)), cons.direct_k3_model(57)),
+     "2c32c1243ff75ddc8fa080721d6bd04b5289d5c7dba1d08e9d348d2eb3466bda"),
     (lambda: (gr.product("direct", gr.complete(5), gr.complete(7)),
               cons.direct_general_model(5, 7)),
      "7f56e82869b2cfe91cdc077576c77806beaedceff634fe6166519d9bccce9755"),
@@ -526,8 +528,8 @@ PINNED_CERTIFICATES += [
      "51e8b2193d0a7b5f5d7a4cdeb6dac3e42a4c84d256a5fe72668e9ac57efce53c"),
 ]
 PINNED_IDS += ["strong-c9-c7", "lex-c9-c7", "strong-k3k3-c5", "lift-c7-c9", "hamming-4-3",
-               "direct-k3-6", "direct-k3-9", "direct-general-5-7", "stars-4-7", "stars-7-4",
-               "best-direct-k3-k7"]
+               "direct-k3-6", "direct-k3-9", "direct-k3-57", "direct-general-5-7", "stars-4-7",
+               "stars-7-4", "best-direct-k3-k7"]
 
 
 @pytest.mark.parametrize("build, digest", PINNED_CERTIFICATES, ids=PINNED_IDS)

@@ -17,13 +17,8 @@ from oddminors import graphs as gr
 from oddminors import oracle
 from oddminors.errors import ParameterError, SearchTimeout
 from oddminors.expansion import serialize_model, verify_odd_expansion
-from oddminors.oracle import (ExactResult, SearchBudget, _Budget, _Search,
-                              _StabilizerChain, has_odd_clique_minor, odd_hadwiger)
-
-
-def new_search(g, r):
-    budget = _Budget(SearchBudget())
-    return _Search(g, r, budget, _StabilizerChain(g, budget))
+from oddminors.oracle import (ExactResult, SearchBudget, _Search, has_odd_clique_minor,
+                              odd_hadwiger)
 
 
 def brute_connected_subsets(g, anchor, allowed_mask, max_size):
@@ -50,7 +45,7 @@ def brute_connected_subsets(g, anchor, allowed_mask, max_size):
 @pytest.mark.parametrize("g", [gr.cycle(6), gr.complete(5), gr.star(4),
                                gr.product("direct", gr.complete(3), gr.complete(3))])
 def test_connected_subset_enumeration_matches_brute_force(g):
-    search = new_search(g, 1)
+    search = _Search(g, SearchBudget())
     for anchor in (0, 1):
         allowed = (1 << g.n) - 1 - 0b10 if anchor == 0 else (1 << g.n) - 2
         if not allowed >> anchor & 1:
@@ -94,7 +89,7 @@ SUBSET_HOSTS = {
 def test_connected_subsets_come_in_the_recursive_order(g):
     # The order decides which model is found first, so the certificate
     # bytes; the test above compares sets only.
-    search = new_search(g, 1)
+    search = _Search(g, SearchBudget())
     rng = random.Random(g.n)
     for anchor in range(g.n):
         for _ in range(4):
@@ -108,7 +103,7 @@ def test_connected_subsets_come_in_the_recursive_order(g):
 def test_budgeted_subsets_are_the_unbudgeted_ones_filtered(g):
     # `_place` passes one budget per placed tree; filtering the whole
     # sequence keeps the order, so the orbits and the first model too
-    search = new_search(g, 1)
+    search = _Search(g, SearchBudget())
     rng = random.Random(g.n)
     for anchor in range(g.n):
         for _ in range(4):
@@ -161,7 +156,7 @@ def test_admissible_colorings_match_spanning_tree_enumeration(g, verts):
     # The search treats a coloring as usable iff its bichromatic edges span
     # the subset connectedly; that must coincide with properness on some
     # explicitly enumerated spanning tree.
-    search = new_search(g, 1)
+    search = _Search(g, SearchBudget())
     mask = sum(1 << v for v in verts)
     dom = search._admissible_colorings(mask)
     got = {frozenset(v for v in verts if c[0] >> v & 1) for c in dom}
@@ -247,6 +242,15 @@ def test_odd_hadwiger_timeout_keeps_best():
     r = odd_hadwiger(host, SearchBudget(node_limit=10))
     assert r.status == "timeout" and r.value >= 3
     assert verify_odd_expansion(host, r.certificate).passed
+
+
+@pytest.mark.parametrize("limit", [20, 3000])
+def test_odd_hadwiger_timeout_keeps_its_node_count(limit):
+    # C5 x C3's stabilizer chain takes 916 nodes: 20 runs out inside it,
+    # 3000 inside a deepening round
+    host = gr.product("strong", gr.cycle(5), gr.cycle(3))
+    r = odd_hadwiger(host, SearchBudget(node_limit=limit))
+    assert (r.status, r.nodes) == ("timeout", limit + 1)
 
 
 def random_graph(n, p, seed):
@@ -408,7 +412,7 @@ def test_stabilizer_chain_generates_the_automorphism_group(build, order):
     # level's orbit is at most the true one; the product of the orbit sizes
     # equalling |Aut| then makes every level exact.
     g = build()
-    chain = _StabilizerChain(g, _Budget(SearchBudget()))
+    chain = _Search(g, SearchBudget())
     for k, level in enumerate(chain.levels):
         for perm in level:
             assert sorted(perm) == list(range(g.n))
@@ -429,15 +433,14 @@ CUBIC_20 = gr.graph_from_edges(20, [
 def test_stabilizer_chain_is_cheap_on_a_rigid_cubic_graph():
     # Mapping the vertices in index order instead of most-mapped-neighbours
     # first took 111k ticks here to show that no automorphism exists.
-    budget = _Budget(SearchBudget(max_vertices=20))
-    chain = _StabilizerChain(CUBIC_20, budget)
-    assert chain.orbit_sizes == [1] * 20 and budget.nodes < 2000
+    chain = _Search(CUBIC_20, SearchBudget(max_vertices=20))
+    assert chain.orbit_sizes == [1] * 20 and chain.nodes < 2000
 
 
 def test_stabilizer_chain_ticks_the_shared_budget():
     host = gr.product("strong", gr.cycle(5), gr.cycle(3))
     with pytest.raises(SearchTimeout):
-        _StabilizerChain(host, _Budget(SearchBudget(node_limit=20)))
+        _Search(host, SearchBudget(node_limit=20))
 
 
 # ----------------------------------------------------------------------
@@ -459,7 +462,7 @@ def test_has_clique_matches_networkx(case):
     h.add_nodes_from(range(g.n))
     _, omega = nx.max_weight_clique(h.subgraph(v for v in range(g.n) if cand >> v & 1),
                                     weight=None)
-    search = new_search(g, 1)
+    search = _Search(g, SearchBudget())
     for q in range(g.n + 2):
         assert search._has_clique(cand, q) == (q <= omega), q
 
@@ -477,9 +480,9 @@ def test_tree_count_rule_keeps_node_counts_at_or_below_their_ceilings():
     # the order-7 K4 x K4 witness: 37,811 nodes before the tree-count rule,
     # 26,858 before the size bound and 21,446 before the budgets
     host = gr.product("direct", gr.complete(4), gr.complete(4))
-    budget = _Budget(SearchBudget(max_vertices=host.n))
-    assert _Search(host, 7, budget, _StabilizerChain(host, budget)).run() is not None
-    assert budget.nodes <= 13028
+    search = _Search(host, SearchBudget(max_vertices=host.n))
+    assert search.run(7) is not None
+    assert search.nodes <= 13028
 
 
 colorings = st.tuples(*[st.integers(0, 63)] * 4)
@@ -495,8 +498,46 @@ def test_union_filters_match_the_pairwise_forms(domains, new_dom):
     assert _Search._filter_new(_Search._unions(domains), new_dom) == kept_new
     kept_old = [tuple(ci for ci in d if any(compatible(ci, c) for c in new_dom))
                 for d in domains]
-    expected = None if not all(kept_old) else kept_old
-    assert _Search._filter_old(domains, new_dom) == expected
+    assert _Search._filter_old(domains, new_dom) == kept_old
+
+
+@st.composite
+def graphs_and_domains(draw):
+    """A random graph on up to 9 vertices, its search, its connected subsets,
+    and a few domains, as `_place` holds them: each a non-empty selection
+    of the usable colorings of a subset disjoint from the others."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    search = _Search(gr.Graph(n, frozenset(edges)), SearchBudget())
+    # every connected subset once, anchored at its least vertex
+    subsets = [s for anchor in range(n)
+               for s in search._connected_subsets(anchor, search.full >> anchor << anchor, n)]
+    domains = []
+    used = 0
+    for _ in range(draw(st.integers(1, 4))):
+        free = [s for s in subsets if not s & used]
+        if not free:
+            break
+        mask = draw(st.sampled_from(free))
+        used |= mask
+        dom = search._admissible_colorings(mask)
+        picks = draw(st.sets(st.integers(0, len(dom) - 1), min_size=1))
+        domains.append(tuple(dom[i] for i in sorted(picks)))
+    return search, subsets, domains
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_domains())
+def test_no_domain_runs_empty(case):
+    # why `_place` need not test the domains of generated subsets or the
+    # placed domains after `_filter_old` for emptiness
+    search, subsets, domains = case
+    assert all(search._admissible_colorings(mask) for mask in subsets)
+    *placed, new_dom = domains
+    kept = _Search._filter_new(_Search._unions(placed), new_dom)
+    if kept:
+        assert all(_Search._filter_old(placed, kept))
 
 
 def test_importing_the_oracle_leaves_the_constructions_unloaded():
