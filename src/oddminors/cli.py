@@ -184,24 +184,31 @@ def cmd_construct(args) -> int:
         if args.base is not None:
             options["base"] = _load_base(args.base, inputs[1], inputs[3])
     values = [_need(args, name) for name in theorem.params]
-    model, host = theorem.build(*inputs, *values, **options)
+    # `theorem.build`'s two steps, with the host's text between them: its
+    # one render, which also fixes the digest, is written and freed before
+    # any certificate is made (without --graph-out, the digest is hashed
+    # from a render a piece at a time).  So --graph-out is written even
+    # when no construction applies or the theorem refuses its parameters.
+    host = theorem.host(*inputs, *values)
+    if args.graph_out:
+        _write_text(args.graph_out, write_graph_text(host))
+    graph_hash = host.content_hash()
+    model = theorem.model(host, *inputs, *values, **options)
     if model is None:
         print("no construction applies")
         return EXIT_OK
 
     order = model.clique_order
-    text = serialize_model(model, host.content_hash())
+    text = serialize_model(model, graph_hash)
     _write_text(args.out, text)
     # the self-verify reads the file back with the built model and its text
     # freed, so that one certificate is alive at a time
     del model, text
-    if args.graph_out:
-        _write_text(args.graph_out, write_graph_text(host))
     reparsed, _ = parse_model(Path(args.out).read_text())
     verdict = verify_odd_expansion(host, reparsed, strict=True)
 
     print(f"command: construct {args.theorem}")
-    print(f"host: n={host.n} m={host.m} hash={host.content_hash()}")
+    print(f"host: n={host.n} m={host.m} hash={graph_hash}")
     print(f"order: {order}")
     print(f"verdict: {verdict.summary()}")
     print(f"certificate: {args.out}")

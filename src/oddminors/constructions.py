@@ -466,7 +466,7 @@ def _path_model(host: Graph, specs, fixed: Mapping[tuple[int, int], Edge]) -> Od
     if len(table) < len(trees) * (len(trees) - 1) // 2:
         a, b = next(pair for pair in combinations(range(len(trees)), 2) if pair not in table)
         raise ConsistencyError(f"no monochromatic edge between trees {a} and {b}")
-    return OddExpansionModel(model.trees, coloring, table)
+    return OddExpansionModel._own(model.trees, coloring, table)  # the table was made for it
 
 
 def direct_k3_model(t: int, host: Optional[Graph] = None) -> OddExpansionModel:
@@ -640,9 +640,10 @@ class Theorem(Frozen):
     builds the host once, first, for every family, so that the edge cap
     refuses an oversized host before any certificate is made, and returns
     the certificate and that host; the family's own preconditions are
-    checked by `model`.  `best`'s `model` returns None when no construction
-    applies.  `table` holds the default 'a..b' range of each param for the
-    families `table` reproduces.
+    checked by `model`.  (`construct` takes the two steps itself, to write
+    and hash the host's text between them.)  `best`'s `model` returns None
+    when no construction applies.  `table` holds the default 'a..b' range
+    of each param for the families `table` reproduces.
 
     Builders call the construction functions and `product` through this
     module's globals at call time, so that patching them (as the

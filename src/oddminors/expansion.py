@@ -64,6 +64,13 @@ class OddExpansionModel(Frozen):
     every connector key a pair of trees; the model refuses anything else
     with ParameterError when it is made.  Everything else it holds is a
     claim for the verifier.
+
+    The model holds copies of the `coloring` and `connectors` it is given,
+    so a later change to the caller's dicts cannot change it.  The makers
+    inside this package that build those dicts for one model alone
+    (`parse_model`, the path builder of `constructions`, the oracle) hand
+    them over through `_own` instead: the same checks, no copy, and a
+    connector end is normalised in place.
     """
 
     _fields = ("trees", "coloring", "connectors", "notes")
@@ -75,7 +82,23 @@ class OddExpansionModel(Frozen):
     def __init__(self, trees: tuple[BranchTree, ...], coloring: Mapping[int, int],
                  connectors: Optional[Mapping[tuple[int, int], Edge]] = None,
                  notes: Iterable[str] = ()):
-        coloring = dict(coloring)
+        self._fill(trees, dict(coloring), None if connectors is None else dict(connectors), notes)
+
+    @classmethod
+    def _own(cls, trees: tuple[BranchTree, ...], coloring: dict[int, int],
+             connectors: Optional[dict[tuple[int, int], Edge]] = None,
+             notes: Iterable[str] = ()) -> OddExpansionModel:
+        """The model that takes over `coloring` and `connectors`, dicts made
+        for it alone, rather than copy them; the caller must not change
+        them afterwards."""
+        model = object.__new__(cls)
+        model._fill(trees, coloring, connectors, notes)
+        return model
+
+    def _fill(self, trees, coloring: dict[int, int],
+              connectors: Optional[dict[tuple[int, int], Edge]], notes: Iterable[str]):
+        """Check the fields and store them, normalising each connector end
+        in place in the dict that the model keeps."""
         ids = [coloring]
         for t in trees:
             ids.append(t.vertices)
@@ -85,16 +108,14 @@ class OddExpansionModel(Frozen):
             raise ParameterError(f"vertex id {bad!r} is not an int")
         if connectors is not None:
             r = len(trees)
-            fixed = {}
             for key, end in connectors.items():
                 u, v = end
                 i, j = key
                 if not (type(i) is type(j) is type(u) is type(v) is int and 0 <= i < j < r):
                     raise ParameterError(f"connector {i!r},{j!r}={u!r}-{v!r} needs int ids "
                                          f"and a tree pair 0 <= i < j < {r}")
-                # an ordered tuple is kept: a parsed certificate's ends are not copied
-                fixed[key] = end if u < v and type(end) is tuple else norm_edge(u, v)
-            connectors = fixed
+                if not (u < v and type(end) is tuple):  # an ordered tuple is kept as it is
+                    connectors[key] = norm_edge(u, v)  # a new value, no new key: safe mid-loop
         if isinstance(notes, str):
             raise ParameterError(f"notes {notes!r} is one str, not a sequence of notes")
         notes = tuple(notes)
@@ -294,7 +315,9 @@ def monochromatic_connector(g: Graph, model: OddExpansionModel) -> dict[tuple[in
     pair's least.  A row is read only when u is a tree vertex, and C-level
     passes map its ends to their trees and keep the least end per tree; the
     sweep stops once every pair is filled.  It fills one dict per tree,
-    from which the table is made once, in pair order, each key made once.
+    from which the table is made once, in pair order, each key made once;
+    each tree's dict is released once its pairs are in the table, so the
+    finds and the table are not both held whole.
     """
     trees = model.trees
     found: list[dict[int, Edge]] = [{} for _ in trees]  # found[i][j], i < j
@@ -326,7 +349,11 @@ def monochromatic_connector(g: Graph, model: OddExpansionModel) -> dict[tuple[in
                     missing -= 1
             if not missing:
                 break
-    return {(i, j): edge for i, row in enumerate(found) for j, edge in sorted(row.items())}
+    table = {}
+    for i, row in enumerate(found):
+        found[i] = None  # tree i's finds go when `row` moves on
+        table.update([((i, j), row[j]) for j in sorted(row)])
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -586,5 +613,5 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
             raise error("unexpected trailing content", "trailer")
     del lines  # the text's lines are not kept while the model is made
 
-    model = OddExpansionModel(tuple(trees), coloring, connectors, tuple(notes))
+    model = OddExpansionModel._own(tuple(trees), coloring, connectors, tuple(notes))
     return model, graph_hash

@@ -27,12 +27,14 @@ PRODUCT_KINDS = ("cartesian", "direct", "lexicographic", "strong")
 # edge costs about 8 bytes, one pointer in its smaller end's tuple, and a
 # vertex with a row 120-145 bytes: its dict entry, its tuple and its int
 # (CPython 3.11, tracemalloc over K1500, K2000, K30 x K30, K40 x K40 and the
-# 1M-cycle).  The canonical text adds 8-14 bytes an edge.  So the cap is
-# under 300 MB for a dense graph, before the adjacency lists a command may
-# add, and it admits K60 x K60 direct (6.3M edges).  It also bounds the
-# vertex count of a product or of a graph read from text: a vertex with an
-# edge costs more than an edge, and a ten-byte file can claim any number
-# of them.
+# 1M-cycle).  So the cap is under 300 MB for a dense graph, before the
+# adjacency lists a command may add, and it admits K60 x K60 direct (6.3M
+# edges).  A graph keeps no canonical text: a whole render, 8-14 bytes an
+# edge, lives only while its caller holds it (twice that while it is
+# joined), and `content_hash` hashes one piece at a time.  The cap also
+# bounds the vertex count of a product or of a graph read from text: a
+# vertex with an edge costs more than an edge, and a ten-byte file can
+# claim any number of them.
 MAX_EDGES = 10_000_000
 
 
@@ -95,9 +97,12 @@ class Graph(Frozen):
     rows: for each vertex u that has a larger neighbour, in ascending order
     of u, the ascending tuple of those neighbours.  An isolated vertex costs
     nothing, the canonical text is the rows written out in order, and
-    `has_edge` is one bisection in one row.  `edges`, the frozenset of
-    (u, v) pairs with u < v, is built from the rows when first asked for;
-    no routine in this package asks for it.  A pair given twice counts once.
+    `has_edge` is one bisection in one row.  The graph caches the SHA-256
+    digest of its canonical text, never the text, which is rendered anew
+    when asked for.  `edges`, the frozenset of (u, v) pairs with u < v, is
+    built from the rows when first asked for; no routine in this package
+    asks for it, and `repr` builds it without caching it.  A pair given
+    twice counts once.
     """
 
     _fields = ("n", "edges")  # what repr shows; equality and hash read the rows
@@ -135,6 +140,11 @@ class Graph(Frozen):
 
     def __hash__(self):
         return hash((self.n, tuple(self._rows.items())))
+
+    def __repr__(self):
+        # `edges` built for the text alone: one repr of a large host (a
+        # failing test's message) must not leave the set cached
+        return f"Graph(n={self.n!r}, edges={Graph.edges.func(self)!r})"
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -175,11 +185,30 @@ class Graph(Frozen):
 
     def canonical_text(self) -> str:
         """Canonical text form: 'n m' then one 'u v' line per edge, ascending;
-        rendered once per graph."""
-        return self._text
+        rendered anew on each call.  The graph keeps the text's digest, not
+        the text: a render also fixes `content_hash`, so a caller that writes
+        the text and then hashes the graph renders it once."""
+        text = "".join(self._pieces())
+        if "_digest" not in self.__dict__:
+            self.__dict__["_digest"] = hashlib.sha256(text.encode("ascii")).hexdigest()
+        return text
 
-    @cached_property
-    def _text(self) -> str:
+    def content_hash(self) -> str:
+        """SHA-256 hex digest of the canonical text form, computed once per
+        graph: taken from the text when a render or `read_graph_text` has
+        had it, else hashed from a render a piece at a time, never whole."""
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            sha = hashlib.sha256()
+            for piece in self._pieces():
+                sha.update(piece.encode("ascii"))
+            digest = self.__dict__["_digest"] = sha.hexdigest()
+        return digest
+
+    def _pieces(self):
+        """The canonical text, rendered on demand: the header, then the
+        lines of a run of rows at a time, each piece about `_CHUNK`
+        characters or one row."""
         # a decimal name for each id 0..n-1 when there are at most two ids
         # an edge, else for the ends of the edges only: an isolated vertex
         # costs nothing here either
@@ -189,20 +218,17 @@ class Graph(Frozen):
         else:
             ends = set(rows).union(*rows.values())
             names = dict(zip(ends, map(str, ends)))
-        parts = [f"{self.n} {self.m}\n"]
+        yield f"{self.n} {self.m}\n"
+        parts, size = [], 0
         for u, row in rows.items():
             prefix = names[u] + " "
             parts.append(prefix + ("\n" + prefix).join(map(names.__getitem__, row)) + "\n")
-        return "".join(parts)
-
-    def content_hash(self) -> str:
-        """SHA-256 hex digest of the canonical text form, computed once per
-        graph."""
-        return self._content_hash
-
-    @cached_property
-    def _content_hash(self) -> str:
-        return hashlib.sha256(self._text.encode("ascii")).hexdigest()
+            size += len(parts[-1])
+            if size >= _CHUNK:
+                yield "".join(parts)
+                parts, size = [], 0
+        if parts:
+            yield "".join(parts)
 
 
 def _from_rows(n: int, m: int, rows: dict[int, tuple[int, ...]]) -> Graph:
@@ -550,8 +576,8 @@ def read_graph_text(text: str) -> Graph:
     Two paths, picked by the input itself.  Text that is byte for byte the
     canonical text of a graph (what `canonical_text` and every writer in
     this package produce) is read by `_canonical_graph` straight into the
-    graph's rows; the graph keeps the input as its cached text, so
-    `content_hash` hashes it without rendering it again.  Any other input
+    graph's rows; the graph takes its digest from the input, so
+    `content_hash` never renders it, and keeps no text.  Any other input
     goes, whole, through the tolerant line loop, the only path that accepts
     unsorted lines, signs, leading zeros, tabs, CRLF or blank lines, and the
     one that raises `ParseError`; the bulk path only ever declines.  Both
@@ -561,7 +587,7 @@ def read_graph_text(text: str) -> Graph:
         g = _canonical_graph(text)
     except ValueError:
         return _read_lines(text)
-    g.__dict__["_text"] = text  # seeds the cached rendering: text is already it
+    g.__dict__["_digest"] = hashlib.sha256(text.encode("ascii")).hexdigest()  # text is its render
     return g
 
 

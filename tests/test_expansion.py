@@ -1,4 +1,6 @@
 import itertools
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -441,6 +443,58 @@ def test_connector_table_comes_in_pair_order():
                                                                  stored))
             assert list(table) == sorted(table)
             assert len(table) == len(model.trees) * (len(model.trees) - 1) // 2
+
+
+def test_the_public_constructor_keeps_its_own_dicts():
+    # a model made by the public constructor holds copies: a later change
+    # to the caller's dicts does not reach it
+    coloring = dict(C5_MODEL.coloring)
+    connectors = {(0, 1): (1, 0), (0, 2): (0, 4), (1, 2): (2, 3)}
+    model = OddExpansionModel(C5_MODEL.trees, coloring, connectors)
+    assert model.connectors == {(0, 1): (0, 1), (0, 2): (0, 4), (1, 2): (2, 3)}
+    assert connectors[0, 1] == (1, 0)  # normalised in the model's copy alone
+    coloring[0] = 2
+    connectors[0, 1] = (0, 4)
+    connectors[1, 3] = (9, 9)
+    del connectors[1, 2]
+    assert model.coloring == C5_MODEL.coloring
+    assert model.connectors == {(0, 1): (0, 1), (0, 2): (0, 4), (1, 2): (2, 3)}
+    assert verify_odd_expansion(C5, model, strict=True).passed
+
+
+K24_DIRECT = gr.product("direct", gr.complete(24), gr.complete(24))
+K24_MODEL = direct_general_model(24, 24, K24_DIRECT)  # 192 trees, 18,336 pairs
+
+
+def test_parse_model_holds_one_connector_dict(monkeypatch):
+    # the model takes over the dict that the parser filled: the working
+    # peak above the returned model is under one connector dict (a copy of
+    # it, as the public constructor makes, would add a whole one); small
+    # chunks keep the scanner's tokens out of the peak
+    text = serialize_model(K24_MODEL, K24_DIRECT.content_hash())
+    monkeypatch.setattr(gr, "_CHUNK", 1 << 12)
+    tracemalloc.start()
+    try:
+        model, _ = parse_model(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model == K24_MODEL
+    assert peak - kept < sys.getsizeof(model.connectors)
+
+
+def test_connector_sweep_holds_about_one_table():
+    # each tree's finds are released as they go into the table: the working
+    # peak above the returned table is under the table's own dict
+    bare = OddExpansionModel(K24_MODEL.trees, K24_MODEL.coloring)
+    tracemalloc.start()
+    try:
+        table = monochromatic_connector(K24_DIRECT, bare)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {pair: tuple(sorted(end)) for pair, end in table.items()} == K24_MODEL.connectors
+    assert peak - kept < sys.getsizeof(table)
 
 
 # ----------------------------------------------------------------------

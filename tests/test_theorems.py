@@ -9,7 +9,6 @@ import importlib.util
 import sys
 import weakref
 from collections import Counter
-from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -221,15 +220,13 @@ def test_construct_builds_and_renders_its_host_once(capsys, tmp_path, monkeypatc
     builds = 2 if kind == "cartesian" else 1
     products = count_products(monkeypatch)
     renders = []
-    render = gr.Graph.__dict__["_text"].func
+    render = gr.Graph._pieces
 
     def counted_render(g):
         renders.append(g.n)
         return render(g)
 
-    counted_text = cached_property(counted_render)
-    counted_text.__set_name__(gr.Graph, "_text")
-    monkeypatch.setattr(gr.Graph, "_text", counted_text)
+    monkeypatch.setattr(gr.Graph, "_pieces", counted_render)
     out, graph = tmp_path / "out.cert", tmp_path / "out.graph"
     code = cli.main(["construct", theorem, *argv, "--out", str(out), "--graph-out", str(graph),
                      "--strict"])
@@ -263,23 +260,76 @@ def test_built_host_is_not_kept_alive(theorem, args):
 @pytest.mark.parametrize("theorem", sorted(CASES))
 def test_construct_rereads_its_certificate_with_the_built_model_freed(capsys, tmp_path,
                                                                       monkeypatch, theorem):
-    # the self-verify holds one certificate at a time: the model that
-    # `Theorem.build` returned is dead, without a collection, when the
-    # written file is parsed back (the last `parse_model` call)
+    # the self-verify holds one certificate at a time: the built model,
+    # the one `serialize_model` writes, is dead, without a collection, when
+    # the written file is parsed back (the last `parse_model` call)
     built, dead = [], []
-    build, parse = cons.Theorem.build, cli.parse_model
+    serialize, parse = cli.serialize_model, cli.parse_model
 
-    def keep_a_weakref(self, *args, **options):
-        model, host = build(self, *args, **options)
+    def keep_a_weakref(model, graph_hash):
         built.append(weakref.ref(model))
-        return model, host
+        return serialize(model, graph_hash)
 
     def note_the_dead(text):
         dead.append([ref() is None for ref in built])
         return parse(text)
 
-    monkeypatch.setattr(cons.Theorem, "build", keep_a_weakref)
+    monkeypatch.setattr(cli, "serialize_model", keep_a_weakref)
     monkeypatch.setattr(cli, "parse_model", note_the_dead)
     code, *_ = construct(capsys, tmp_path, theorem, *CASES[theorem](tmp_path))
     assert code == 0
     assert dead[-1] == [True]
+
+
+@pytest.mark.parametrize("theorem", sorted(CASES))
+@pytest.mark.parametrize("graph_out", [True, False], ids=["graph-out", "no-graph-out"])
+def test_construct_holds_no_host_text_while_a_certificate_is_alive(capsys, tmp_path, monkeypatch,
+                                                                   theorem, graph_out):
+    # the host's text is rendered, written and freed before the model is
+    # made: no frame of the call stack nor the host itself holds it when a
+    # model is returned, serialized, read back or verified, and no built
+    # model is alive while the text is written
+    hosts, models, seen = [], [], []
+    theorems = dict(cons.THEOREMS)
+
+    def holders():
+        if not hosts:  # a factor or base certificate, read before the host is built
+            return []
+        host = hosts[-1]
+        text = f"{host.n} {host.m}\n" + "".join(f"{u} {v}\n" for u, row in host.rows() for v in row)
+        frame, found = sys._getframe(1), []
+        while frame is not None:
+            found += [name for name, v in frame.f_locals.items() if v is text or v == text]
+            frame = frame.f_back
+        return found + [name for name, v in vars(host).items() if v == text]
+
+    def probed(name, fn):
+        def call(*args, **kwargs):
+            seen.append((name, holders()))
+            result = fn(*args, **kwargs)
+            seen.append((name, holders()))
+            return result
+        return call
+
+    def write_graph_text(g, _write=cli.write_graph_text):
+        seen.append(("write_graph_text", [ref() for ref in models if ref() is not None]))
+        return _write(g)
+
+    for key, theorem_ in theorems.items():
+        def model(host, *args, _model=theorem_.model, **options):
+            hosts.append(host)
+            made = probed("model", _model)(host, *args, **options)
+            models.append(weakref.ref(made))
+            return made
+        monkeypatch.setitem(cons.THEOREMS, key, cons.Theorem(
+            theorem_.params, theorem_.host, model, theorem_.factors, theorem_.base, theorem_.table))
+    for name in ("serialize_model", "parse_model", "verify_odd_expansion"):
+        monkeypatch.setattr(cli, name, probed(name, getattr(cli, name)))
+    monkeypatch.setattr(cli, "write_graph_text", write_graph_text)
+    out, graph = tmp_path / "out.cert", tmp_path / "out.graph"
+    argv = ["--graph-out", str(graph)] if graph_out else []
+    code = cli.main(["construct", theorem, *CASES[theorem](tmp_path), "--out", str(out), *argv,
+                     "--strict"])
+    assert code == 0, capsys.readouterr().err
+    assert {name for name, _ in seen} >= {"model", "serialize_model", "parse_model"}
+    assert [(name, found) for name, found in seen if found] == []

@@ -1,6 +1,7 @@
 """The package's immutable value classes: construction in the forms the
 package and the benchmark use, ==, hash(), repr() and immutability."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -92,8 +93,31 @@ def test_values_repr_names_every_field(cls):
 def test_graph_caches_still_fill_on_a_frozen_value():
     g = gr.cycle(5)
     assert g.content_hash() == gr.cycle(5).content_hash()
-    assert {"_text", "_content_hash"} <= set(vars(g))
-    assert g == gr.cycle(5)  # cached renderings take no part in ==
+    assert g.neighbors(0) == (1, 4)  # a cached_property
+    assert {"_digest", "_adj"} <= set(vars(g))
+    assert g == gr.cycle(5)  # cached values take no part in ==
+
+
+def test_repr_of_a_graph_caches_no_edge_set():
+    # `edges` is a cached frozenset: on K30 x K30 direct, 36 MB that one
+    # repr (a failing test's message) would otherwise pin for the graph's life
+    g = gr.cycle(5)
+    text = repr(g)
+    assert "edges" not in vars(g)
+    assert text == f"Graph(n=5, edges={g.edges!r})"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gr.complete(6),
+    lambda: gr.read_graph_text(gr.complete(6).canonical_text()),
+    lambda: gr.read_graph_text("6 1\n5  0\n"),
+], ids=["built", "read-in-bulk", "read-by-the-line-loop"])
+def test_a_graph_keeps_its_digest_not_its_text(make):
+    g = make()
+    text = g.canonical_text()
+    assert g.content_hash() == hashlib.sha256(text.encode("ascii")).hexdigest()
+    kept = [v for v in vars(g).values() if isinstance(v, str)]
+    assert kept == [g.content_hash()] and len(kept[0]) == 64
 
 
 def test_models_normalise_their_fields_when_made():
