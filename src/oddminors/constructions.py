@@ -466,7 +466,7 @@ def _path_model(host: Graph, specs, fixed: Mapping[tuple[int, int], Edge]) -> Od
     if len(table) < len(trees) * (len(trees) - 1) // 2:
         a, b = next(pair for pair in combinations(range(len(trees)), 2) if pair not in table)
         raise ConsistencyError(f"no monochromatic edge between trees {a} and {b}")
-    return OddExpansionModel._own(model.trees, coloring, table)  # the table was made for it
+    return OddExpansionModel(model.trees, model.coloring, table)
 
 
 def direct_k3_model(t: int, host: Optional[Graph] = None) -> OddExpansionModel:

@@ -10,9 +10,12 @@ be stored explicitly or left to the verifier to find.
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import lt
-from typing import Iterable, Mapping, Optional
+from array import array
+from bisect import bisect_left
+from collections.abc import ItemsView, Mapping
+from itertools import chain, combinations, compress, islice, repeat
+from operator import add, le, lt, mul
+from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterError, ParseError
 from .graphs import Edge, Frozen, Graph, _decimal_chunks, find_odd_cycle, norm_edge
@@ -46,6 +49,118 @@ def branch_tree(vertices: Iterable[int], edges: Iterable[Edge] = ()) -> BranchTr
     return BranchTree(frozenset(vertices), frozenset(norm_edge(u, v) for u, v in edges))
 
 
+class PairTable(Mapping):
+    """The connectors of a certificate's tree pairs: an immutable map from
+    (i, j), 0 <= i < j < `order`, to an edge (u, v), in pair order.
+
+    It keeps flat columns, not a tuple per key and per value: `_us` and
+    `_vs`, one end each per pair in pair order, lists of ints that the
+    table shares with whatever made them, and `_keys`, None when every
+    pair of the `order` trees has an entry, else the ascending i * order +
+    j of the pairs that have one.  So a full table costs 16 bytes a pair
+    and `table[i, j]` is arithmetic; a partial one costs 24 and a lookup is
+    one bisection.  The ends are whatever the maker stored: the model's
+    table has u <= v, `monochromatic_connector`'s has tree i's end first.
+    The constructor takes over the lists it is given; the package's makers
+    build them for it alone.
+    """
+
+    __slots__ = ("order", "_keys", "_us", "_vs")
+
+    def __init__(self, order: int, keys: Optional[Sequence[int]], us: list[int], vs: list[int]):
+        """`keys` (None when every pair has an entry) are distinct pairs
+        in range, i * order + j each, in any order, with their ends at the
+        same places in `us` and `vs`."""
+        if keys is not None:
+            if not all(map(lt, keys, islice(keys, 1, None))):
+                at = sorted(range(len(keys)), key=keys.__getitem__)
+                keys = list(map(keys.__getitem__, at))
+                us, vs = list(map(us.__getitem__, at)), list(map(vs.__getitem__, at))
+            keys = None if len(keys) == order * (order - 1) // 2 else array("q", keys)
+        for name, value in (("order", order), ("_keys", keys), ("_us", us), ("_vs", vs)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _position(self, pair) -> Optional[int]:
+        """Where the pair's ends are in the columns, or None when it has none."""
+        try:
+            i, j = pair
+        except (TypeError, ValueError):
+            return None
+        if not (type(i) is type(j) is int and 0 <= i < j < self.order):
+            return None
+        if self._keys is None:
+            return i * (2 * self.order - i - 3) // 2 + j - 1
+        key = i * self.order + j
+        k = bisect_left(self._keys, key)
+        return k if k < len(self._keys) and self._keys[k] == key else None
+
+    def __getitem__(self, pair) -> Edge:
+        k = self._position(pair)
+        if k is None:
+            raise KeyError(pair)
+        return self._us[k], self._vs[k]
+
+    def __contains__(self, pair) -> bool:
+        return self._position(pair) is not None
+
+    def __iter__(self):
+        if self._keys is None:
+            return combinations(range(self.order), 2)
+        return map(divmod, self._keys, repeat(self.order))
+
+    def __len__(self) -> int:
+        return len(self._us)
+
+    def items(self):
+        return _PairItems(self)
+
+    def __repr__(self):
+        return f"PairTable({self.order}, {dict(self.items())!r})"
+
+
+class _PairItems(ItemsView):
+    """A table's items, read off its columns."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        table = self._mapping
+        return zip(table, zip(table._us, table._vs))
+
+
+def _pair_table(r: int, connectors: Mapping[tuple[int, int], Edge]) -> PairTable:
+    """The model's table of `connectors` for r trees, each end pair as
+    (min, max).  A PairTable for r trees whose ends are ints and in that
+    order already is shared as it is; any other map is checked and copied
+    into new columns, and ParameterError names its first entry that has an
+    id that is not an int or a key that is not a tree pair."""
+    if type(connectors) is PairTable and connectors.order == r:
+        us, vs = connectors._us, connectors._vs
+        if set(map(type, chain(us, vs))) <= {int}:
+            if all(map(le, us, vs)):
+                return connectors
+            return PairTable(r, connectors._keys, list(map(min, us, vs)), list(map(max, us, vs)))
+    keys, us, vs = [], [], []
+    for key, end in connectors.items():
+        u, v = end
+        i, j = key
+        if not (type(i) is type(j) is type(u) is type(v) is int and 0 <= i < j < r):
+            raise ParameterError(f"connector {i!r},{j!r}={u!r}-{v!r} needs int ids "
+                                 f"and a tree pair 0 <= i < j < {r}")
+        keys.append(i * r + j)
+        us.append(u)
+        vs.append(v)
+    if not all(map(le, us, vs)):
+        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
+    return PairTable(r, keys, us, vs)
+
+
 class OddExpansionModel(Frozen):
     """An odd-expansion certificate.
 
@@ -65,40 +180,24 @@ class OddExpansionModel(Frozen):
     with ParameterError when it is made.  Everything else it holds is a
     claim for the verifier.
 
-    The model holds copies of the `coloring` and `connectors` it is given,
-    so a later change to the caller's dicts cannot change it.  The makers
-    inside this package that build those dicts for one model alone
-    (`parse_model`, the path builder of `constructions`, the oracle) hand
-    them over through `_own` instead: the same checks, no copy, and a
-    connector end is normalised in place.
+    The model holds a copy of the `coloring` it is given, and its
+    connectors, when it has any, as one `PairTable` for its trees, each end
+    pair (min, max).  The table is immutable, so a table given for as many
+    trees, with its ends in that order, is shared as it is, not copied;
+    any other map (a dict, a table with an end pair the other way round)
+    is checked and copied into a new table.
     """
 
     _fields = ("trees", "coloring", "connectors", "notes")
     trees: tuple[BranchTree, ...]
     coloring: dict[int, int]
-    connectors: Optional[dict[tuple[int, int], Edge]]
+    connectors: Optional[PairTable]
     notes: tuple[str, ...]
 
     def __init__(self, trees: tuple[BranchTree, ...], coloring: Mapping[int, int],
                  connectors: Optional[Mapping[tuple[int, int], Edge]] = None,
                  notes: Iterable[str] = ()):
-        self._fill(trees, dict(coloring), None if connectors is None else dict(connectors), notes)
-
-    @classmethod
-    def _own(cls, trees: tuple[BranchTree, ...], coloring: dict[int, int],
-             connectors: Optional[dict[tuple[int, int], Edge]] = None,
-             notes: Iterable[str] = ()) -> OddExpansionModel:
-        """The model that takes over `coloring` and `connectors`, dicts made
-        for it alone, rather than copy them; the caller must not change
-        them afterwards."""
-        model = object.__new__(cls)
-        model._fill(trees, coloring, connectors, notes)
-        return model
-
-    def _fill(self, trees, coloring: dict[int, int],
-              connectors: Optional[dict[tuple[int, int], Edge]], notes: Iterable[str]):
-        """Check the fields and store them, normalising each connector end
-        in place in the dict that the model keeps."""
+        coloring = dict(coloring)
         ids = [coloring]
         for t in trees:
             ids.append(t.vertices)
@@ -107,15 +206,7 @@ class OddExpansionModel(Frozen):
             bad = next(x for x in chain.from_iterable(ids) if type(x) is not int)
             raise ParameterError(f"vertex id {bad!r} is not an int")
         if connectors is not None:
-            r = len(trees)
-            for key, end in connectors.items():
-                u, v = end
-                i, j = key
-                if not (type(i) is type(j) is type(u) is type(v) is int and 0 <= i < j < r):
-                    raise ParameterError(f"connector {i!r},{j!r}={u!r}-{v!r} needs int ids "
-                                         f"and a tree pair 0 <= i < j < {r}")
-                if not (u < v and type(end) is tuple):  # an ordered tuple is kept as it is
-                    connectors[key] = norm_edge(u, v)  # a new value, no new key: safe mid-loop
+            connectors = _pair_table(len(trees), connectors)
         if isinstance(notes, str):
             raise ParameterError(f"notes {notes!r} is one str, not a sequence of notes")
         notes = tuple(notes)
@@ -211,9 +302,12 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
     membership in the host, coloring totality on used vertices, properness
     on every tree edge, then connectors pair by pair; the pairs without a
     stored connector are looked up in one `monochromatic_connector` table,
-    built at the first of them.  The model has already refused ids that are
-    not plain ints and connector keys that are not tree pairs; a color that
-    is not the int 1 or 2 (a bool, a float) fails `coloring_missing`.
+    built at the first of them.  One pass over the stored connectors'
+    columns checks them all, with no `Graph.has_edge` call per connector;
+    the pairs are walked one by one only to name the first that fails.
+    The model has already refused ids that are not plain ints and connector
+    keys that are not tree pairs; a color that is not the int 1 or 2 (a
+    bool, a float) fails `coloring_missing`.
 
     strict=True additionally requires a stored connector for every pair;
     stored connectors are always checked literally.
@@ -272,37 +366,54 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
                 return _fail("properness", trees=(i,), edges=((u, v),),
                              message=f"tree {i} edge {u}-{v} is monochromatic")
 
-    stored = model.connectors or {}
+    stored = model.connectors or PairTable(r, [], [], [])
+    # one pass over the stored connectors' columns finds the first that
+    # does not join the trees of its pair, is not a host edge or is not
+    # monochromatic
+    us, vs = stored._us, stored._vs
+    bad = len(stored)
+    for k, ((i, j), u, v, edge) in enumerate(zip(stored, us, vs, g.has_edges(us, vs))):
+        ou, ov = owner.get(u), owner.get(v)
+        if not ((ou == i and ov == j or ou == j and ov == i) and edge
+                and coloring.get(u) == coloring.get(v)):
+            bad = k
+            break
+    pairs = r * (r - 1) // 2
     table = None  # every pair's connector, found at the first pair without a stored one
-    for i in range(r):
-        for j in range(i + 1, r):
-            edge = stored.get((i, j))
-            if edge is not None:
-                u, v = edge
-                ou, ov = owner.get(u), owner.get(v)
-                if not (ou == i and ov == j or ou == j and ov == i):
-                    return _fail("connector_invalid", trees=(i, j), edges=(edge,),
-                                 message=f"stored connector {u}-{v} does not join trees {i} and {j}")
-                if not g.has_edge(u, v):
-                    return _fail("connector_invalid", trees=(i, j), edges=(edge,),
-                                 message=f"stored connector {u}-{v} is not a host edge")
-                if coloring.get(u) != coloring.get(v):
-                    return _fail("connector_invalid", trees=(i, j), edges=(edge,),
-                                 message=f"stored connector {u}-{v} is not monochromatic")
-                continue
-            if strict:
-                return _fail("connector_missing", trees=(i, j),
-                             message=f"strict mode: no stored connector for pair ({i},{j})")
-            if table is None:
-                table = monochromatic_connector(g, model)
-            if (i, j) not in table:
-                return _fail("connector_missing", trees=(i, j),
-                             message=f"no monochromatic edge between trees {i} and {j}")
-
+    if bad == len(stored):  # every stored connector holds
+        if len(stored) < pairs and not strict:
+            table = monochromatic_connector(g, model)
+        if len(stored) == pairs or table is not None and len(table) == pairs:
+            return Verdict("pass", message=f"order={r}")
+    # the pair loop, which names the first pair that fails
+    bad_pair = next(islice(stored, bad, None), None)
+    for pair in combinations(range(r), 2):
+        i, j = pair
+        if pair == bad_pair:
+            u, v = edge = stored[pair]
+            ou, ov = owner.get(u), owner.get(v)
+            if not (ou == i and ov == j or ou == j and ov == i):
+                return _fail("connector_invalid", trees=pair, edges=(edge,),
+                             message=f"stored connector {u}-{v} does not join trees {i} and {j}")
+            if not g.has_edge(u, v):
+                return _fail("connector_invalid", trees=pair, edges=(edge,),
+                             message=f"stored connector {u}-{v} is not a host edge")
+            return _fail("connector_invalid", trees=pair, edges=(edge,),
+                         message=f"stored connector {u}-{v} is not monochromatic")
+        if pair in stored:
+            continue
+        if strict:
+            return _fail("connector_missing", trees=pair,
+                         message=f"strict mode: no stored connector for pair ({i},{j})")
+        if table is None:
+            table = monochromatic_connector(g, model)
+        if pair not in table:
+            return _fail("connector_missing", trees=pair,
+                         message=f"no monochromatic edge between trees {i} and {j}")
     return Verdict("pass", message=f"order={r}")
 
 
-def monochromatic_connector(g: Graph, model: OddExpansionModel) -> dict[tuple[int, int], Edge]:
+def monochromatic_connector(g: Graph, model: OddExpansionModel) -> PairTable:
     """The connector of every tree pair i < j, in pair order and oriented
     with the tree-i end first: the stored connector when the model has one,
     otherwise the lexicographically least host edge with one end in each
@@ -314,16 +425,22 @@ def monochromatic_connector(g: Graph, model: OddExpansionModel) -> dict[tuple[in
     so the first same-colored edge that crosses a pair of trees is that
     pair's least.  A row is read only when u is a tree vertex, and C-level
     passes map its ends to their trees and keep the least end per tree; the
-    sweep stops once every pair is filled.  It fills one dict per tree,
-    from which the table is made once, in pair order, each key made once;
-    each tree's dict is released once its pairs are in the table, so the
-    finds and the table are not both held whole.
+    sweep stops once every pair is filled.  It fills two pair-indexed
+    columns of ends in place, which become the returned `PairTable` as
+    they are when every pair is filled; otherwise the filled places are
+    picked out of them once.
     """
     trees = model.trees
-    found: list[dict[int, Edge]] = [{} for _ in trees]  # found[i][j], i < j
-    for (i, j), (u, v) in (model.connectors or {}).items():
-        found[i][j] = (u, v) if u in trees[i].vertices else (v, u)
-    missing = len(trees) * (len(trees) - 1) // 2 - sum(map(len, found))
+    r = len(trees)
+    us: list = [None] * (r * (r - 1) // 2)  # the place of pair (i, j) is start[i] + j
+    vs: list = [None] * len(us)
+    start = [i * (2 * r - i - 3) // 2 - 1 for i in range(r)]
+    stored = model.connectors
+    if stored:
+        for (i, j), (u, v) in stored.items():
+            k = start[i] + j
+            us[k], vs[k] = (u, v) if u in trees[i].vertices else (v, u)
+    missing = len(us) - len(stored or ())
     if missing:
         coloring = model.coloring
         owner = {v: k for k, t in enumerate(trees) for v in t.vertices}
@@ -338,22 +455,25 @@ def monochromatic_connector(g: Graph, model: OddExpansionModel) -> dict[tuple[in
             ends = dict(zip(map(same[coloring[u]].get, down), down))
             ends.pop(None, None)
             ends.pop(a, None)
-            mine = found[a]
+            mine = start[a]
             for b, v in ends.items():
                 if a < b:
-                    if b not in mine:
-                        mine[b] = (u, v)
+                    k = mine + b
+                    if us[k] is None:
+                        us[k], vs[k] = u, v
                         missing -= 1
-                elif a not in found[b]:
-                    found[b][a] = (v, u)
-                    missing -= 1
+                else:
+                    k = start[b] + a
+                    if us[k] is None:
+                        us[k], vs[k] = v, u
+                        missing -= 1
             if not missing:
                 break
-    table = {}
-    for i, row in enumerate(found):
-        found[i] = None  # tree i's finds go when `row` moves on
-        table.update([((i, j), row[j]) for j in sorted(row)])
-    return table
+    if not missing:
+        return PairTable(r, None, us, vs)
+    found = [u is not None for u in us]
+    keys = [i * r + j for i, j in compress(combinations(range(r), 2), found)]
+    return PairTable(r, keys, list(compress(us, found)), list(compress(vs, found)))
 
 
 # ----------------------------------------------------------------------
@@ -441,16 +561,14 @@ def serialize_model(model: OddExpansionModel, graph_hash: str) -> str:
     return "\n".join(lines)
 
 
-def _connector_line(connectors: Mapping[tuple[int, int], Edge]) -> str:
-    """The `connectors:` line, its tokens in pair order and joined
-    `_JOIN` at a time, so that no list holds a string per token.  The pairs
-    of a dict that is already in pair order sort in one linear pass."""
-    pairs = sorted(connectors)
+def _connector_line(connectors: PairTable) -> str:
+    """The `connectors:` line, its tokens in pair order, read off the
+    table's columns and joined `_JOIN` at a time, so that no list holds a
+    string per token."""
+    tokens = zip(connectors, connectors._us, connectors._vs)
     chunks = ["connectors:"]
-    for k in range(0, len(pairs), _JOIN):
-        some = pairs[k:k + _JOIN]
-        chunks.append(" ".join([f"{i},{j}={u}-{v}"
-                                for (i, j), (u, v) in zip(some, map(connectors.__getitem__, some))]))
+    for _ in range(0, len(connectors), _JOIN):
+        chunks.append(" ".join([f"{i},{j}={u}-{v}" for (i, j), u, v in islice(tokens, _JOIN)]))
     return " ".join(chunks)
 
 
@@ -574,22 +692,31 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     connectors = None
     if next_key() == "connectors":
         start = take_line("connectors", "connectors")
-        connectors = {}
-        last = (-1, -1)  # the greatest pair read so far
+        us, vs = [], []  # the table's columns of ends
+        last = -1  # i * count + j of the last pair read
         try:
             if lines[index][start:start + 1] != " ":
                 raise ValueError("no space after the key")
-            stop = len(lines[index]) - lines[index].endswith("\n")
-            for ends in _decimal_chunks(lines[index], start + 1, ",=- ", ids, stop):
+            line = lines[index]
+            stop = len(line) - line.endswith("\n")
+            for ends in _decimal_chunks(line, start + 1, ",=- ", ids, stop):
                 i, j, u, v = ends[0::4], ends[1::4], ends[2::4], ends[3::4]
-                pairs = list(zip(i, j))
-                if not (last < pairs[0] and all(map(lt, pairs, pairs[1:])) and all(map(lt, i, j))
-                        and max(j) < count and all(map(lt, u, v))):
+                # j < count, so the keys ascend as the pairs do
+                pairs = list(map(add, map(mul, i, repeat(count)), j))
+                if not (all(map(lt, i, j)) and max(j) < count and last < pairs[0]
+                        and all(map(lt, pairs, pairs[1:])) and all(map(lt, u, v))):
                     raise ValueError("connectors out of order or out of range")
-                connectors.update(zip(pairs, zip(u, v)))
+                us.extend(u)
+                vs.extend(v)
                 last = pairs[-1]
+            keys = None  # as many ascending pairs in range as there are pairs: all of them
+            if len(us) < count * (count - 1) // 2:  # some: their keys, read again
+                keys = []
+                for ends in _decimal_chunks(line, start + 1, ",=- ", ids, stop):
+                    keys.extend(map(add, map(mul, ends[0::4], repeat(count)), ends[1::4]))
         except ValueError:  # not as `serialize_model` writes it: the token loop reads it all
-            connectors = {}
+            keys, us, vs = [], [], []
+            seen = set()
             for tok in lines[index][start:].split():
                 parts = tok.split("=")
                 if len(parts) != 2:
@@ -601,9 +728,15 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
                 j = number(pair[1], "connectors")
                 if not (0 <= i < j < count):
                     raise error(f"connector pair ({i},{j}) out of range", "connectors")
-                if (i, j) in connectors:
+                key = i * count + j
+                if key in seen:
                     raise error(f"duplicate connector for pair ({i},{j})", "connectors")
-                connectors[(i, j)] = edge(parts[1], "connectors")
+                seen.add(key)
+                u, v = edge(parts[1], "connectors")
+                keys.append(key)
+                us.append(u)
+                vs.append(v)
+        connectors = PairTable(count, keys, us, vs)
 
     notes = []
     while next_key() == "meta":
@@ -613,5 +746,4 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
             raise error("unexpected trailing content", "trailer")
     del lines  # the text's lines are not kept while the model is made
 
-    model = OddExpansionModel._own(tuple(trees), coloring, connectors, tuple(notes))
-    return model, graph_hash
+    return OddExpansionModel(tuple(trees), coloring, connectors, tuple(notes)), graph_hash

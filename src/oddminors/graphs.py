@@ -15,7 +15,7 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, compress
 from operator import lt, ne, or_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParameterError, ParseError, StructureError
 
@@ -179,6 +179,15 @@ class Graph(Frozen):
         row = self._rows.get(u, ())
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
+
+    def has_edges(self, us: Iterable[int], vs: Iterable[int]) -> Iterator[bool]:
+        """`has_edge(u, v)` for the pairs of two columns of ends, u <= v in
+        each, lazily and without a method call per pair."""
+        rows = self._rows
+        for u, v in zip(us, vs):
+            row = rows.get(u, ())
+            k = bisect_left(row, v)
+            yield k < len(row) and row[k] == v
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
@@ -587,7 +596,10 @@ def read_graph_text(text: str) -> Graph:
         g = _canonical_graph(text)
     except ValueError:
         return _read_lines(text)
-    g.__dict__["_digest"] = hashlib.sha256(text.encode("ascii")).hexdigest()  # text is its render
+    sha = hashlib.sha256()  # text is its render; hashed a chunk at a time, not copied whole
+    for start in range(0, len(text), _CHUNK):
+        sha.update(text[start:start + _CHUNK].encode("ascii"))
+    g.__dict__["_digest"] = sha.hexdigest()
     return g
 
 

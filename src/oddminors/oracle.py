@@ -542,7 +542,7 @@ class _Search:
             sub = Graph(self.n, bi_edges)
             trees.append(branch_tree(verts, spanning_tree(sub, verts)))
         model = OddExpansionModel(tuple(trees), coloring)
-        return OddExpansionModel._own(model.trees, coloring, monochromatic_connector(self.g, model))
+        return OddExpansionModel(model.trees, model.coloring, monochromatic_connector(self.g, model))
 
 
 def has_odd_clique_minor(g: Graph, r: int,

@@ -1,6 +1,6 @@
 import itertools
-import sys
 import tracemalloc
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import example, given, settings
@@ -466,26 +466,58 @@ K24_DIRECT = gr.product("direct", gr.complete(24), gr.complete(24))
 K24_MODEL = direct_general_model(24, 24, K24_DIRECT)  # 192 trees, 18,336 pairs
 
 
-def test_parse_model_holds_one_connector_dict(monkeypatch):
-    # the model takes over the dict that the parser filled: the working
-    # peak above the returned model is under one connector dict (a copy of
-    # it, as the public constructor makes, would add a whole one); small
-    # chunks keep the scanner's tokens out of the peak
-    text = serialize_model(K24_MODEL, K24_DIRECT.content_hash())
-    monkeypatch.setattr(gr, "_CHUNK", 1 << 12)
+def parsed_size(text):
+    """The bytes that `parse_model` leaves alive, and its working peak
+    above them."""
     tracemalloc.start()
     try:
         model, _ = parse_model(text)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return model, kept, peak - kept
+
+
+def test_parse_model_working_peak_is_small(monkeypatch):
+    # the model shares the table that the parser filled, and the parser
+    # keeps no pair keys for a full table: the working peak above the
+    # returned model stays under the 589,912 bytes of the one connector
+    # dict a parse used to hold; small chunks keep the scanner's tokens
+    # out of the peak
+    text = serialize_model(K24_MODEL, K24_DIRECT.content_hash())
+    monkeypatch.setattr(gr, "_CHUNK", 1 << 12)
+    model, _, working = parsed_size(text)
     assert model == K24_MODEL
-    assert peak - kept < sys.getsizeof(model.connectors)
+    assert working < 589_912
+
+
+def test_parsed_table_takes_at_most_40_bytes_a_pair():
+    # the connectors' share of a parsed model: the same certificate parsed
+    # with and without its connector line; the ends are the tree vertices'
+    # own int objects, so the table costs its columns alone
+    text = serialize_model(K24_MODEL, K24_DIRECT.content_hash())
+    bare = serialize_model(OddExpansionModel(K24_MODEL.trees, K24_MODEL.coloring),
+                           K24_DIRECT.content_hash())
+    model, kept, _ = parsed_size(text)
+    _, bare_kept, _ = parsed_size(bare)
+    assert len(model.connectors) == 18_336
+    assert kept - bare_kept <= 40 * len(model.connectors)
+
+
+def test_parsed_direct_general_30_model_is_at_most_2_5_mb():
+    # the certificate that sets `construct`'s peak: 300 trees, 44,850 pairs
+    host = gr.product("direct", gr.complete(30), gr.complete(30))
+    text = serialize_model(direct_general_model(30, 30, host), host.content_hash())
+    del host
+    model, kept, _ = parsed_size(text)
+    assert len(model.connectors) == 44_850
+    assert kept <= 2_500_000
 
 
 def test_connector_sweep_holds_about_one_table():
-    # each tree's finds are released as they go into the table: the working
-    # peak above the returned table is under the table's own dict
+    # the sweep fills the returned table's columns in place: the working
+    # peak above the table stays under the 589,912 bytes of the dict it
+    # used to return
     bare = OddExpansionModel(K24_MODEL.trees, K24_MODEL.coloring)
     tracemalloc.start()
     try:
@@ -494,7 +526,154 @@ def test_connector_sweep_holds_about_one_table():
     finally:
         tracemalloc.stop()
     assert {pair: tuple(sorted(end)) for pair, end in table.items()} == K24_MODEL.connectors
-    assert peak - kept < sys.getsizeof(table)
+    assert peak - kept < 589_912
+
+
+# ----------------------------------------------------------------------
+# The pair table
+
+
+def test_pair_table_is_a_read_only_mapping():
+    table = OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring,
+                              {(0, 2): (4, 0), (1, 2): (2, 3)}).connectors
+    assert isinstance(table, Mapping) and len(table) == 2
+    assert table[0, 2] == (0, 4) and (0, 1) not in table and table.get((0, 1)) is None
+    assert list(table) == [(0, 2), (1, 2)] and list(table.values()) == [(0, 4), (2, 3)]
+    assert dict(table) == {(0, 2): (0, 4), (1, 2): (2, 3)} == table
+    assert table != {(0, 2): (0, 4)} and table != {(0, 2): (0, 4), (1, 2): (3, 2)}
+    for absent in [(0, 1), (2, 1), (0, 3), (-1, 2), (0,), "ab", None, (0, 2.0)]:
+        with pytest.raises(KeyError):
+            table[absent]
+        assert absent not in table
+    with pytest.raises(TypeError):
+        table[0, 1] = (0, 1)
+    with pytest.raises(TypeError):
+        del table[0, 2]
+    with pytest.raises(AttributeError):
+        table._us = []
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(table)
+
+
+def test_pair_table_is_shared_not_copied():
+    model = K24_MODEL
+    again = OddExpansionModel(model.trees, model.coloring, model.connectors, model.notes)
+    assert again.connectors is model.connectors
+    # the sweep's table has tree i's end first: the model keeps (min, max)
+    swept = monochromatic_connector(K24_DIRECT, OddExpansionModel(model.trees, model.coloring))
+    made = OddExpansionModel(model.trees, model.coloring, swept)
+    assert made.connectors is not swept and made.connectors == model.connectors
+    assert any(u > v for u, v in swept.values())
+    # a table for another number of trees is checked and copied
+    fewer = OddExpansionModel(C5_MODEL.trees[:2], C5_MODEL.coloring,
+                              OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring,
+                                                {(0, 1): (0, 1)}).connectors)
+    assert fewer.connectors == {(0, 1): (0, 1)}
+    with pytest.raises(ParameterError):
+        OddExpansionModel(C5_MODEL.trees[:2], C5_MODEL.coloring,
+                          OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring,
+                                            {(1, 2): (1, 4)}).connectors)
+
+
+def reference_connector_verdict(g, model, strict):
+    """The connector clauses checked pair by pair, from a plain dict of
+    the stored connectors, as the verifier did before it read columns."""
+    owner = {v: k for k, t in enumerate(model.trees) for v in t.vertices}
+    coloring = model.coloring
+    stored = dict(model.connectors or {})
+    table = None
+    for i, j in itertools.combinations(range(len(model.trees)), 2):
+        edge = stored.get((i, j))
+        if edge is not None:
+            u, v = edge
+            ou, ov = owner.get(u), owner.get(v)
+            if not (ou == i and ov == j or ou == j and ov == i):
+                return f"FAIL connector_invalid trees={i},{j} edges={u}-{v} " \
+                       f"stored connector {u}-{v} does not join trees {i} and {j}"
+            if not g.has_edge(u, v):
+                return f"FAIL connector_invalid trees={i},{j} edges={u}-{v} " \
+                       f"stored connector {u}-{v} is not a host edge"
+            if coloring.get(u) != coloring.get(v):
+                return f"FAIL connector_invalid trees={i},{j} edges={u}-{v} " \
+                       f"stored connector {u}-{v} is not monochromatic"
+            continue
+        if strict:
+            return f"FAIL connector_missing trees={i},{j} " \
+                   f"strict mode: no stored connector for pair ({i},{j})"
+        if table is None:
+            table = dict(monochromatic_connector(g, model))
+        if (i, j) not in table:
+            return f"FAIL connector_missing trees={i},{j} " \
+                   f"no monochromatic edge between trees {i} and {j}"
+    return f"PASS order={len(model.trees)}"
+
+
+NOT_INTS = (True, 1.0, "a")
+
+
+@st.composite
+def connector_maps(draw):
+    """Singleton trees on a small host, a coloring, and stored connectors
+    for all the tree pairs or some of them, each end drawn from the tree
+    vertices, a vertex in no tree, a negative id and 2**70, in either
+    order; now and then one id is a bool, a float or a str."""
+    n = draw(st.integers(2, 8))
+    g = gr.Graph(n, draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2))))))
+    verts = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    trees = tuple(branch_tree([v]) for v in verts)
+    coloring = {v: draw(st.sampled_from((1, 2))) for v in verts}
+    pairs = list(itertools.combinations(range(len(trees)), 2))
+    if not draw(st.booleans()):
+        pairs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    ends = st.one_of(st.sampled_from(verts), st.integers(-1, n), st.just(2 ** 70))
+    connectors = {pair: (draw(ends), draw(ends)) for pair in pairs}
+    if connectors and draw(st.integers(0, 4)) == 0:
+        pair = draw(st.sampled_from(sorted(connectors)))
+        bad = draw(st.sampled_from(NOT_INTS))
+        place = draw(st.integers(0, 3))
+        key = list(pair)
+        end = list(connectors.pop(pair))
+        (key if place < 2 else end)[place % 2] = bad
+        connectors[tuple(key)] = tuple(end)
+    return g, trees, coloring, connectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(connector_maps())
+@example((gr.path(2), (branch_tree([0]), branch_tree([1])), {0: 1, 1: 1},
+          {(0, 1): (0, 2 ** 70)}))
+def test_pair_table_round_trip(case):
+    g, trees, coloring, connectors = case
+    if any(type(x) is not int for x in itertools.chain(*connectors, *connectors.values())):
+        with pytest.raises(ParameterError):
+            OddExpansionModel(trees, coloring, connectors)
+        return
+    model = OddExpansionModel(trees, coloring, connectors)
+    assert model.connectors == {pair: gr.norm_edge(*end) for pair, end in connectors.items()}
+    assert list(model.connectors) == sorted(connectors)
+    again = OddExpansionModel(model.trees, model.coloring, dict(model.connectors))
+    assert again == model
+    text = serialize_model(model, g.content_hash())
+    assert serialize_model(again, g.content_hash()) == text
+    # the parser refuses a negative id and a self-loop, which the model holds as claims
+    parsed = again
+    if all(0 <= u < v for u, v in model.connectors.values()):
+        parsed, _ = parse_model(text)
+        assert parsed == model and serialize_model(parsed, g.content_hash()) == text
+    for strict in (False, True):
+        verdict = verify_odd_expansion(g, model, strict).summary()
+        assert verify_odd_expansion(g, again, strict).summary() == verdict
+        assert verify_odd_expansion(g, parsed, strict).summary() == verdict
+        assert verdict == reference_connector_verdict(g, model, strict)
+
+
+def test_a_huge_end_fails_as_a_connector_that_joins_no_trees():
+    model = OddExpansionModel((branch_tree([0]), branch_tree([1])), {0: 1, 1: 1},
+                              {(0, 1): (2 ** 70, 0)})
+    assert model.connectors == {(0, 1): (0, 2 ** 70)}
+    assert verify_odd_expansion(gr.path(2), model).summary() == (
+        f"FAIL connector_invalid trees=0,1 edges=0-{2 ** 70} "
+        f"stored connector 0-{2 ** 70} does not join trees 0 and 1")
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,15 @@ def test_graph_counts_a_repeated_pair_once(edges):
     assert gr.read_graph_text(g.canonical_text()) == g
 
 
+def test_has_edges_agrees_with_has_edge():
+    # ends out of range, negative, past every row and above 2**63 included
+    g = gr.Graph(6, {(0, 1), (0, 5), (1, 2), (2, 5), (3, 4)})
+    ends = [-1, *range(7), 2 ** 70]
+    us, vs = zip(*[(u, v) for u in ends for v in ends if u <= v])
+    assert list(g.has_edges(us, vs)) == [g.has_edge(u, v) for u, v in zip(us, vs)]
+    assert sum(g.has_edges(us, vs)) == g.m
+
+
 @pytest.mark.parametrize("n, edges", [
     (3, {(False, True)}),  # compares equal to (0, 1) but renders "False True"
     (3, {(0, True)}),
