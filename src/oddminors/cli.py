@@ -184,7 +184,7 @@ def cmd_construct(args) -> int:
         if args.base is not None:
             options["base"] = _load_base(args.base, inputs[1], inputs[3])
     values = [_need(args, name) for name in theorem.params]
-    # `theorem.build`'s two steps, with the host's text between them: its
+    # the host, then the model, with the host's text between them: its
     # one render, which also fixes the digest, is written and freed before
     # any certificate is made (without --graph-out, the digest is hashed
     # from a render a piece at a time).  So --graph-out is written even
@@ -268,7 +268,8 @@ def cmd_table(args) -> int:
     print(" ".join(header))
     any_fail = False
     for values in itertools.product(*ranges):
-        model, host = theorem.build(*values)
+        host = theorem.host(*values)
+        model = theorem.model(host, *values)
         verdict = verify_odd_expansion(host, model, strict=True)
         cells = [str(v) for v in values] + [str(model.clique_order),
                                             "PASS" if verdict.passed else "FAIL"]

@@ -112,12 +112,15 @@ def _require_valid(g: Graph, model: OddExpansionModel, name: str):
 
 def _joints(g: Graph, model: OddExpansionModel) -> dict[tuple[int, int], Edge]:
     """The joint table of one factor: one connector per tree pair, stored in
-    both orientations, and the least vertex twice for a tree with itself."""
+    both orientations, the first tree's end first, and the least vertex
+    twice for a tree with itself."""
     joints = {}
     for i, tree in enumerate(model.trees):
         low = min(tree.vertices)
         joints[i, i] = (low, low)
     for (i, j), (u, v) in monochromatic_connector(g, model).items():
+        if u not in model.trees[i].vertices:
+            u, v = v, u
         joints[i, j], joints[j, i] = (u, v), (v, u)
     return joints
 
@@ -636,14 +639,13 @@ class Theorem(Frozen):
     `host` takes the certified factors (g, mg, h, mh) first when `factors`
     is set, then one value per name in `params`; `model` takes the host
     first and then the same values, and also `base=`, a certificate on the
-    box product of the factor-order cliques, when `base` is set.  `build`
-    builds the host once, first, for every family, so that the edge cap
-    refuses an oversized host before any certificate is made, and returns
-    the certificate and that host; the family's own preconditions are
-    checked by `model`.  (`construct` takes the two steps itself, to write
-    and hash the host's text between them.)  `best`'s `model` returns None
-    when no construction applies.  `table` holds the default 'a..b' range
-    of each param for the families `table` reproduces.
+    box product of the factor-order cliques, when `base` is set.
+    `construct` and `table` build the host once, first, for every family,
+    so that the edge cap refuses an oversized host before any certificate
+    is made, and hand it to `model`, which checks the family's own
+    preconditions.  `best`'s `model` returns None when no construction
+    applies.  `table` holds the default 'a..b' range of each param for the
+    families `table` reproduces.
 
     Builders call the construction functions and `product` through this
     module's globals at call time, so that patching them (as the
@@ -663,10 +665,6 @@ class Theorem(Frozen):
                  base: bool = False, table: tuple[str, ...] = ()):
         self.__dict__.update(params=params, host=host, model=model, factors=factors,
                              base=base, table=table)
-
-    def build(self, *args, **options) -> tuple[Optional[OddExpansionModel], Graph]:
-        host = self.host(*args)
-        return self.model(host, *args, **options), host
 
 
 def _grid_theorem(kind: str) -> Theorem:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import ItemsView, Mapping
 from itertools import chain, combinations, compress, islice, repeat
 from operator import add, le, lt, mul
@@ -59,10 +60,10 @@ class PairTable(Mapping):
     pair of the `order` trees has an entry, else the ascending i * order +
     j of the pairs that have one.  So a full table costs 16 bytes a pair
     and `table[i, j]` is arithmetic; a partial one costs 24 and a lookup is
-    one bisection.  The ends are whatever the maker stored: the model's
-    table has u <= v, `monochromatic_connector`'s has tree i's end first.
-    The constructor takes over the lists it is given; the package's makers
-    build them for it alone.
+    one bisection.  The package's makers, the model and
+    `monochromatic_connector`, store each end pair as (min, max).  The
+    constructor takes over the lists it is given; those makers build them
+    for it alone.
     """
 
     __slots__ = ("order", "_keys", "_us", "_vs")
@@ -136,16 +137,14 @@ class _PairItems(ItemsView):
 
 def _pair_table(r: int, connectors: Mapping[tuple[int, int], Edge]) -> PairTable:
     """The model's table of `connectors` for r trees, each end pair as
-    (min, max).  A PairTable for r trees whose ends are ints and in that
-    order already is shared as it is; any other map is checked and copied
-    into new columns, and ParameterError names its first entry that has an
-    id that is not an int or a key that is not a tree pair."""
+    (min, max).  A PairTable for r trees whose ends are ints with u <= v is
+    shared as it is; any other map is checked and copied into new columns,
+    and ParameterError names its first entry that has an id that is not an
+    int or a key that is not a tree pair."""
     if type(connectors) is PairTable and connectors.order == r:
         us, vs = connectors._us, connectors._vs
-        if set(map(type, chain(us, vs))) <= {int}:
-            if all(map(le, us, vs)):
-                return connectors
-            return PairTable(r, connectors._keys, list(map(min, us, vs)), list(map(max, us, vs)))
+        if set(map(type, chain(us, vs))) <= {int} and all(map(le, us, vs)):
+            return connectors
     keys, us, vs = [], [], []
     for key, end in connectors.items():
         u, v = end
@@ -183,9 +182,9 @@ class OddExpansionModel(Frozen):
     The model holds a copy of the `coloring` it is given, and its
     connectors, when it has any, as one `PairTable` for its trees, each end
     pair (min, max).  The table is immutable, so a table given for as many
-    trees, with its ends in that order, is shared as it is, not copied;
-    any other map (a dict, a table with an end pair the other way round)
-    is checked and copied into a new table.
+    trees, with its ends in that order (as `monochromatic_connector` gives
+    them), is shared as it is, not copied; any other map is checked and
+    copied into a new table.
     """
 
     _fields = ("trees", "coloring", "connectors", "notes")
@@ -300,11 +299,13 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
     Checks run in a fixed order and the first failure is reported, with the
     lowest tree/vertex/edge ids first: disjointness, tree shape, tree-edge
     membership in the host, coloring totality on used vertices, properness
-    on every tree edge, then connectors pair by pair; the pairs without a
-    stored connector are looked up in one `monochromatic_connector` table,
-    built at the first of them.  One pass over the stored connectors'
-    columns checks them all, with no `Graph.has_edge` call per connector;
-    the pairs are walked one by one only to name the first that fails.
+    on every tree edge, then connectors pair by pair.  One walk over the
+    stored connectors' columns, with no `Graph.has_edge` call per
+    connector, finds the first that fails and why.  The pairs are walked
+    one by one only when some pair has no stored connector, to find one
+    before that failure that has no connector at all; in plain mode those
+    pairs are looked up in one `monochromatic_connector` table, built at
+    the first of them and not walked when it is full.
     The model has already refused ids that are not plain ints and connector
     keys that are not tree pairs; a color that is not the int 1 or 2 (a
     bool, a float) fails `coloring_missing`.
@@ -367,57 +368,53 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
                              message=f"tree {i} edge {u}-{v} is monochromatic")
 
     stored = model.connectors or PairTable(r, [], [], [])
-    # one pass over the stored connectors' columns finds the first that
-    # does not join the trees of its pair, is not a host edge or is not
-    # monochromatic
+    # one walk over the stored connectors' columns names the first that
+    # fails, and why
+    bad = failure = None
     us, vs = stored._us, stored._vs
-    bad = len(stored)
-    for k, ((i, j), u, v, edge) in enumerate(zip(stored, us, vs, g.has_edges(us, vs))):
+    for (i, j), u, v, edge in zip(stored, us, vs, g.has_edges(us, vs)):
         ou, ov = owner.get(u), owner.get(v)
-        if not ((ou == i and ov == j or ou == j and ov == i) and edge
-                and coloring.get(u) == coloring.get(v)):
-            bad = k
-            break
-    pairs = r * (r - 1) // 2
-    table = None  # every pair's connector, found at the first pair without a stored one
-    if bad == len(stored):  # every stored connector holds
-        if len(stored) < pairs and not strict:
-            table = monochromatic_connector(g, model)
-        if len(stored) == pairs or table is not None and len(table) == pairs:
-            return Verdict("pass", message=f"order={r}")
-    # the pair loop, which names the first pair that fails
-    bad_pair = next(islice(stored, bad, None), None)
-    for pair in combinations(range(r), 2):
-        i, j = pair
-        if pair == bad_pair:
-            u, v = edge = stored[pair]
-            ou, ov = owner.get(u), owner.get(v)
-            if not (ou == i and ov == j or ou == j and ov == i):
-                return _fail("connector_invalid", trees=pair, edges=(edge,),
-                             message=f"stored connector {u}-{v} does not join trees {i} and {j}")
-            if not g.has_edge(u, v):
-                return _fail("connector_invalid", trees=pair, edges=(edge,),
-                             message=f"stored connector {u}-{v} is not a host edge")
-            return _fail("connector_invalid", trees=pair, edges=(edge,),
-                         message=f"stored connector {u}-{v} is not monochromatic")
-        if pair in stored:
+        if not (ou == i and ov == j or ou == j and ov == i):
+            why = f"does not join trees {i} and {j}"
+        elif not edge:
+            why = "is not a host edge"
+        elif coloring.get(u) != coloring.get(v):
+            why = "is not monochromatic"
+        else:
             continue
-        if strict:
-            return _fail("connector_missing", trees=pair,
-                         message=f"strict mode: no stored connector for pair ({i},{j})")
-        if table is None:
-            table = monochromatic_connector(g, model)
-        if pair not in table:
-            return _fail("connector_missing", trees=pair,
-                         message=f"no monochromatic edge between trees {i} and {j}")
-    return Verdict("pass", message=f"order={r}")
+        bad = i, j
+        failure = _fail("connector_invalid", trees=bad, edges=((u, v),),
+                        message=f"stored connector {u}-{v} {why}")
+        break
+    # a pair before that one may have no connector: none stored (strict),
+    # or none in the sweep's table, built at the first pair without a
+    # stored one and not walked when it is full (plain)
+    pairs = r * (r - 1) // 2
+    table = stored if strict else None
+    if len(stored) < pairs:
+        for pair in combinations(range(r), 2):
+            if pair == bad:
+                break
+            if table is None:
+                if pair in stored:
+                    continue
+                table = monochromatic_connector(g, model)
+                if len(table) == pairs:
+                    break
+            if pair not in table:
+                i, j = pair
+                return _fail("connector_missing", trees=pair, message=(
+                    f"strict mode: no stored connector for pair ({i},{j})" if strict
+                    else f"no monochromatic edge between trees {i} and {j}"))
+    return failure or Verdict("pass", message=f"order={r}")
 
 
 def monochromatic_connector(g: Graph, model: OddExpansionModel) -> PairTable:
-    """The connector of every tree pair i < j, in pair order and oriented
-    with the tree-i end first: the stored connector when the model has one,
-    otherwise the lexicographically least host edge with one end in each
-    tree and equal colors at both ends.  A pair with neither is left out.
+    """The connector of every tree pair i < j, in pair order, its ends
+    (min, max) as in every table: the stored connector when the model has
+    one, otherwise the lexicographically least host edge with one end in
+    each tree and equal colors at both ends.  A pair with neither is left
+    out, and a model whose own table has every pair gets that table back.
     The trees must be disjoint and their vertices colored, as the verifier
     checks before it asks.
 
@@ -425,52 +422,56 @@ def monochromatic_connector(g: Graph, model: OddExpansionModel) -> PairTable:
     so the first same-colored edge that crosses a pair of trees is that
     pair's least.  A row is read only when u is a tree vertex, and C-level
     passes map its ends to their trees and keep the least end per tree; the
-    sweep stops once every pair is filled.  It fills two pair-indexed
-    columns of ends in place, which become the returned `PairTable` as
-    they are when every pair is filled; otherwise the filled places are
-    picked out of them once.
+    sweep stops once every pair is filled.  Each filled pair takes a stored
+    connector or a host edge of its own, so only when there are as many of
+    those as pairs does the sweep fill two pair-indexed columns of ends in
+    place, which become the returned `PairTable` as they are when every
+    pair is filled; otherwise the filled places are picked out of them
+    once.  With fewer, it keeps the filled pairs in two dicts, at most one
+    entry per stored connector and host edge.
     """
     trees = model.trees
     r = len(trees)
-    us: list = [None] * (r * (r - 1) // 2)  # the place of pair (i, j) is start[i] + j
-    vs: list = [None] * len(us)
-    start = [i * (2 * r - i - 3) // 2 - 1 for i in range(r)]
-    stored = model.connectors
-    if stored:
-        for (i, j), (u, v) in stored.items():
-            k = start[i] + j
-            us[k], vs[k] = (u, v) if u in trees[i].vertices else (v, u)
-    missing = len(us) - len(stored or ())
-    if missing:
-        coloring = model.coloring
-        owner = {v: k for k, t in enumerate(trees) for v in t.vertices}
-        same: dict[int, dict[int, int]] = {1: {}, 2: {}}  # color -> its tree vertices' owners
-        for v, k in owner.items():
-            same[coloring[v]][v] = k
-        for u, row in g.rows():
-            a = owner.get(u)
-            if a is None:
-                continue
-            down = row[::-1]  # descending, so the least end of each tree is kept
-            ends = dict(zip(map(same[coloring[u]].get, down), down))
-            ends.pop(None, None)
-            ends.pop(a, None)
-            mine = start[a]
-            for b, v in ends.items():
-                if a < b:
-                    k = mine + b
-                    if us[k] is None:
-                        us[k], vs[k] = u, v
-                        missing -= 1
-                else:
-                    k = start[b] + a
-                    if us[k] is None:
-                        us[k], vs[k] = v, u
-                        missing -= 1
-            if not missing:
-                break
-    if not missing:
-        return PairTable(r, None, us, vs)
+    pairs = r * (r - 1) // 2
+    stored = model.connectors or PairTable(r, [], [], [])
+    if len(stored) == pairs:
+        return stored
+    if pairs <= len(stored) + g.m:
+        # pair (i, j) is place base[i] + j of two columns
+        base = [i * (2 * r - i - 3) // 2 - 1 for i in range(r)]
+        us, vs = [None] * pairs, [None] * pairs
+    else:
+        # pair (i, j) is key base[i] + j = i * r + j; reading a key adds it
+        # as None, and the sweep fills every key it reads as None at once
+        base = list(range(0, r * r, r))
+        us, vs = defaultdict(type(None)), {}
+    for (i, j), u, v in zip(stored, stored._us, stored._vs):
+        k = base[i] + j
+        us[k], vs[k] = u, v
+    missing = pairs - len(stored)
+    coloring = model.coloring
+    owner = {v: k for k, t in enumerate(trees) for v in t.vertices}
+    same: dict[int, dict[int, int]] = {1: {}, 2: {}}  # color -> its tree vertices' owners
+    for v, k in owner.items():
+        same[coloring[v]][v] = k
+    for u, row in g.rows():
+        a = owner.get(u)
+        if a is None:
+            continue
+        down = row[::-1]  # descending, so the least end of each tree is kept
+        ends = dict(zip(map(same[coloring[u]].get, down), down))
+        ends.pop(None, None)
+        ends.pop(a, None)
+        mine = base[a]
+        for b, v in ends.items():
+            k = mine + b if a < b else base[b] + a
+            if us[k] is None:
+                us[k], vs[k] = u, v
+                missing -= 1
+        if not missing:
+            return PairTable(r, None, us, vs)
+    if type(us) is not list:
+        return PairTable(r, list(us), list(us.values()), list(vs.values()))
     found = [u is not None for u in us]
     keys = [i * r + j for i, j in compress(combinations(range(r), 2), found)]
     return PairTable(r, keys, list(compress(us, found)), list(compress(vs, found)))

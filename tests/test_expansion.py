@@ -330,17 +330,18 @@ def test_parse_rejects_out_of_range_connector_pairs():
 
 
 def test_connector_lookup_orientation():
-    # no stored connector: each pair's least monochromatic edge, tree-i end first
+    # no stored connector: each pair's least monochromatic edge, as (min, max)
     assert monochromatic_connector(C5, C5_MODEL) == {(0, 1): (0, 1), (0, 2): (0, 4),
                                                      (1, 2): (2, 3)}
-    # the same trees, the last two swapped: pair (1, 2) reads 3-2 from tree 1
+    # the same trees, the last two swapped: pair (1, 2) still reads 2-3,
+    # though 3 is tree 1's end
     swapped = OddExpansionModel((C5_MODEL.trees[0], C5_MODEL.trees[2], C5_MODEL.trees[1]),
                                 C5_MODEL.coloring)
     assert monochromatic_connector(C5, swapped) == {(0, 1): (0, 4), (0, 2): (0, 1),
-                                                    (1, 2): (3, 2)}
-    # a stored connector is returned as stored, oriented the same way
-    stored = OddExpansionModel(swapped.trees, swapped.coloring, {(1, 2): (1, 4)})
-    assert monochromatic_connector(C5, stored)[1, 2] == (4, 1)
+                                                    (1, 2): (2, 3)}
+    # a stored connector is returned as the model stores it, (min, max)
+    stored = OddExpansionModel(swapped.trees, swapped.coloring, {(1, 2): (4, 1)})
+    assert monochromatic_connector(C5, stored)[1, 2] == (1, 4)
     # a pair with neither is left out
     broken = OddExpansionModel((branch_tree([0]), branch_tree([2])), {0: 1, 2: 1})
     assert monochromatic_connector(C5, broken) == {}
@@ -395,15 +396,22 @@ def brute_least_monochromatic_edge(g, a, b, coloring):
 # a sparse host with large trees, the second tree below the first
 @example((gr.path(8), OddExpansionModel((branch_tree([4, 5, 6, 7]), branch_tree([0, 1, 2, 3])),
                                         {v: 1 + v % 2 for v in range(8)})))
+# as many host edges as pairs, so the sweep fills columns, and one pair
+# left without a connector
+@example((gr.complete(4), OddExpansionModel((branch_tree([0]), branch_tree([1]),
+                                             branch_tree([2, 3])), {0: 1, 1: 2, 2: 1, 3: 2})))
+# fewer host edges and stored connectors than pairs, so the sweep keeps
+# what it finds in dicts, the trees out of vertex order
+@example((gr.path(6), OddExpansionModel(tuple(branch_tree([v]) for v in (3, 0, 5, 1, 4, 2)),
+                                        dict.fromkeys(range(6), 1), {(0, 2): (3, 0)})))
 def test_connector_table_matches_brute_force(case):
     g, model = case
     trees, stored = model.trees, model.connectors or {}
     table = monochromatic_connector(g, model)
     for i, j in itertools.combinations(range(len(trees)), 2):
+        # the least edge as g.edges holds it, (min, max)
         edge = stored.get((i, j)) or brute_least_monochromatic_edge(
             g, trees[i], trees[j], model.coloring)
-        if edge is not None and edge[0] not in trees[i].vertices:
-            edge = edge[::-1]
         assert table.get((i, j)) == edge, (i, j)
     assert set(table) <= set(itertools.combinations(range(len(trees)), 2))
 
@@ -416,6 +424,8 @@ def test_connector_table_reads_no_row_after_the_last_pair_is_filled():
     seen = []
 
     class Host:
+        m = g.m
+
         def rows(self):
             for u, row in g.rows():
                 seen.append(u)
@@ -559,11 +569,15 @@ def test_pair_table_is_shared_not_copied():
     model = K24_MODEL
     again = OddExpansionModel(model.trees, model.coloring, model.connectors, model.notes)
     assert again.connectors is model.connectors
-    # the sweep's table has tree i's end first: the model keeps (min, max)
-    swept = monochromatic_connector(K24_DIRECT, OddExpansionModel(model.trees, model.coloring))
-    made = OddExpansionModel(model.trees, model.coloring, swept)
-    assert made.connectors is not swept and made.connectors == model.connectors
-    assert any(u > v for u, v in swept.values())
+    # a table with an end pair the other way round is copied as (min, max),
+    # and one with an end that is not an int is refused
+    reversed_ends = ex.PairTable(3, None, [0, 0, 3], [1, 4, 2])
+    made = OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring, reversed_ends)
+    assert made.connectors is not reversed_ends
+    assert made.connectors == {(0, 1): (0, 1), (0, 2): (0, 4), (1, 2): (2, 3)}
+    with pytest.raises(ParameterError):
+        OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring,
+                          ex.PairTable(3, None, [0, 0, 2], [1, 4, 3.0]))
     # a table for another number of trees is checked and copied
     fewer = OddExpansionModel(C5_MODEL.trees[:2], C5_MODEL.coloring,
                               OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring,
@@ -573,6 +587,75 @@ def test_pair_table_is_shared_not_copied():
         OddExpansionModel(C5_MODEL.trees[:2], C5_MODEL.coloring,
                           OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring,
                                             {(1, 2): (1, 4)}).connectors)
+
+
+def test_a_model_shares_the_sweeps_table():
+    # the sweep's table is (min, max), as a model's is: the path builder
+    # and the oracle hand it over with no copy
+    swept = monochromatic_connector(K24_DIRECT, OddExpansionModel(K24_MODEL.trees,
+                                                                  K24_MODEL.coloring))
+    made = OddExpansionModel(K24_MODEL.trees, K24_MODEL.coloring, swept)
+    assert made.connectors is swept and made.connectors == K24_MODEL.connectors
+
+
+def test_the_sweep_returns_a_full_stored_table_as_is():
+    assert monochromatic_connector(K24_DIRECT, K24_MODEL) is K24_MODEL.connectors
+    full = OddExpansionModel(C5_MODEL.trees, C5_MODEL.coloring,
+                             {(0, 1): (0, 1), (0, 2): (0, 4), (1, 2): (3, 2)})
+    assert monochromatic_connector(C5, full) is full.connectors
+
+
+def test_plain_verify_of_many_trees_on_an_edgeless_host_stays_small():
+    # 4,000 singleton trees, 7,998,000 pairs and no host edge: no pair can
+    # have a connector, so the sweep allocates no pair-indexed columns
+    r = 4000
+    model = OddExpansionModel(tuple(branch_tree([v]) for v in range(r)),
+                              dict.fromkeys(range(r), 1))
+    host = gr.Graph(r, [])
+    tracemalloc.start()
+    try:
+        verdict = verify_odd_expansion(host, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.summary() == ("FAIL connector_missing trees=0,1 "
+                                 "no monochromatic edge between trees 0 and 1")
+    assert peak <= 3_000_000
+
+
+K4 = gr.complete(4)
+
+
+# four singleton trees 0..3, all color 1; on C5 pairs (0, 2), (0, 3) and
+# (1, 3) have no monochromatic edge, on K4 every pair has one
+@pytest.mark.parametrize("g, stored, strict, expected", [
+    # a pair without a connector before a bad stored one
+    (C5, {(1, 2): (1, 3)}, True,
+     "FAIL connector_missing trees=0,1 strict mode: no stored connector for pair (0,1)"),
+    (C5, {(1, 2): (1, 3)}, False,
+     "FAIL connector_missing trees=0,2 no monochromatic edge between trees 0 and 2"),
+    (C5, {(0, 2): (0, 2)}, True,
+     "FAIL connector_missing trees=0,1 strict mode: no stored connector for pair (0,1)"),
+    # ... and after one
+    (C5, {(0, 1): (0, 1), (0, 2): (0, 2)}, True,
+     "FAIL connector_invalid trees=0,2 edges=0-2 stored connector 0-2 is not a host edge"),
+    (C5, {(0, 1): (0, 1), (0, 2): (0, 2)}, False,
+     "FAIL connector_invalid trees=0,2 edges=0-2 stored connector 0-2 is not a host edge"),
+    # the sweep's table, built at pair (0, 1), has pair (0, 1) but not (0, 3)
+    (C5, {(0, 2): (0, 2)}, False,
+     "FAIL connector_invalid trees=0,2 edges=0-2 stored connector 0-2 is not a host edge"),
+    # the sweep's table is full, so no pair is walked after it is built
+    (K4, {(1, 2): (1, 3)}, False,
+     "FAIL connector_invalid trees=1,2 edges=1-3 stored connector 1-3 does not join "
+     "trees 1 and 2"),
+    (K4, {(1, 2): (1, 3)}, True,
+     "FAIL connector_missing trees=0,1 strict mode: no stored connector for pair (0,1)"),
+])
+def test_the_first_pair_that_fails_is_named(g, stored, strict, expected):
+    model = OddExpansionModel(tuple(branch_tree([v]) for v in range(4)),
+                              dict.fromkeys(range(4), 1), stored)
+    assert verify_odd_expansion(g, model, strict).summary() == expected
+    assert reference_connector_verdict(g, model, strict) == expected
 
 
 def reference_connector_verdict(g, model, strict):

@@ -250,7 +250,8 @@ def test_construct_builds_a_given_base_host_once(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("theorem, args", [
     ("direct-k3", (7,)), ("direct-general", (5, 7)), ("cartesian-complete", (3, 4))])
 def test_built_host_is_not_kept_alive(theorem, args):
-    model, host = cons.THEOREMS[theorem].build(*args)
+    host = cons.THEOREMS[theorem].host(*args)
+    model = cons.THEOREMS[theorem].model(host, *args)
     alive = weakref.ref(host)
     del model, host
     gc.collect()
