@@ -15,7 +15,7 @@ _HOMES = {
     "expansion": ("BranchTree", "OddExpansionModel", "Verdict", "branch_tree",
                   "odd_cycle_model", "parse_model", "serialize_model",
                   "verify_odd_expansion"),
-    "constructions": ("BaseModel", "GridForest", "best_lower_bound",
+    "constructions": ("BaseModel", "best_lower_bound",
                       "cartesian_complete_model", "cartesian_lift", "direct_general_model",
                       "direct_k3_model", "direct_k3_upper_bound", "hamming_model",
                       "identity_model", "product_grid_forest", "star_model",

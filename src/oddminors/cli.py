@@ -130,13 +130,14 @@ def cmd_product(args) -> int:
     return EXIT_OK
 
 
+_INT_OPTIONS = ("s", "t", "n", "d", "r")
 _FACTOR_OPTIONS = ("factor_a", "model_a", "factor_b", "model_b")
 
 
 def _refuse_unread(args, theorem: str, read) -> None:
     """Refuse each theorem option given that `theorem` does not read, rather
     than ignore it."""
-    for name in ("s", "t", "n", "d", "r", "kind", *_FACTOR_OPTIONS, "base"):
+    for name in (*_INT_OPTIONS, "kind", *_FACTOR_OPTIONS, "base"):
         if name not in read and getattr(args, name, None) is not None:
             raise _CliError(f"theorem {theorem!r} takes no --{name.replace('_', '-')}")
 
@@ -145,15 +146,15 @@ def _factor_inputs(args):
     for opt in _FACTOR_OPTIONS:
         if getattr(args, opt) is None:
             raise _CliError(f"theorem {args.theorem!r} needs --{opt.replace('_', '-')}")
-    g = _load_graph(args.factor_a)
-    mg, hg = _load_certificate(args.model_a)
-    if hg != g.content_hash():
-        raise _CliError(f"--model-a hash does not match --factor-a", EXIT_HASH_MISMATCH)
-    h = _load_graph(args.factor_b)
-    mh, hh = _load_certificate(args.model_b)
-    if hh != h.content_hash():
-        raise _CliError(f"--model-b hash does not match --factor-b", EXIT_HASH_MISMATCH)
-    return g, mg, h, mh
+    inputs = []
+    for side in "ab":
+        g = _load_graph(getattr(args, f"factor_{side}"))
+        model, stored_hash = _load_certificate(getattr(args, f"model_{side}"))
+        if stored_hash != g.content_hash():
+            raise _CliError(f"--model-{side} hash does not match --factor-{side}",
+                            EXIT_HASH_MISMATCH)
+        inputs += [g, model]
+    return tuple(inputs)
 
 
 def _need(args, name):
@@ -167,7 +168,7 @@ def _load_base(path: str, mg: OddExpansionModel, mh: OddExpansionModel):
     from . import constructions as cons
     model, stored_hash = _load_certificate(path)
     base = cons.BaseModel(mg.clique_order, mh.clique_order, model)
-    if stored_hash != base.host().content_hash():
+    if stored_hash != base.host.content_hash():
         raise _CliError("--base hash does not match the factor-order host", EXIT_HASH_MISMATCH)
     return base
 
@@ -225,11 +226,8 @@ def cmd_verify(args) -> int:
         print(f"HASH-MISMATCH certificate={stored_hash} graph={actual}")
         return EXIT_HASH_MISMATCH
     verdict = verify_odd_expansion(g, model, strict=args.strict)
-    if verdict.passed:
-        print(f"PASS order={model.clique_order}")
-        return EXIT_OK
     print(verdict.summary())
-    return EXIT_VERIFY_FAIL
+    return EXIT_OK if verdict.passed else EXIT_VERIFY_FAIL
 
 
 def cmd_exact(args) -> int:
@@ -312,11 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit and self-verify a certificate")
     p.add_argument("theorem", choices=_TheoremIds(), metavar="theorem",
                    help="one of: %(choices)s")
-    p.add_argument("--s", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--r", type=int)
+    for name in _INT_OPTIONS:
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("--kind", choices=PRODUCT_KINDS)
     p.add_argument("--factor-a", dest="factor_a")
     p.add_argument("--model-a", dest="model_a")

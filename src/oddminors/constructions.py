@@ -64,45 +64,6 @@ def witness_product_coloring(c_first: Mapping[int, int], c_second: Mapping[int, 
     return out
 
 
-class GridForest(Frozen):
-    """The s x t family of cell trees inside a product of two certified hosts.
-
-    Cell (i, j) spans tree i of the first factor times tree j of the second,
-    connected through factor tree edges only; the coloring combines the two
-    witness colorings.  `first[i1, i2]` is the joint of first-factor trees
-    i1 and i2, tree i1's end first: their connector when i1 != i2, the
-    tree's least vertex twice when i1 == i2; `second` is the same table for
-    the second factor.  `cell_edge` pairs a first joint with a second joint,
-    so one rule joins every two cells, whether they share a row, a column
-    or neither.
-    """
-
-    _fields = ("s", "t", "cells", "coloring", "first", "second", "n_second")
-    s: int
-    t: int
-    cells: Mapping[tuple[int, int], BranchTree]
-    coloring: Mapping[int, int]
-    first: Mapping[tuple[int, int], Edge]
-    second: Mapping[tuple[int, int], Edge]
-    n_second: int
-
-    def __init__(self, s: int, t: int, cells: Mapping[tuple[int, int], BranchTree],
-                 coloring: Mapping[int, int], first: Mapping[tuple[int, int], Edge],
-                 second: Mapping[tuple[int, int], Edge], n_second: int):
-        self.__dict__.update(s=s, t=t, cells=cells, coloring=coloring, first=first,
-                             second=second, n_second=n_second)
-
-    def cell_edge(self, a: tuple[int, int], b: tuple[int, int]) -> Edge:
-        """The monochromatic host edge joining cell a to cell b, cell a's end
-        first.  It is a box-product edge when the cells share a row or a
-        column, and a strong-product edge in every case."""
-        (a1, a2), (b1, b2) = self.first[a[0], b[0]], self.second[a[1], b[1]]
-        u, v = flatten(a1, b1, self.n_second), flatten(a2, b2, self.n_second)
-        if self.coloring[u] != self.coloring[v]:
-            raise ConsistencyError(f"cell edge {u}-{v} for {a}, {b} is not monochromatic")
-        return u, v
-
-
 def _require_valid(g: Graph, model: OddExpansionModel, name: str):
     verdict = verify_odd_expansion(g, model)
     if not verdict.passed:
@@ -132,16 +93,26 @@ def _ranked(tree: BranchTree) -> tuple[tuple[int, ...], Graph]:
     return verts, graph_from_edges(len(verts), ((rank[u], rank[v]) for u, v in tree.edges))
 
 
-def product_grid_forest(g: Graph, mg: OddExpansionModel,
-                        h: Graph, mh: OddExpansionModel) -> GridForest:
+def product_grid_forest(g: Graph, mg: OddExpansionModel, h: Graph, mh: OddExpansionModel
+                        ) -> tuple[dict[tuple[int, int], BranchTree], dict[int, int],
+                                   Callable[..., Edge]]:
     """Build the cell grid shared by the box-product, strong-product and
-    lexicographic constructions.
+    lexicographic constructions: its cells, their coloring and `cell_edge`.
 
-    Each cell is the deterministic BFS spanning tree of the box product of
-    its two factor trees, built on the trees relabelled to ranks and mapped
-    back to host ids; ranks keep the order of the flattened ids, so the BFS
-    is the one the host would run on the cell.  Each factor's connectors
-    come from one `monochromatic_connector` table, for the joint tables.
+    Cell (i, j) spans tree i of the first factor times tree j of the second,
+    connected through factor tree edges only: the deterministic BFS spanning
+    tree of the box product of its two factor trees, built on the trees
+    relabelled to ranks and mapped back to host ids.  Ranks keep the order
+    of the flattened ids, so the BFS is the one the host would run on the
+    cell.  The coloring combines the two witness colorings.
+
+    `cell_edge(a, b)` is the monochromatic host edge joining cell a to cell
+    b, cell a's end first.  It pairs the joint of the cells' first-factor
+    trees with the joint of their second-factor trees, so one rule joins
+    every two cells, whether they share a row, a column or neither: a
+    box-product edge in the first two cases, a strong-product edge in every
+    case.  Each factor's joints come from one `monochromatic_connector`
+    table; an edge whose ends differ in color raises ConsistencyError.
     """
     _require_valid(g, mg, "first factor")
     _require_valid(h, mh, "second factor")
@@ -157,8 +128,16 @@ def product_grid_forest(g: Graph, mg: OddExpansionModel,
                 (ids[x], ids[y]) for x, y in spanning_tree(grid, range(grid.n))))
     domain = [(a, b) for va, _ in rows for a in va for vb, _ in cols for b in vb]
     coloring = witness_product_coloring(mg.coloring, mh.coloring, domain, nh)
-    return GridForest(len(rows), len(cols), cells, coloring,
-                      _joints(g, mg), _joints(h, mh), nh)
+    first, second = _joints(g, mg), _joints(h, mh)
+
+    def cell_edge(a: tuple[int, int], b: tuple[int, int]) -> Edge:
+        (a1, a2), (b1, b2) = first[a[0], b[0]], second[a[1], b[1]]
+        u, v = flatten(a1, b1, nh), flatten(a2, b2, nh)
+        if coloring[u] != coloring[v]:
+            raise ConsistencyError(f"cell edge {u}-{v} for {a}, {b} is not monochromatic")
+        return u, v
+
+    return cells, coloring, cell_edge
 
 
 # ----------------------------------------------------------------------
@@ -177,13 +156,10 @@ class BaseModel(Frozen):
     def __init__(self, s: int, t: int, model: OddExpansionModel):
         self.__dict__.update(s=s, t=t, model=model)
 
+    @cached_property
     def host(self) -> Graph:
         """K_s box K_t, built on first use and kept with the certificate, so
         that checking a loaded base's hash and verifying it share one host."""
-        return self._host
-
-    @cached_property
-    def _host(self) -> Graph:
         return product("cartesian", complete(self.s), complete(self.t))
 
 
@@ -239,15 +215,14 @@ def cartesian_lift(g: Graph, mg: OddExpansionModel,
     colored 2, which makes the joining edges bichromatic and the pair
     connectors monochromatic again.
     """
-    gf = product_grid_forest(g, mg, h, mh)
-    s, t = gf.s, gf.t
+    cells, grid_coloring, cell_edge = product_grid_forest(g, mg, h, mh)
+    s, t = mg.clique_order, mh.clique_order
     if base is None:
         base = cartesian_complete_model(s, t)
     if base.s != s or base.t != t:
         raise ParameterError(
             f"base is for factor orders ({base.s}, {base.t}), models have ({s}, {t})")
-    base_host = base.host()
-    _require_valid(base_host, base.model, "base")
+    _require_valid(base.host, base.model, "base")
 
     cell_of = lambda x: divmod(x, t)
     trees = []
@@ -256,20 +231,20 @@ def cartesian_lift(g: Graph, mg: OddExpansionModel,
         verts: set[int] = set()
         edges: set[Edge] = set()
         for x in rk.sorted_vertices:
-            cell = gf.cells[cell_of(x)]
+            cell = cells[cell_of(x)]
             verts |= cell.vertices
             edges |= cell.edges
             keep = base.model.coloring[x] == 1
             for v in cell.vertices:
-                coloring[v] = gf.coloring[v] if keep else 3 - gf.coloring[v]
-        edges.update(gf.cell_edge(cell_of(x), cell_of(y)) for x, y in rk.edges)
+                coloring[v] = grid_coloring[v] if keep else 3 - grid_coloring[v]
+        edges.update(cell_edge(cell_of(x), cell_of(y)) for x, y in rk.edges)
         trees.append(branch_tree(verts, edges))
 
-    joins = monochromatic_connector(base_host, base.model)
+    joins = monochromatic_connector(base.host, base.model)
     connectors = {}
     for k1, k2 in combinations(range(base.model.clique_order), 2):
         x, y = joins[k1, k2]
-        connectors[k1, k2] = gf.cell_edge(cell_of(x), cell_of(y))
+        connectors[k1, k2] = cell_edge(cell_of(x), cell_of(y))
     return OddExpansionModel(tuple(trees), coloring, connectors)
 
 
@@ -306,15 +281,15 @@ def strong_model(g: Graph, mg: OddExpansionModel,
     """
     if kind not in ("strong", "lexicographic"):
         raise ParameterError(f"kind must be strong or lexicographic, got {kind!r}")
-    gf = product_grid_forest(g, mg, h, mh)
-    cells = sorted(gf.cells)
-    trees = tuple(gf.cells[c] for c in cells)
-    connectors = {(k1, k2): gf.cell_edge(a, b)
-                  for (k1, a), (k2, b) in combinations(enumerate(cells), 2)}
+    cells, coloring, cell_edge = product_grid_forest(g, mg, h, mh)
+    order = sorted(cells)
+    trees = tuple(cells[c] for c in order)
+    connectors = {(k1, k2): cell_edge(a, b)
+                  for (k1, a), (k2, b) in combinations(enumerate(order), 2)}
     notes = ()
-    if gf.s < 2 or gf.t < 2:
+    if mg.clique_order < 2 or mh.clique_order < 2:
         notes = ("degenerate factor: an input certificate has order below 2",)
-    return OddExpansionModel(trees, dict(gf.coloring), connectors, notes)
+    return OddExpansionModel(trees, coloring, connectors, notes)
 
 
 def star_model(r: int, t: int) -> OddExpansionModel:
@@ -606,7 +581,7 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
         return None
 
     # direct product
-    if g.is_complete() and h.is_complete() and g.n >= 1 and h.n >= 1:
+    if g.is_complete() and h.is_complete():
         a, b = g.n, h.n
         candidates: list[tuple[int, Callable[[], OddExpansionModel]]] = []
         if b == 3 and a >= 6:
@@ -622,8 +597,6 @@ def best_lower_bound(g: Graph, mg: OddExpansionModel,
 
     if host is None:
         host = product("direct", g, h)
-    if host.n == 0:
-        return None
     if host.m == 0:
         return singleton_model(host)
     return odd_cycle_model(host) or single_edge_model(host)

@@ -276,8 +276,6 @@ def _is_vertex(v, g: Graph) -> bool:
 
 def _tree_connected(tree: BranchTree) -> bool:
     verts = tree.sorted_vertices
-    if not verts:
-        return False
     adj: dict[int, list[int]] = {v: [] for v in verts}
     for u, v in tree.edges:
         adj[u].append(v)
@@ -582,12 +580,13 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     the line found in place of an expected key, or the first non-blank
     trailing line.
 
-    A connector line as `serialize_model` writes it ('i,j=u-v' tokens
-    joined by single spaces, the pairs ascending with 0 <= i < j < count,
-    and u < v) is read in place, in chunks, by the scanner
-    `_decimal_chunks`.  Any other connector line goes, whole, to the token
-    loop, the one that raises ParseError, so the two read every line
-    alike.
+    A connector line as `serialize_model` writes it for a certificate
+    with a connector for every tree pair ('i,j=u-v' tokens joined by single
+    spaces, every pair 0 <= i < j < count ascending, and u < v) is read in
+    place, in chunks, by the scanner `_decimal_chunks`.  Any other
+    connector line, one that leaves a pair out among them, goes, whole, to
+    the token loop: the one that raises ParseError and keeps each pair's
+    key.  So the two read every line alike.
     """
     lines = text.splitlines(keepends=True)
     index = -1  # the line just read
@@ -693,7 +692,7 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     connectors = None
     if next_key() == "connectors":
         start = take_line("connectors", "connectors")
-        us, vs = [], []  # the table's columns of ends
+        keys, us, vs = None, [], []  # every pair, so no keys; the columns of ends
         last = -1  # i * count + j of the last pair read
         try:
             if lines[index][start:start + 1] != " ":
@@ -710,11 +709,9 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
                 us.extend(u)
                 vs.extend(v)
                 last = pairs[-1]
-            keys = None  # as many ascending pairs in range as there are pairs: all of them
-            if len(us) < count * (count - 1) // 2:  # some: their keys, read again
-                keys = []
-                for ends in _decimal_chunks(line, start + 1, ",=- ", ids, stop):
-                    keys.extend(map(add, map(mul, ends[0::4], repeat(count)), ends[1::4]))
+            # as many ascending pairs in range as there are pairs: all of them
+            if len(us) < count * (count - 1) // 2:
+                raise ValueError("some pairs have no connector")
         except ValueError:  # not as `serialize_model` writes it: the token loop reads it all
             keys, us, vs = [], [], []
             seen = set()

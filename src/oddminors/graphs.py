@@ -385,14 +385,10 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
         across = {b: tuple(sorted((b, *h.neighbors(b)))) for b in range(nh)}
     else:
         across = dict.fromkeys(range(nh), tuple(range(nh)))
-    if g.n * nh <= 257:
-        # CPython keeps one object for each int up to 256: arithmetic shares them
-        ids = {a: list(range(a * nh, a * nh + nh)) for a in range(g.n)}
-    else:
-        touched = g._rows.keys() | set(chain.from_iterable(g._rows.values()))  # have an edge
-        columns = inner.keys() | set(chain.from_iterable(inner.values()))
-        ids = {a: _id_row(a * nh, nh, across if a in touched else columns)
-               for a in (range(g.n) if inner else sorted(touched))}
+    touched = g._rows.keys() | set(chain.from_iterable(g._rows.values()))  # have an edge
+    columns = inner.keys() | set(chain.from_iterable(inner.values()))
+    ids = {a: _id_row(a * nh, nh, across if a in touched else columns)
+           for a in (range(g.n) if inner else sorted(touched))}
     rows = {}
     for a, ida in ids.items():
         ups = [ids[x] for x in g._rows.get(a, ())]  # the id rows of the blocks above a that a joins

@@ -10,8 +10,8 @@ import pytest
 from oddminors import cli
 from oddminors import constructions as cons
 from oddminors import graphs as gr
-from oddminors.expansion import (odd_cycle_model, parse_model, serialize_model,
-                                 singleton_model, verify_odd_expansion)
+from oddminors.expansion import (OddExpansionModel, odd_cycle_model, parse_model,
+                                 serialize_model, singleton_model, verify_odd_expansion)
 
 
 def run(capsys, *argv):
@@ -344,3 +344,52 @@ def test_table_empty_range_is_an_error(capsys, argv):
     code, stdout, stderr = run(capsys, "table", *argv)
     assert code == 2 and "bad range" in stderr
     assert stdout == ""
+
+
+def test_construct_refuses_a_second_model_of_another_graph(tmp_path, capsys):
+    k2 = gr.complete(2)
+    cert = tmp_path / "k2.cert"
+    cert.write_text(serialize_model(cons.identity_model(k2), k2.content_hash()))
+    code, stdout, stderr = run(capsys, "construct", "strong",
+                               "--factor-a", "complete:2", "--model-a", str(cert),
+                               "--factor-b", "complete:3", "--model-b", str(cert),
+                               "--out", str(tmp_path / "c.cert"))
+    assert (code, stdout) == (4, "")
+    assert stderr == "error: --model-b hash does not match --factor-b\n"
+
+
+def test_construct_refuses_a_factor_certificate_that_fails_verification(tmp_path, capsys):
+    # two singletons of different colors: K2's one edge joins them bichromatically
+    k2 = gr.complete(2)
+    bad = tmp_path / "bad.cert"
+    split = OddExpansionModel(cons.identity_model(k2).trees, {0: 1, 1: 2})
+    bad.write_text(serialize_model(split, k2.content_hash()))
+    good = tmp_path / "good.cert"
+    good.write_text(serialize_model(cons.identity_model(k2), k2.content_hash()))
+    code, stdout, stderr = run(capsys, "construct", "strong",
+                               "--factor-a", "complete:2", "--model-a", str(bad),
+                               "--factor-b", "complete:2", "--model-b", str(good),
+                               "--out", str(tmp_path / "c.cert"))
+    assert (code, stdout) == (1, "")
+    assert stderr == ("error: first factor model fails verification: FAIL connector_missing "
+                      "trees=0,1 no monochromatic edge between trees 0 and 1\n")
+
+
+def test_exact_above_the_vertex_cap_prints_a_lower_bound(tmp_path, capsys):
+    code, stdout, _ = run(capsys, "exact", "cycle:17", "--strict",
+                          "--out", str(tmp_path / "c17.cert"))
+    assert code == 0 and stdout.splitlines()[0] == "LOWER_BOUND 3"
+
+
+@pytest.mark.parametrize("budget, cells", [
+    (["--max-n", "4"], ["ok", "-", "-", "-"]),
+    (["--nodes", "1"], ["timeout"] * 4),
+], ids=["over-the-cap", "out-of-nodes"])
+def test_table_oracle_cells_without_a_search_result(capsys, budget, cells):
+    code, stdout, _ = run(capsys, "table", "cartesian-complete",
+                          "--s", "2..3", "--t", "2..3", "--oracle", *budget)
+    assert code == 0
+    rows = [row.split() for row in stdout.splitlines()]
+    assert rows[0] == ["s", "t", "order", "verdict", "oracle"]
+    assert [row[-1] for row in rows[1:]] == cells
+    assert all(row[3] == "PASS" for row in rows[1:])

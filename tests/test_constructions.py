@@ -94,30 +94,29 @@ def test_witness_product_coloring_missing_coordinate():
 
 
 def test_grid_forest_cells_and_cell_edges():
-    gf = cons.product_grid_forest(C5, C5_K3, C5, C5_K3)
-    assert gf.s == 3 and gf.t == 3
-    assert len(gf.cells) == 9
+    cells, coloring, cell_edge = cons.product_grid_forest(C5, C5_K3, C5, C5_K3)
+    assert sorted(cells) == [(i, j) for i in range(3) for j in range(3)]
     box, strong = gr.product("cartesian", C5, C5), gr.product("strong", C5, C5)
-    for a in gf.cells:
-        for b in gf.cells:
+    for a in cells:
+        for b in cells:
             if a == b:
                 continue
-            u, v = gf.cell_edge(a, b)
-            assert u in gf.cells[a].vertices and v in gf.cells[b].vertices
+            u, v = cell_edge(a, b)
+            assert u in cells[a].vertices and v in cells[b].vertices
             # every cell pair is joined by a monochromatic strong-product edge
             assert strong.has_edge(u, v)
-            assert gf.coloring[u] == gf.coloring[v]
+            assert coloring[u] == coloring[v]
             # and a same-row or same-column pair by a box-product edge
             if a[0] == b[0] or a[1] == b[1]:
                 assert box.has_edge(u, v)
     # combined coloring is proper on every cell tree
-    for cell in gf.cells.values():
+    for cell in cells.values():
         for u, v in cell.edges:
-            assert gf.coloring[u] != gf.coloring[v]
+            assert coloring[u] != coloring[v]
             assert box.has_edge(u, v)
     # cell sizes multiply the factor tree sizes
     factor_sizes = [1, 2, 2]
-    for (i, j), cell in gf.cells.items():
+    for (i, j), cell in cells.items():
         assert len(cell.vertices) == factor_sizes[i] * factor_sizes[j]
         assert len(cell.edges) == len(cell.vertices) - 1
 
@@ -125,9 +124,10 @@ def test_grid_forest_cells_and_cell_edges():
 def test_grid_forest_all_singleton_factors():
     k2 = gr.complete(2)
     mk2 = cons.identity_model(k2)
-    gf = cons.product_grid_forest(k2, mk2, k2, mk2)
-    assert all(len(c.vertices) == 1 for c in gf.cells.values())
-    assert set(gf.coloring.values()) == {1}
+    cells, coloring, _ = cons.product_grid_forest(k2, mk2, k2, mk2)
+    assert sorted(cells) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(len(c.vertices) == 1 for c in cells.values())
+    assert set(coloring.values()) == {1}
 
 
 def test_grid_forest_reads_tree_edges_in_either_orientation():
@@ -137,6 +137,18 @@ def test_grid_forest_reads_tree_edges_in_either_orientation():
         tuple(BranchTree(t.vertices, frozenset((v, u) for u, v in t.edges)) for t in C5_K3.trees),
         C5_K3.coloring)
     assert cons.strong_model(C5, flipped, C5, flipped) == cons.strong_model(C5, C5_K3, C5, C5_K3)
+
+
+@pytest.mark.parametrize("kind", ["strong", "lexicographic"])
+def test_grid_joints_put_each_trees_end_first(kind):
+    # K3's identity certificate with its trees listed 2, 1, 0: the larger
+    # end of each connector lies in the lower tree, so each joint must be
+    # turned round; a Cartesian lift of the same factors would not notice
+    k3 = gr.complete(3)
+    identity = cons.identity_model(k3)
+    rev = OddExpansionModel(identity.trees[::-1], identity.coloring)
+    host = gr.product(kind, k3, k3)
+    check_on(host, cons.strong_model(k3, rev, k3, identity, kind), 9)
 
 
 def test_grid_forest_rejects_invalid_factor():
@@ -402,6 +414,17 @@ def test_best_lower_bound_direct_fallbacks():
     check_on(gr.product("direct", C5, C5), model)
 
 
+def test_best_lower_bound_direct_edgeless_product():
+    # K1 x K2 has two vertices and no edge: the order-1 singleton
+    k1, k2 = gr.complete(1), gr.complete(2)
+    model = cons.best_lower_bound(k1, cons.identity_model(k1), k2, cons.identity_model(k2),
+                                  "direct")
+    host = gr.product("direct", k1, k2)
+    assert (host.n, host.m) == (2, 0)
+    assert model == singleton_model(host)
+    check_on(host, model, 1)
+
+
 def test_best_lower_bound_cartesian_degenerate():
     k2 = gr.complete(2)
     one = singleton_model(k2)
@@ -489,7 +512,7 @@ def _cycle(n):
 
 def _base_3_3():
     base = cons.cartesian_complete_model(3, 3)
-    return base.host(), base.model
+    return base.host, base.model
 
 
 def _best_direct_k3_k7():

@@ -125,6 +125,16 @@ def test_clause_witnesses():
     assert verify_odd_expansion(C5, empty).clause == "tree_shape"
 
 
+@pytest.mark.parametrize("tree, summary", [
+    (BranchTree(frozenset(), frozenset()), "FAIL tree_shape trees=0 tree 0 is empty"),
+    (branch_tree([0, 1], [(0, 1), (1, 2)]),
+     "FAIL tree_shape trees=0 edges=1-2 tree 0 edge 1-2 leaves its vertex set"),
+], ids=["empty", "edge-leaves-its-vertex-set"])
+def test_tree_shape_failures_are_named(tree, summary):
+    model = OddExpansionModel((tree,), {0: 1, 1: 2, 2: 1})
+    assert verify_odd_expansion(C5, model).summary() == summary
+
+
 def test_stored_connectors_checked_literally():
     model = OddExpansionModel(C5_MODEL.trees, dict(C5_MODEL.coloring),
                               {(0, 1): (0, 1), (0, 2): (0, 4), (1, 2): (2, 3)})
@@ -299,6 +309,25 @@ def test_parse_errors_name_the_line_at_fault(mutate, field, line, offset):
     text = serialize_model(C5_MODEL, C5.content_hash())
     with pytest.raises(ParseError) as exc:
         parse_model(mutate(text))
+    assert (exc.value.field, exc.value.line, exc.value.offset) == (field, line, offset)
+
+
+@pytest.mark.parametrize("mutate, message, field, line, offset", [
+    (lambda t: t.replace("clique_order: 3\ntrees: 3", "clique_order: 0\ntrees: 0"),
+     "certificate must have at least one tree", "clique_order", 4, 104),
+    (lambda t: t.replace("tree: 0\n", "tree: -1\n"), "negative vertex -1", "tree[0]", 5, 113),
+    (lambda t: t.replace("edges: 1-2\n", "edges: 1-2 2-1\n"),
+     "duplicate tree edge 2-1", "tree[1].edges", 8, 138),
+    (lambda t: t.replace("0=1 ", "0=1=2 "),
+     "expected 'v=c' token, found '0=1=2'", "coloring", 11, 170),
+    (lambda t: t.replace("4=1\n", "4=1 0=2\n"),
+     "duplicate color entry for vertex 0", "coloring", 11, 170),
+], ids=["no-tree", "negative-vertex", "duplicate-edge", "bad-color-token", "duplicate-color"])
+def test_parse_errors_name_their_fault(mutate, message, field, line, offset):
+    text = serialize_model(C5_MODEL, C5.content_hash())
+    with pytest.raises(ParseError) as exc:
+        parse_model(mutate(text))
+    assert str(exc.value) == f"{message} field={field} line={line} offset={offset}"
     assert (exc.value.field, exc.value.line, exc.value.offset) == (field, line, offset)
 
 
@@ -561,6 +590,9 @@ def test_pair_table_is_a_read_only_mapping():
         del table[0, 2]
     with pytest.raises(AttributeError):
         table._us = []
+    with pytest.raises(AttributeError, match="order"):
+        del table.order
+    assert table.order == 3
     with pytest.raises(TypeError, match="unhashable"):
         hash(table)
 

@@ -35,9 +35,9 @@ FACTORS = {
 
 PAIRS = list(itertools.product(FACTORS, repeat=2))
 
-# Products on more than 257 vertices share ids through per-row tables; the
-# paw with isolated vertices and the edgeless factor leave some rows and
-# blocks empty.
+# Products on more than 257 vertices have ids that CPython does not cache,
+# so only the per-row id tables share them; the paw with isolated vertices
+# and the edgeless factor leave some rows and blocks empty.
 LARGE_FACTORS = {
     "K17": gr.complete(17),
     "C17": gr.cycle(17),

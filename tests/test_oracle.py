@@ -602,3 +602,11 @@ def test_witness_certificate_bytes_are_pinned(name, build, order, digest):
     host = build()
     model = has_odd_clique_minor(host, order, SearchBudget(max_vertices=host.n))
     assert model is not None and certificate_digest(host, model) == digest
+
+
+def test_odd_hadwiger_time_limit_is_read_every_256_nodes():
+    # the clock is read at each 256th node, and the first reading is past
+    # any deadline this short
+    host = gr.product("strong", gr.cycle(5), gr.cycle(3))
+    r = odd_hadwiger(host, SearchBudget(time_limit=1e-9))
+    assert (r.status, r.nodes) == ("timeout", 256)

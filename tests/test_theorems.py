@@ -38,7 +38,7 @@ def base_argv(tmp_path, s, t, host=None):
     hashed against `host` (by default the right one)."""
     base = cons.cartesian_complete_model(s, t)
     cert = tmp_path / "base.cert"
-    cert.write_text(serialize_model(base.model, (host or base.host()).content_hash()))
+    cert.write_text(serialize_model(base.model, (host or base.host).content_hash()))
     return ["--base", str(cert)]
 
 

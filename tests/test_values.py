@@ -36,10 +36,6 @@ VALUES = {
     ExactResult: lambda: (ExactResult("exact", 2, EDGE),
                           ExactResult("exact", 2, EDGE, None, 0, 0.0),
                           ExactResult("timeout", 2, EDGE, None, 5, 1.5)),
-    cons.GridForest: lambda: (
-        cons.GridForest(1, 1, {(0, 0): branch_tree([0])}, {0: 1}, {}, {}, 1),
-        cons.GridForest(1, 1, {(0, 0): branch_tree([0])}, {0: 1}, {}, {}, 1),
-        cons.GridForest(1, 1, {(0, 0): branch_tree([0])}, {0: 2}, {}, {}, 1)),
     cons.BaseModel: lambda: (cons.BaseModel(2, 3, model(2, 3)),
                              cons.cartesian_complete_model(2, 3),
                              cons.cartesian_complete_model(3, 2)),
@@ -50,7 +46,7 @@ VALUES = {
 
 # the classes with a dict among their fields, directly or in a field's
 # value: hash() refuses them, as it refuses the dict
-UNHASHABLE = {OddExpansionModel, ExactResult, cons.GridForest, cons.BaseModel}
+UNHASHABLE = {OddExpansionModel, ExactResult, cons.BaseModel}
 
 
 @pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
