@@ -17,13 +17,20 @@ import itertools
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 from .errors import (ColoringMissingError, ConsistencyError, FactorModelError,
                      ParameterError, ParseError, SearchTimeout, StructureError)
-from .expansion import (OddExpansionModel, parse_model, serialize_model,
+from .expansion import (OddExpansionModel, parse_model, serialize_pieces,
                         verify_odd_expansion)
-from .graphs import (PRODUCT_KINDS, Graph, make_named_graph, product,
-                     read_graph_text, write_graph_text)
+from .graphs import PRODUCT_KINDS, Graph, make_named_graph, product, read_graph_text
+
+# Every file is written a piece at a time, from `Graph._pieces` and
+# `serialize_pieces`; the whole-text writers are imported here all the same,
+# because the benchmark's tracer wraps `cli.write_graph_text` and
+# `cli.serialize_model` by name.
+from .expansion import serialize_model  # noqa: F401
+from .graphs import write_graph_text  # noqa: F401
 
 # `constructions` is imported by `construct` and `table` alone, and `oracle`
 # by `exact` and `table`: every command is a fresh process, and the others
@@ -71,9 +78,13 @@ def _load_certificate(path: str) -> tuple[OddExpansionModel, str]:
         raise _CliError(f"{path}: {e}")
 
 
-def _write_text(path: str, text: str):
+def _write_text(path: str, pieces: Iterable[str]):
+    """Write the pieces of one text to `path` as they come, through one
+    open file, so that the whole text never exists."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            for piece in pieces:
+                f.write(piece)
     except OSError as e:
         raise _CliError(f"cannot write {path}: {e}")
 
@@ -125,7 +136,7 @@ def cmd_product(args) -> int:
     g = _load_graph(args.first)
     h = _load_graph(args.second)
     result = product(args.kind, g, h)
-    _write_text(args.out, write_graph_text(result))
+    _write_text(args.out, result._pieces())
     print(f"n={result.n} m={result.m}")
     return EXIT_OK
 
@@ -173,9 +184,34 @@ def _load_base(path: str, mg: OddExpansionModel, mh: OddExpansionModel):
     return base
 
 
+class _Phases:
+    """`construct --stats`: the wall seconds of each phase of a command and
+    the process's `ru_maxrss` (kilobytes on Linux) when it ends, written to
+    stderr as one JSON object.  Off, it records nothing, and `resource` and
+    `json` are not imported."""
+
+    def __init__(self, on: bool):
+        self.phases = {} if on else None
+        self.start = time.monotonic()
+
+    def end(self, name: str):
+        if self.phases is not None:
+            import resource
+            now = time.monotonic()
+            self.phases[name] = {"wall_s": round(now - self.start, 6),
+                                 "ru_maxrss": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}
+            self.start = now
+
+    def report(self):
+        if self.phases is not None:
+            import json
+            print(json.dumps({"phases": self.phases}), file=sys.stderr)
+
+
 def cmd_construct(args) -> int:
     from . import constructions as cons
     t0 = time.monotonic()
+    phases = _Phases(args.stats)
     theorem = cons.THEOREMS[args.theorem]
     read = [*theorem.params, *(_FACTOR_OPTIONS if theorem.factors else ())]
     _refuse_unread(args, args.theorem, read + ["base"] if theorem.base else read)
@@ -185,28 +221,34 @@ def cmd_construct(args) -> int:
         if args.base is not None:
             options["base"] = _load_base(args.base, inputs[1], inputs[3])
     values = [_need(args, name) for name in theorem.params]
-    # the host, then the model, with the host's text between them: its
-    # one render, which also fixes the digest, is written and freed before
-    # any certificate is made (without --graph-out, the digest is hashed
-    # from a render a piece at a time).  So --graph-out is written even
-    # when no construction applies or the theorem refuses its parameters.
+    # the host, then the model, with the host's text between them: its one
+    # render, which also fixes the digest, is written a piece at a time
+    # before any certificate is made (without --graph-out, the digest is
+    # hashed from a render).  So --graph-out is written even when no
+    # construction applies or the theorem refuses its parameters.
     host = theorem.host(*inputs, *values)
+    phases.end("host")
     if args.graph_out:
-        _write_text(args.graph_out, write_graph_text(host))
+        _write_text(args.graph_out, host._pieces())
     graph_hash = host.content_hash()
+    phases.end("host_text")
     model = theorem.model(host, *inputs, *values, **options)
+    phases.end("model")
     if model is None:
         print("no construction applies")
+        phases.report()
         return EXIT_OK
 
     order = model.clique_order
-    text = serialize_model(model, graph_hash)
-    _write_text(args.out, text)
-    # the self-verify reads the file back with the built model and its text
-    # freed, so that one certificate is alive at a time
-    del model, text
+    _write_text(args.out, serialize_pieces(model, graph_hash))
+    phases.end("certificate")
+    # the self-verify reads the file back with the built model freed, so
+    # that one certificate is alive at a time
+    del model
     reparsed, _ = parse_model(Path(args.out).read_text())
+    phases.end("reread")
     verdict = verify_odd_expansion(host, reparsed, strict=True)
+    phases.end("verify")
 
     print(f"command: construct {args.theorem}")
     print(f"host: n={host.n} m={host.m} hash={graph_hash}")
@@ -215,6 +257,7 @@ def cmd_construct(args) -> int:
     print(f"certificate: {args.out}")
     if not args.strict:
         print(f"time_s: {time.monotonic() - t0:.3f}")
+    phases.report()
     return EXIT_OK if verdict.passed else EXIT_VERIFY_FAIL
 
 
@@ -237,7 +280,7 @@ def cmd_exact(args) -> int:
     result = odd_hadwiger(g, budget)
     out = args.out or (args.graph + ".oh.cert" if Path(args.graph).exists()
                        else "exact.oh.cert")
-    _write_text(out, serialize_model(result.certificate, g.content_hash()))
+    _write_text(out, serialize_pieces(result.certificate, g.content_hash()))
     if result.status == "exact":
         print(f"EXACT {result.value}")
     elif result.status == "lower_bound_only":
@@ -321,6 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--graph-out", dest="graph_out")
     p.add_argument("--strict", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="write each phase's wall seconds and ru_maxrss to stderr as JSON")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check a certificate against a graph")

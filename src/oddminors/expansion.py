@@ -16,7 +16,7 @@ from collections import defaultdict
 from collections.abc import ItemsView, Mapping
 from itertools import chain, combinations, compress, islice, repeat
 from operator import add, le, lt, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParameterError, ParseError
 from .graphs import Edge, Frozen, Graph, _decimal_chunks, find_odd_cycle, norm_edge
@@ -539,36 +539,32 @@ _JOIN = 4096  # connector tokens joined at a time
 
 
 def serialize_model(model: OddExpansionModel, graph_hash: str) -> str:
-    lines = [
-        "version: 1",
-        f"graph_hash: {graph_hash}",
-        f"clique_order: {model.clique_order}",
-        f"trees: {model.clique_order}",
-    ]
+    """The certificate's canonical text, whole: the join of
+    `serialize_pieces`, from which a file is written a piece at a time."""
+    return "".join(serialize_pieces(model, graph_hash))
+
+
+def serialize_pieces(model: OddExpansionModel, graph_hash: str) -> Iterator[str]:
+    """The certificate's canonical text a piece at a time: the header, each
+    tree's two lines, the coloring, the `connectors:` line `_JOIN` tokens
+    at a time, read off the table's columns, and the notes.  So no piece
+    holds the whole connector line, nor a list of a string per token."""
+    r = model.clique_order
+    yield f"version: 1\ngraph_hash: {graph_hash}\nclique_order: {r}\ntrees: {r}\n"
     for t in model.trees:
-        vs = " ".join(str(v) for v in t.sorted_vertices)
-        es = " ".join(f"{u}-{v}" for u, v in t.sorted_edges)
-        lines.append(f"tree: {vs}" if vs else "tree:")
-        lines.append(f"edges: {es}" if es else "edges:")
-    cs = " ".join(f"{v}={c}" for v, c in sorted(model.coloring.items()))
-    lines.append(f"coloring: {cs}" if cs else "coloring:")
-    if model.connectors is not None:
-        lines.append(_connector_line(model.connectors))
+        vs = "".join([f" {v}" for v in t.sorted_vertices])
+        es = "".join([f" {u}-{v}" for u, v in t.sorted_edges])
+        yield f"tree:{vs}\nedges:{es}\n"
+    yield "coloring:" + "".join([f" {v}={c}" for v, c in sorted(model.coloring.items())]) + "\n"
+    connectors = model.connectors
+    if connectors is not None:
+        yield "connectors:"
+        tokens = zip(connectors, connectors._us, connectors._vs)
+        for _ in range(0, len(connectors), _JOIN):
+            yield "".join([f" {i},{j}={u}-{v}" for (i, j), u, v in islice(tokens, _JOIN)])
+        yield "\n"
     for note in model.notes:
-        lines.append(f"meta: {note}")
-    lines.append("")  # the final line feed, without a copy of the text to add it
-    return "\n".join(lines)
-
-
-def _connector_line(connectors: PairTable) -> str:
-    """The `connectors:` line, its tokens in pair order, read off the
-    table's columns and joined `_JOIN` at a time, so that no list holds a
-    string per token."""
-    tokens = zip(connectors, connectors._us, connectors._vs)
-    chunks = ["connectors:"]
-    for _ in range(0, len(connectors), _JOIN):
-        chunks.append(" ".join([f"{i},{j}={u}-{v}" for (i, j), u, v in islice(tokens, _JOIN)]))
-    return " ".join(chunks)
+        yield f"meta: {note}\n"
 
 
 def parse_model(text: str) -> tuple[OddExpansionModel, str]:

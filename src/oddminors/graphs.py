@@ -29,12 +29,12 @@ PRODUCT_KINDS = ("cartesian", "direct", "lexicographic", "strong")
 # (CPython 3.11, tracemalloc over K1500, K2000, K30 x K30, K40 x K40 and the
 # 1M-cycle).  So the cap is under 300 MB for a dense graph, before the
 # adjacency lists a command may add, and it admits K60 x K60 direct (6.3M
-# edges).  A graph keeps no canonical text: a whole render, 8-14 bytes an
-# edge, lives only while its caller holds it (twice that while it is
-# joined), and `content_hash` hashes one piece at a time.  The cap also
-# bounds the vertex count of a product or of a graph read from text: a
-# vertex with an edge costs more than an edge, and a ten-byte file can
-# claim any number of them.
+# edges).  A graph keeps no canonical text: a file writer and
+# `content_hash` take a render one piece at a time, and a whole render, 8-14
+# bytes an edge, lives only while a caller of `canonical_text` holds it
+# (twice that while it is joined).  The cap also bounds the vertex count of
+# a product or of a graph read from text: a vertex with an edge costs more
+# than an edge, and a ten-byte file can claim any number of them.
 MAX_EDGES = 10_000_000
 
 
@@ -98,11 +98,14 @@ class Graph(Frozen):
     of u, the ascending tuple of those neighbours.  An isolated vertex costs
     nothing, the canonical text is the rows written out in order, and
     `has_edge` is one bisection in one row.  The graph caches the SHA-256
-    digest of its canonical text, never the text, which is rendered anew
-    when asked for.  `edges`, the frozenset of (u, v) pairs with u < v, is
-    built from the rows when first asked for; no routine in this package
-    asks for it, and `repr` builds it without caching it.  A pair given
-    twice counts once.
+    digest of its canonical text, never the text.  The text has one render
+    path, `_pieces`, which yields it a piece at a time and hashes each piece
+    on the way: `canonical_text` joins a render, `content_hash` runs one
+    when no render has fixed the digest, and a file writer writes the
+    pieces as they come, so the whole text need never exist.  `edges`, the
+    frozenset of (u, v) pairs with u < v, is built from the rows when first
+    asked for; no routine in this package asks for it, and `repr` builds it
+    without caching it.  A pair given twice counts once.
     """
 
     _fields = ("n", "edges")  # what repr shows; equality and hash read the rows
@@ -197,27 +200,31 @@ class Graph(Frozen):
         rendered anew on each call.  The graph keeps the text's digest, not
         the text: a render also fixes `content_hash`, so a caller that writes
         the text and then hashes the graph renders it once."""
-        text = "".join(self._pieces())
-        if "_digest" not in self.__dict__:
-            self.__dict__["_digest"] = hashlib.sha256(text.encode("ascii")).hexdigest()
-        return text
+        return "".join(self._pieces())
 
     def content_hash(self) -> str:
         """SHA-256 hex digest of the canonical text form, computed once per
-        graph: taken from the text when a render or `read_graph_text` has
-        had it, else hashed from a render a piece at a time, never whole."""
-        digest = self.__dict__.get("_digest")
-        if digest is None:
-            sha = hashlib.sha256()
-            for piece in self._pieces():
-                sha.update(piece.encode("ascii"))
-            digest = self.__dict__["_digest"] = sha.hexdigest()
-        return digest
+        graph: taken from a finished render or from `read_graph_text`'s
+        input, else hashed from a render a piece at a time, never whole."""
+        if "_digest" not in self.__dict__:
+            for _ in self._pieces():
+                pass
+        return self.__dict__["_digest"]
 
-    def _pieces(self):
+    def _pieces(self) -> Iterator[str]:
         """The canonical text, rendered on demand: the header, then the
         lines of a run of rows at a time, each piece about `_CHUNK`
-        characters or one row."""
+        characters or one row.  Without a digest yet, each piece is hashed
+        as it is yielded, and the digest is kept once the last one is."""
+        sha = None if "_digest" in self.__dict__ else hashlib.sha256()
+        for piece in self._render():
+            if sha is not None:
+                sha.update(piece.encode("ascii"))
+            yield piece
+        if sha is not None:
+            self.__dict__["_digest"] = sha.hexdigest()
+
+    def _render(self) -> Iterator[str]:
         # a decimal name for each id 0..n-1 when there are at most two ids
         # an edge, else for the ends of the edges only: an isolated vertex
         # costs nothing here either
@@ -515,15 +522,22 @@ def spanning_tree(g: Graph, vertices: Iterable[int]) -> frozenset[Edge]:
 
 
 def write_graph_text(g: Graph) -> str:
+    """The canonical text of g, whole; a file is written from
+    `g._pieces()`, a piece at a time."""
     return g.canonical_text()
 
 
 # Canonical number lists (the graph text, a certificate's connector line)
 # are read this many characters at a time, so that only one chunk's tokens
-# are alive at once.  A canonical edge line is at most 16 characters (n <=
-# MAX_EDGES) and a connector token little more, so a stretch this long
-# without a separator is not canonical.
-_CHUNK = 1 << 16
+# are alive at once, and a graph's text is rendered in pieces about this
+# long.  A chunk's tokens cost many times its length: reading
+# direct-general-24's 1.16 MB host text, whose rows take 1.27 MB, peaks
+# 2.69 MB above the text at 64K characters, 1.66 MB at 16K and 1.41 MB at
+# 4K (tracemalloc), and at 16K it takes a few percent longer than at 64K.
+# A canonical edge line is at most 16 characters (n <= MAX_EDGES) and a
+# connector token little more, so a stretch this long without a separator
+# is not canonical.
+_CHUNK = 1 << 14
 
 
 def _decimal_chunks(text: str, start: int, unit: str, ids: dict[str, int],
@@ -536,10 +550,13 @@ def _decimal_chunks(text: str, start: int, unit: str, ids: dict[str, int],
     that is not, to decline the list.  The list is read where it lies in
     `text`: only a chunk at a time is copied.
 
-    A chunk ends after the last `unit[-1]` within `_CHUNK` characters, or
-    at `stop`.  C-level passes check its shape: deleting the digits leaves
-    `unit` once per len(unit) numbers.  Each distinct token is converted
-    once through `ids`, so every int yielded for one token is one object.
+    A chunk ends after the last `unit[-1]` within `_CHUNK` (16K)
+    characters, or at `stop`, so what a chunk makes (its token strings,
+    their list and the tuple of its ints) stays small whatever the list's
+    length.  C-level passes check its shape: deleting
+    the digits leaves `unit` once per len(unit) numbers.  Each distinct
+    token is converted once through `ids`, so every int yielded for one
+    token is one object.
     """
     # the separators become spaces for `split`, which already splits at white space
     blank = None if unit.isspace() else str.maketrans(unit, " " * len(unit))

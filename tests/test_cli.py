@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -393,3 +394,108 @@ def test_table_oracle_cells_without_a_search_result(capsys, budget, cells):
     assert rows[0] == ["s", "t", "order", "verdict", "oracle"]
     assert [row[-1] for row in rows[1:]] == cells
     assert all(row[3] == "PASS" for row in rows[1:])
+
+
+class _Recording:
+    """A text file that records the length of every write made on it."""
+
+    def __init__(self, file, sizes: list):
+        self.file, self.sizes = file, sizes
+
+    def write(self, piece: str) -> int:
+        self.sizes.append(len(piece))
+        return self.file.write(piece)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.file.__exit__(*exc)
+
+
+def test_construct_writes_its_files_a_piece_at_a_time(tmp_path, capsys, monkeypatch):
+    # every write on the files `_write_text` opens is recorded: together the
+    # writes make up each file, none holds a file's whole text, and no piece
+    # of the host's text is longer than `_CHUNK` and one row's lines
+    writes = {}
+
+    def recording_open(path, *args, **kwargs):
+        return _Recording(open(path, *args, **kwargs), writes.setdefault(Path(path).name, []))
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    out, graph = tmp_path / "out.cert", tmp_path / "out.graph"
+    code, _, stderr = run(capsys, "construct", "direct-general", "--t", "20", "--s", "20",
+                          "--out", str(out), "--graph-out", str(graph), "--strict")
+    assert code == 0, stderr
+    for path in (out, graph):
+        sizes, size = writes.get(path.name, []), len(path.read_text())
+        assert sum(sizes) == size
+        assert max(sizes) < size
+    host = gr.read_graph_text(graph.read_text())
+    row = max(sum(len(f"{u} {v}\n") for v in row) for u, row in host.rows())
+    assert max(writes[graph.name]) <= gr._CHUNK + row
+
+
+PHASES = ["host", "host_text", "model", "certificate", "reread", "verify"]
+
+
+@pytest.mark.parametrize("graph_out", [True, False], ids=["graph-out", "no-graph-out"])
+def test_construct_stats_writes_its_phases_to_stderr(tmp_path, capsys, graph_out):
+    argv = ["construct", "direct-general", "--t", "5", "--s", "7", "--strict",
+            "--out", str(tmp_path / "c.cert")]
+    if graph_out:
+        argv += ["--graph-out", str(tmp_path / "c.graph")]
+    code, plain, stderr = run(capsys, *argv)
+    assert (code, stderr) == (0, "")
+    code, stdout, stderr = run(capsys, *argv, "--stats")
+    assert code == 0 and stdout == plain
+    phases = json.loads(stderr)["phases"]
+    assert list(phases) == PHASES
+    assert all(phase["wall_s"] >= 0 for phase in phases.values())
+    rss = [phase["ru_maxrss"] for phase in phases.values()]
+    assert rss == sorted(rss) and rss[0] > 0
+
+
+def test_construct_imports_resource_only_for_stats(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = ("import sys; from oddminors import cli; "
+              "code = cli.main(sys.argv[1:]); print('resource' in sys.modules); sys.exit(code)")
+    for flag, imported in (([], "False"), (["--stats"], "True")):
+        proc = subprocess.run([sys.executable, "-c", script, "construct", "direct-k3", "--t", "7",
+                               "--strict", "--out", str(tmp_path / "c.cert"), *flag],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == imported
+
+
+@pytest.mark.parametrize("option", ["--out", "--graph-out"])
+def test_a_file_under_a_missing_directory_cannot_be_written(tmp_path, capsys, option):
+    paths = {"--out": tmp_path / "c.cert", "--graph-out": tmp_path / "c.graph"}
+    paths[option] = tmp_path / "missing" / "file"
+    code, stdout, stderr = run(capsys, "construct", "direct-k3", "--t", "7", "--strict",
+                               "--out", str(paths["--out"]), "--graph-out", str(paths["--graph-out"]))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"error: cannot write {paths[option]}: ")
+
+
+@pytest.mark.parametrize("which", ["graph", "certificate"])
+def test_a_directory_is_neither_a_graph_nor_a_certificate(tmp_path, capsys, which):
+    files = {"graph": tmp_path / "c.graph", "certificate": tmp_path / "c.cert"}
+    code, *_ = run(capsys, "construct", "direct-k3", "--t", "7", "--strict",
+                   "--out", str(files["certificate"]), "--graph-out", str(files["graph"]))
+    assert code == 0
+    files[which] = tmp_path
+    code, stdout, stderr = run(capsys, "verify", str(files["graph"]), str(files["certificate"]))
+    assert (code, stdout) == (2, "")
+    noun = "graph file" if which == "graph" else "certificate"
+    assert stderr.startswith(f"error: cannot read {noun} {tmp_path}: ")
+
+
+def test_exact_without_out_writes_exact_oh_cert(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run(capsys, "exact", "cycle:5", "--strict")
+    assert code == 0 and stdout == "EXACT 3\ncertificate: exact.oh.cert\n"
+    model, stored_hash = parse_model((tmp_path / "exact.oh.cert").read_text())
+    assert stored_hash == gr.cycle(5).content_hash()
+    assert verify_odd_expansion(gr.cycle(5), model, strict=True).passed

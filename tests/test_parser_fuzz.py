@@ -264,7 +264,7 @@ def test_read_graph_text_matches_the_line_loop(chunk, text):
         assert_reads_like_reference(text)
 
 
-BIG = gr.complete(200)  # 19,900 edge lines over three chunks
+BIG = gr.complete(200)  # 19,900 edge lines over nine 16K chunks
 
 
 @pytest.mark.parametrize("where", ["last-chunk", "chunk-boundary"])
@@ -398,7 +398,7 @@ def connector_flaw(text, flaw, at):
 
 
 # A 20-character chunk holds two or three connector tokens, so flaws fall
-# on every side of a cut; 1 << 16 reads the line in one chunk.
+# on every side of a cut; `_CHUNK` (16K) reads the line in one chunk.
 @pytest.mark.parametrize("chunk", [20, gr._CHUNK])
 @pytest.mark.parametrize("flaw", CONNECTOR_FLAWS)
 def test_connector_line_parses_like_the_token_loop(flaw, chunk):

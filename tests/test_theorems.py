@@ -262,10 +262,10 @@ def test_built_host_is_not_kept_alive(theorem, args):
 def test_construct_rereads_its_certificate_with_the_built_model_freed(capsys, tmp_path,
                                                                       monkeypatch, theorem):
     # the self-verify holds one certificate at a time: the built model,
-    # the one `serialize_model` writes, is dead, without a collection, when
+    # the one `serialize_pieces` writes, is dead, without a collection, when
     # the written file is parsed back (the last `parse_model` call)
     built, dead = [], []
-    serialize, parse = cli.serialize_model, cli.parse_model
+    serialize, parse = cli.serialize_pieces, cli.parse_model
 
     def keep_a_weakref(model, graph_hash):
         built.append(weakref.ref(model))
@@ -275,7 +275,7 @@ def test_construct_rereads_its_certificate_with_the_built_model_freed(capsys, tm
         dead.append([ref() is None for ref in built])
         return parse(text)
 
-    monkeypatch.setattr(cli, "serialize_model", keep_a_weakref)
+    monkeypatch.setattr(cli, "serialize_pieces", keep_a_weakref)
     monkeypatch.setattr(cli, "parse_model", note_the_dead)
     code, *_ = construct(capsys, tmp_path, theorem, *CASES[theorem](tmp_path))
     assert code == 0
@@ -286,10 +286,11 @@ def test_construct_rereads_its_certificate_with_the_built_model_freed(capsys, tm
 @pytest.mark.parametrize("graph_out", [True, False], ids=["graph-out", "no-graph-out"])
 def test_construct_holds_no_host_text_while_a_certificate_is_alive(capsys, tmp_path, monkeypatch,
                                                                    theorem, graph_out):
-    # the host's text is rendered, written and freed before the model is
-    # made: no frame of the call stack nor the host itself holds it when a
-    # model is returned, serialized, read back or verified, and no built
-    # model is alive while the text is written
+    # the host's text is rendered and written, a piece at a time, before
+    # the model is made: no frame of the call stack nor the host itself
+    # holds it when a model is returned, before and after its pieces are
+    # written, when it is read back or verified, and no built model is
+    # alive while the host's pieces are written or hashed
     hosts, models, seen = [], [], []
     theorems = dict(cons.THEOREMS)
 
@@ -312,9 +313,16 @@ def test_construct_holds_no_host_text_while_a_certificate_is_alive(capsys, tmp_p
             return result
         return call
 
-    def write_graph_text(g, _write=cli.write_graph_text):
-        seen.append(("write_graph_text", [ref() for ref in models if ref() is not None]))
-        return _write(g)
+    def probed_pieces(name, fn):
+        def pieces(*args):
+            seen.append((name, holders()))
+            yield from fn(*args)
+            seen.append((name, holders()))
+        return pieces
+
+    def host_pieces(g, _pieces=gr.Graph._pieces):
+        seen.append(("Graph._pieces", [ref() for ref in models if ref() is not None]))
+        yield from _pieces(g)
 
     for key, theorem_ in theorems.items():
         def model(host, *args, _model=theorem_.model, **options):
@@ -324,13 +332,16 @@ def test_construct_holds_no_host_text_while_a_certificate_is_alive(capsys, tmp_p
             return made
         monkeypatch.setitem(cons.THEOREMS, key, cons.Theorem(
             theorem_.params, theorem_.host, model, theorem_.factors, theorem_.base, theorem_.table))
-    for name in ("serialize_model", "parse_model", "verify_odd_expansion"):
+    for name in ("parse_model", "verify_odd_expansion"):
         monkeypatch.setattr(cli, name, probed(name, getattr(cli, name)))
-    monkeypatch.setattr(cli, "write_graph_text", write_graph_text)
+    monkeypatch.setattr(cli, "serialize_pieces", probed_pieces("serialize_pieces",
+                                                               cli.serialize_pieces))
+    monkeypatch.setattr(gr.Graph, "_pieces", host_pieces)
     out, graph = tmp_path / "out.cert", tmp_path / "out.graph"
     argv = ["--graph-out", str(graph)] if graph_out else []
     code = cli.main(["construct", theorem, *CASES[theorem](tmp_path), "--out", str(out), *argv,
                      "--strict"])
     assert code == 0, capsys.readouterr().err
-    assert {name for name, _ in seen} >= {"model", "serialize_model", "parse_model"}
+    assert {name for name, _ in seen} >= {"model", "Graph._pieces", "serialize_pieces",
+                                          "parse_model"}
     assert [(name, found) for name, found in seen if found] == []
