@@ -254,9 +254,14 @@ def flawed_texts(draw):
     return one_flaw(g.canonical_text(), draw(st.sampled_from(FLAWS)), draw(st.integers(0, g.m - 2)))
 
 
+# A chunk four times the default: the scanner must read the same numbers
+# whatever the chunk size, short, default or long.
+WIDE_CHUNK = 1 << 16
+
+
 # A 20-character chunk holds a few lines of these small graphs, so most
 # texts span many chunks and flaws fall on every side of a cut.
-@pytest.mark.parametrize("chunk", [20, gr._CHUNK])
+@pytest.mark.parametrize("chunk", [20, gr._CHUNK, WIDE_CHUNK])
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(GRAPH_TEXTS, random_graphs().map(gr.Graph.canonical_text), flawed_texts()))
 def test_read_graph_text_matches_the_line_loop(chunk, text):
@@ -398,8 +403,9 @@ def connector_flaw(text, flaw, at):
 
 
 # A 20-character chunk holds two or three connector tokens, so flaws fall
-# on every side of a cut; `_CHUNK` (16K) reads the line in one chunk.
-@pytest.mark.parametrize("chunk", [20, gr._CHUNK])
+# on every side of a cut; `_CHUNK` (16K) and `WIDE_CHUNK` read the line in
+# one chunk.
+@pytest.mark.parametrize("chunk", [20, gr._CHUNK, WIDE_CHUNK])
 @pytest.mark.parametrize("flaw", CONNECTOR_FLAWS)
 def test_connector_line_parses_like_the_token_loop(flaw, chunk):
     with mock.patch.object(gr, "_CHUNK", chunk):
@@ -408,7 +414,7 @@ def test_connector_line_parses_like_the_token_loop(flaw, chunk):
             assert_parses_like_the_token_loop(connector_flaw(CONNECTED, flaw, at))
 
 
-@pytest.mark.parametrize("chunk", [12, gr._CHUNK])
+@pytest.mark.parametrize("chunk", [12, gr._CHUNK, WIDE_CHUNK])
 @settings(max_examples=300, deadline=None)
 @given(CERTIFICATE_TEXTS)
 def test_parse_model_matches_the_token_loop(chunk, text):
@@ -425,7 +431,7 @@ def test_a_connector_token_longer_than_a_chunk_goes_to_the_token_loop():
         assert parse_model(CONNECTED)[0] == strong_model(K4, K4_MODEL, K4, K4_MODEL, "strong")
 
 
-@pytest.mark.parametrize("chunk", [20, gr._CHUNK])
+@pytest.mark.parametrize("chunk", [20, gr._CHUNK, WIDE_CHUNK])
 def test_the_scanner_reads_a_written_connector_line_to_its_end(chunk):
     line = CONNECTED.split("connectors: ")[1].rstrip("\n")
     with mock.patch.object(gr, "_CHUNK", chunk):
