@@ -415,9 +415,6 @@ def main(argv=None) -> int:
     except FactorModelError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except SearchTimeout as e:
-        print(f"TIMEOUT {e}", file=sys.stderr)
-        return EXIT_TIMEOUT
     except ConsistencyError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_VERIFY_FAIL

@@ -159,7 +159,10 @@ class BaseModel(Frozen):
     @cached_property
     def host(self) -> Graph:
         """K_s box K_t, built on first use and kept with the certificate, so
-        that checking a loaded base's hash and verifying it share one host."""
+        that checking a loaded base's hash and verifying it share one host.
+        With complete factors and the default base, `construct
+        cartesian-lift` builds this graph twice, once as the theorem's host:
+        no host is cached between calls."""
         return product("cartesian", complete(self.s), complete(self.t))
 
 

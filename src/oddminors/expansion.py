@@ -299,11 +299,11 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
     membership in the host, coloring totality on used vertices, properness
     on every tree edge, then connectors pair by pair.  One walk over the
     stored connectors' columns, with no `Graph.has_edge` call per
-    connector, finds the first that fails and why.  The pairs are walked
-    one by one only when some pair has no stored connector, to find one
-    before that failure that has no connector at all; in plain mode those
-    pairs are looked up in one `monochromatic_connector` table, built at
-    the first of them and not walked when it is full.
+    connector, finds the first that fails and why.  The first pair with no
+    connector at all (none stored in strict mode, none in the
+    `monochromatic_connector` table in plain mode, which is built only when
+    some pair stores none) is reported instead when it comes before that
+    failure.
     The model has already refused ids that are not plain ints and connector
     keys that are not tree pairs; a color that is not the int 1 or 2 (a
     bool, a float) fails `coloring_missing`.
@@ -385,25 +385,15 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
                         message=f"stored connector {u}-{v} {why}")
         break
     # a pair before that one may have no connector: none stored (strict),
-    # or none in the sweep's table, built at the first pair without a
-    # stored one and not walked when it is full (plain)
+    # or none in the sweep's table (plain)
     pairs = r * (r - 1) // 2
-    table = stored if strict else None
-    if len(stored) < pairs:
-        for pair in combinations(range(r), 2):
-            if pair == bad:
-                break
-            if table is None:
-                if pair in stored:
-                    continue
-                table = monochromatic_connector(g, model)
-                if len(table) == pairs:
-                    break
-            if pair not in table:
-                i, j = pair
-                return _fail("connector_missing", trees=pair, message=(
-                    f"strict mode: no stored connector for pair ({i},{j})" if strict
-                    else f"no monochromatic edge between trees {i} and {j}"))
+    table = stored if strict or len(stored) == pairs else monochromatic_connector(g, model)
+    if len(table) < pairs:
+        i, j = next(pair for pair in combinations(range(r), 2) if pair not in table)
+        if bad is None or (i, j) < bad:
+            return _fail("connector_missing", trees=(i, j), message=(
+                f"strict mode: no stored connector for pair ({i},{j})" if strict
+                else f"no monochromatic edge between trees {i} and {j}"))
     return failure or Verdict("pass", message=f"order={r}")
 
 

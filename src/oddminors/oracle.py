@@ -43,15 +43,15 @@ exactly the order of a test of every coloring.
 Two reformulations cut work, not subtrees.  A subset anchored at m leaves
 |allowed| - |subset| free vertices above m, where `allowed` is the free
 vertices from m up, and each tree still to come needs one; so subsets are
-generated only up to that size.  The larger ones were generated, counted
-and refused at once before, and every subset their orbits would have
-skipped is as large and anchored no lower, so it is refused too: the same
-subsets are searched, in the same order.  Two colorings are compatible
-when the ones of one meet N(ones) of the other or likewise for twos; a
-coloring is therefore compatible with some member of a domain iff it meets
-the OR of the members' N(ones) with its ones or the OR of their N(twos)
-with its twos.  The domain filters test against those unions and keep
-exactly the colorings, in the order, that the pairwise test kept.  Neither
+generated only up to that size.  A larger one would be refused as soon as
+it was generated, and every subset its orbit would make the search skip is
+as large and anchored no lower, so it is refused too: the same subsets are
+searched, in the same order.  Two colorings are compatible when the ones
+of one meet N(ones) of the other or likewise for twos; a coloring is
+therefore compatible with some member of a domain iff it meets the OR of
+the members' N(ones) with its ones or the OR of their N(twos) with its
+twos.  The domain filters test against those unions and keep exactly the
+colorings, in the order, that a pairwise test would keep.  Neither
 changes which families are searched or in what order, so neither can
 change the first model.
 
@@ -59,13 +59,14 @@ Placed-tree budgets cut subsets before they are generated.  Each tree still
 to come needs its own vertex of N(P) among the free vertices above the
 anchor, for every placed tree P, so a subset may hold at most
 |N(P) & allowed| - k vertices of N(P); once it holds that many, no further
-vertex of N(P) is offered.  Such subsets were refused by the neighbour
-shortfall check right after being generated, and so is everything that
-contains one, since budgets only tighten as a subset grows.  The orbits
-they added to `seen` held only refused subsets: the automorphisms of the
-level fix each placed tree pointwise, so they map N(P) onto itself, and a
-later image is anchored no lower, so its `allowed` is no larger.  The
-subsets that pass, their order and the first model are therefore unchanged.
+vertex of N(P) is offered.  Generated, such a subset would fail the
+neighbour shortfall check at once, and so would everything that contains
+one, since budgets only tighten as a subset grows.  The orbits it would add
+to `seen` hold only refused subsets: the automorphisms of the level fix
+each placed tree pointwise, so they map N(P) onto itself, and a later image
+is anchored no lower, so its `allowed` is no larger.  The subsets that
+pass, their order and the first model are therefore those of the search
+without budgets.
 
 No domain runs empty, so none is tested for.  A subset generated is
 connected, so coloring a BFS tree of it by depth parity is usable, and it

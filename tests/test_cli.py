@@ -11,6 +11,8 @@ import pytest
 from oddminors import cli
 from oddminors import constructions as cons
 from oddminors import graphs as gr
+from oddminors import oracle
+from oddminors.errors import ConsistencyError
 from oddminors.expansion import (OddExpansionModel, odd_cycle_model, parse_model,
                                  serialize_model, singleton_model, verify_odd_expansion)
 
@@ -499,3 +501,45 @@ def test_exact_without_out_writes_exact_oh_cert(tmp_path, capsys, monkeypatch):
     model, stored_hash = parse_model((tmp_path / "exact.oh.cert").read_text())
     assert stored_hash == gr.cycle(5).content_hash()
     assert verify_odd_expansion(gr.cycle(5), model, strict=True).passed
+
+
+def test_a_bad_inline_spec_or_range_is_a_parameter_error(tmp_path, capsys):
+    code, stdout, stderr = run(capsys, "product", "direct", "complete:x", "complete:2",
+                               "--out", str(tmp_path / "x.graph"))
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: bad inline graph spec 'complete:x'\n"
+    code, stdout, stderr = run(capsys, "table", "stars", "--r", "1..x")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: bad range '1..x', expected 'a..b' or a single integer\n"
+
+
+def test_table_row_that_fails_strict_verify_prints_fail(capsys, monkeypatch):
+    built = cons.star_model
+
+    def without_connectors(r, t):  # which strict verify needs
+        model = built(r, t)
+        return OddExpansionModel(model.trees, model.coloring)
+    monkeypatch.setattr(cons, "star_model", without_connectors)
+    code, stdout, _ = run(capsys, "table", "stars", "--r", "1..2", "--t", "1")
+    assert code == 1
+    assert stdout.splitlines() == ["r t order verdict", "1 1 2 FAIL", "2 1 3 FAIL"]
+
+
+def test_table_row_the_oracle_cannot_find_prints_absent(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "has_odd_clique_minor", lambda host, r, budget: None)
+    code, stdout, _ = run(capsys, "table", "stars", "--r", "1", "--t", "1", "--oracle")
+    assert code == 1
+    assert stdout.splitlines() == ["r t order verdict oracle", "1 1 2 PASS absent"]
+
+
+def test_a_broken_construction_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(host, t):
+        raise ConsistencyError("no monochromatic edge between trees 0 and 1")
+    theorem = cons.THEOREMS["direct-k3"]
+    monkeypatch.setitem(cons.THEOREMS, "direct-k3", cons.Theorem(
+        theorem.params, theorem.host, broken, table=theorem.table))
+    out = tmp_path / "c.cert"
+    code, stdout, stderr = run(capsys, "construct", "direct-k3", "--t", "7", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == "internal error: no monochromatic edge between trees 0 and 1\n"
+    assert not out.exists()
