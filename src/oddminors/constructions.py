@@ -112,7 +112,9 @@ def product_grid_forest(g: Graph, mg: OddExpansionModel, h: Graph, mh: OddExpans
     every two cells, whether they share a row, a column or neither: a
     box-product edge in the first two cases, a strong-product edge in every
     case.  Each factor's joints come from one `monochromatic_connector`
-    table; an edge whose ends differ in color raises ConsistencyError.
+    table of its verified certificate, so the two ends of a joint have one
+    factor color, and the two ends of a cell edge, each colored by whether
+    its two factor colors agree, have one color.
     """
     _require_valid(g, mg, "first factor")
     _require_valid(h, mh, "second factor")
@@ -132,10 +134,7 @@ def product_grid_forest(g: Graph, mg: OddExpansionModel, h: Graph, mh: OddExpans
 
     def cell_edge(a: tuple[int, int], b: tuple[int, int]) -> Edge:
         (a1, a2), (b1, b2) = first[a[0], b[0]], second[a[1], b[1]]
-        u, v = flatten(a1, b1, nh), flatten(a2, b2, nh)
-        if coloring[u] != coloring[v]:
-            raise ConsistencyError(f"cell edge {u}-{v} for {a}, {b} is not monochromatic")
-        return u, v
+        return flatten(a1, b1, nh), flatten(a2, b2, nh)
 
     return cells, coloring, cell_edge
 

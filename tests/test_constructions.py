@@ -43,6 +43,8 @@ def test_singleton_and_edge_models():
     check_on(g, single_edge_model(g), 2)
     with pytest.raises(ParameterError):
         single_edge_model(gr.Graph(2, frozenset()))
+    with pytest.raises(ParameterError, match="no vertices"):
+        singleton_model(gr.Graph(0, frozenset()))
 
 
 def test_odd_cycle_model_matches_hand_built_c5():
@@ -264,6 +266,8 @@ def test_strong_model_c5_c5():
     check_on(gr.product("strong", C5, C5), model, 9)
     lex = cons.strong_model(C5, C5_K3, C5, C5_K3, kind="lexicographic")
     check_on(gr.product("lexicographic", C5, C5), lex, 9)
+    with pytest.raises(ParameterError, match="kind must be strong or lexicographic, got 'direct'"):
+        cons.strong_model(C5, C5_K3, C5, C5_K3, kind="direct")
 
 
 def test_strong_model_degenerate_factor_is_flagged():
@@ -328,6 +332,8 @@ def test_direct_k3_params():
 
 def test_direct_k3_upper_bound_values():
     assert cons.direct_k3_upper_bound(6) == 8
+    with pytest.raises(ParameterError, match="needs t >= 6, got 5"):
+        cons.direct_k3_upper_bound(5)
     # individual terms at t = 9: (27-3)/3 + 3 and (27-12)/3 + 6 both hit 11
     assert (27 - 3) // 3 + 3 == 11
     assert (27 - 12) // 3 + 6 == 11

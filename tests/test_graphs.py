@@ -1,6 +1,11 @@
 import hashlib
+import importlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -34,6 +39,11 @@ def test_named_family_errors():
         gr.make_named_graph("banana", [3])
     with pytest.raises(ParameterError):
         gr.make_named_graph("hamming", [3])
+    with pytest.raises(ParameterError, match="path needs n >= 1, got 0"):
+        gr.make_named_graph("path", [0])
+    for n, d in [(0, 2), (2, 0)]:
+        with pytest.raises(ParameterError, match=fr"hamming needs n >= 1 and d >= 1, got \({n}, {d}\)"):
+            gr.make_named_graph("hamming", [n, d])
 
 
 def test_graph_validation():
@@ -326,6 +336,11 @@ def test_spanning_tree_examples():
     assert gr.spanning_tree(k3, [0, 1, 2]) == frozenset({(0, 1), (0, 2)})
     assert gr.spanning_tree(gr.path(6), [5]) == frozenset()
     assert gr.spanning_tree(gr.cycle(4), [0, 1, 2, 3]) == frozenset({(0, 1), (0, 3), (1, 2)})
+    with pytest.raises(ParameterError, match="non-empty vertex set"):
+        gr.spanning_tree(k3, [])
+    for v in (-1, 3):
+        with pytest.raises(ParameterError, match=f"vertex {v} outside host graph of order 3"):
+            gr.spanning_tree(k3, [0, v])
 
 
 @pytest.mark.parametrize("g,verts", [
@@ -375,6 +390,33 @@ def test_content_hash_is_computed_once():
     first = g.content_hash()
     assert first == hashlib.sha256(g.canonical_text().encode("ascii")).hexdigest()
     assert g.content_hash() is first
+
+
+# a build without the interpreter's own SHA-256 modules: `graphs` takes
+# `hashlib`'s, and a render and both read paths digest as before
+FALLBACK_PROBE = """
+import sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
+import hashlib
+from oddminors import graphs as gr
+assert gr.sha256 is hashlib.sha256
+text = gr.complete(150).canonical_text()
+assert len(text) > 3 * gr._CHUNK
+want = hashlib.sha256(text.encode()).hexdigest()
+assert gr.complete(150).content_hash() == want
+assert gr.read_graph_text(text).content_hash() == want
+assert gr.read_graph_text(text.replace("\\n", "\\r\\n")).content_hash() == want
+print("ok")
+"""
+
+
+def test_digests_use_the_interpreters_sha256_else_hashlibs():
+    builtin = "_sha256" if sys.version_info < (3, 12) else "_sha2"
+    assert gr.sha256 is importlib.import_module(builtin).sha256
+    src = str(Path(gr.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", FALLBACK_PROBE], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
 def test_graph_text_parse_errors():

@@ -124,11 +124,13 @@ def test_models_normalise_their_fields_when_made():
 
 
 @pytest.mark.parametrize("modules", ["oddminors.cli",
-                                     "oddminors.expansion, oddminors.graphs, oddminors.oracle"])
+                                     "oddminors.expansion, oddminors.graphs, oddminors.oracle",
+                                     "oddminors.cli, oddminors.constructions, oddminors.oracle"])
 def test_commands_start_without_dataclasses_or_inspect(modules):
     # every CLI command and witness decision is a fresh process that runs
     # without bytecode, where `dataclasses` (and the `inspect` it loads)
-    # cost about a fifth of the start-up
+    # cost about a fifth of the start-up; `hashlib` loads OpenSSL's
+    # libcrypto through `_hashlib`, about 3 MB of each process's peak RSS
     src = str(Path(gr.__file__).resolve().parents[1])
     probe = (f"import sys; before = set(sys.modules); import {modules}; "
              f"print(*sorted(set(sys.modules) - before))")
@@ -138,6 +140,7 @@ def test_commands_start_without_dataclasses_or_inspect(modules):
     loaded = proc.stdout.split()
     assert modules.split(", ")[-1] in loaded
     assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert "hashlib" not in loaded and "_hashlib" not in loaded
 
 
 def test_verify_loads_neither_the_constructions_nor_the_oracle(tmp_path):
@@ -157,3 +160,4 @@ def test_verify_loads_neither_the_constructions_nor_the_oracle(tmp_path):
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert {m for m in loaded if m.startswith("oddminors.")} == {
         "oddminors.cli", "oddminors.errors", "oddminors.expansion", "oddminors.graphs"}
+    assert "_hashlib" not in loaded
