@@ -9,8 +9,8 @@ importing one module, such as `oddminors.oracle`, does not load the others.
 import importlib
 
 _HOMES = {
-    "graphs": ("Graph", "complete", "cycle", "flatten", "graph_from_edges", "hamming",
-               "is_bipartite", "make_named_graph", "path", "product", "read_graph_text",
+    "graphs": ("Graph", "complete", "cycle", "find_odd_cycle", "flatten", "graph_from_edges",
+               "hamming", "make_named_graph", "path", "product", "read_graph_text",
                "spanning_tree", "star", "write_graph_text"),
     "expansion": ("BranchTree", "OddExpansionModel", "Verdict", "branch_tree",
                   "odd_cycle_model", "parse_model", "serialize_model",

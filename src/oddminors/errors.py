@@ -60,7 +60,6 @@ class ConsistencyError(RuntimeError):
 class SearchTimeout(RuntimeError):
     """The exhaustive search budget was exhausted before a definite answer."""
 
-    def __init__(self, message: str, *, nodes: int = 0, elapsed: float = 0.0):
+    def __init__(self, message: str, *, nodes: int = 0):
         super().__init__(message)
         self.nodes = nodes
-        self.elapsed = elapsed

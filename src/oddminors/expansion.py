@@ -50,7 +50,7 @@ def branch_tree(vertices: Iterable[int], edges: Iterable[Edge] = ()) -> BranchTr
     return BranchTree(frozenset(vertices), frozenset(norm_edge(u, v) for u, v in edges))
 
 
-class PairTable(Mapping):
+class PairTable(Mapping, Frozen):
     """The connectors of a certificate's tree pairs: an immutable map from
     (i, j), 0 <= i < j < `order`, to an edge (u, v), in pair order.
 
@@ -80,12 +80,6 @@ class PairTable(Mapping):
             keys = None if len(keys) == order * (order - 1) // 2 else array("q", keys)
         for name, value in (("order", order), ("_keys", keys), ("_us", us), ("_vs", vs)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def _position(self, pair) -> Optional[int]:
         """Where the pair's ends are in the columns, or None when it has none."""

@@ -1,7 +1,7 @@
 """Immutable simple graphs, named families, the four graph products (one
 edge rule; `hamming` is the iterated Cartesian product), structural routines
-read off one deterministic BFS forest (bipartiteness, components, odd cycles,
-spanning trees) and the canonical text format.
+read off one deterministic BFS forest (odd cycles, which decide
+bipartiteness, and spanning trees) and the canonical text format.
 
 Vertices are the integers 0..n-1.  Product vertices (a, b) are flattened to
 a * |V(H)| + b, with the first factor most significant; every certificate in
@@ -466,54 +466,18 @@ def _bfs_forest(g: Graph, vertices: Sequence[int]) -> dict[int, tuple[Optional[i
     return reach
 
 
-def _odd_edge(g: Graph) -> tuple[dict[int, tuple[Optional[int], int]], Optional[Edge]]:
-    """The BFS forest of g and its least edge whose ends have depths of equal
-    parity, or None in its place when there is none (g is bipartite).
-
-    The forest is built whole before any edge is tested, so `is_bipartite`
-    does not stop at the first conflict; `find_odd_cycle` needs the whole
-    forest anyway, and no command calls `is_bipartite`."""
-    forest = _bfs_forest(g, range(g.n))
-    for u, row in g.rows():
-        side = forest[u][1] & 1
-        for w in row:
-            if forest[w][1] & 1 == side:
-                return forest, (u, w)
-    return forest, None
-
-
-def components(g: Graph) -> list[tuple[int, ...]]:
-    """Connected components as sorted vertex tuples, ordered by lowest vertex."""
-    comps: list[list[int]] = []
-    for v, (parent, _) in _bfs_forest(g, range(g.n)).items():
-        if parent is None:
-            comps.append([])
-        comps[-1].append(v)
-    return [tuple(sorted(c)) for c in comps]
-
-
-def is_bipartite(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Return a bipartition (part1, part2) or None if an odd cycle exists.
-
-    Deterministic: the parts are the even and odd depths of the BFS forest
-    (lowest-id root of each component, neighbors in ascending order), so
-    component roots and isolated vertices are in part 1.
-    """
-    forest, edge = _odd_edge(g)
-    if edge is not None:
-        return None
-    return (tuple(v for v in range(g.n) if not forest[v][1] & 1),
-            tuple(v for v in range(g.n) if forest[v][1] & 1))
-
-
 def find_odd_cycle(g: Graph) -> Optional[list[int]]:
-    """Return an odd cycle as an ordered vertex list, or None if bipartite.
+    """Return an odd cycle as an ordered vertex list, or None exactly when
+    g is bipartite.
 
-    Deterministic: BFS forest from lowest roots, then the first conflicting
-    edge in ascending edge order; the cycle is closed through the nearest
-    common ancestor.
+    Deterministic: BFS forest from lowest roots, then the first edge, in
+    ascending edge order, whose ends have depths of equal parity; the cycle
+    is closed through the nearest common ancestor.  When there is no such
+    edge, the depth parities 2-colour g.
     """
-    forest, edge = _odd_edge(g)
+    forest = _bfs_forest(g, range(g.n))
+    edge = next(((u, v) for u, row in g.rows() for v in row
+                 if not (forest[u][1] ^ forest[v][1]) & 1), None)
     if edge is None:
         return None
     # The ends of an edge differ in BFS depth by at most one, so a conflict

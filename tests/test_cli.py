@@ -267,6 +267,14 @@ def test_exact_command(tmp_path, capsys):
     assert verify_odd_expansion(gr.cycle(5), model).passed
 
 
+def test_exact_reports_the_searchs_own_time(tmp_path, capsys, monkeypatch):
+    result = oracle.ExactResult("exact", 3, odd_cycle_model(gr.cycle(3)), 4, 7, 2.5)
+    monkeypatch.setattr(oracle, "odd_hadwiger", lambda g, budget: result)
+    code, stdout, _ = run(capsys, "exact", "cycle:3", "--out", str(tmp_path / "c3.cert"))
+    assert code == 0
+    assert stdout.splitlines()[2:] == ["nodes: 7", "time_s: 2.500"]
+
+
 def test_exact_timeout_exit_code(tmp_path, capsys):
     graph = tmp_path / "host.graph"
     run(capsys, "product", "cartesian", "complete:4", "complete:4", "--out", str(graph))

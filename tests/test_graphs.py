@@ -8,6 +8,7 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,9 +286,19 @@ def test_lexicographic_is_not_coordinate_symmetric():
 
 
 def test_bipartite_examples():
-    assert gr.is_bipartite(gr.cycle(4)) == ((0, 2), (1, 3))
-    assert gr.is_bipartite(gr.cycle(5)) is None
-    assert gr.is_bipartite(gr.Graph(3, frozenset())) == ((0, 1, 2), ())
+    assert gr.find_odd_cycle(gr.cycle(4)) is None
+    forest = gr._bfs_forest(gr.cycle(4), range(4))
+    assert [v for v in range(4) if forest[v][1] & 1] == [1, 3]
+    assert gr.find_odd_cycle(gr.cycle(5)) == [0, 1, 2, 3, 4]
+    assert gr.find_odd_cycle(gr.Graph(3, frozenset())) is None
+
+
+def nx_components(g):
+    """g's connected components by networkx, the tests' reference, each
+    sorted, in the order of their least vertices."""
+    theirs = nx.empty_graph(g.n)
+    theirs.add_edges_from(g.edges)
+    return sorted(map(sorted, nx.connected_components(theirs)))
 
 
 # One product host per kind on a bipartite and on a non-bipartite factor
@@ -298,14 +309,16 @@ PRODUCT_HOSTS = [gr.product(kind, g, h) for kind in gr.PRODUCT_KINDS
 
 @pytest.mark.parametrize("g", SAMPLE_FACTORS + [gr.hamming(2, 3), gr.star(5)] + PRODUCT_HOSTS)
 def test_bipartition_has_no_intra_part_edges(g):
-    parts = gr.is_bipartite(g)
-    if parts is None:
-        assert gr.find_odd_cycle(g) is not None
+    cyc = gr.find_odd_cycle(g)
+    if cyc is not None:
+        assert len(cyc) % 2 == 1
+        assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
         return
-    p1, p2 = map(set, parts)
+    # None rests on this witness: the BFS forest's depth parities 2-colour g
+    forest = gr._bfs_forest(g, range(g.n))
+    assert set(forest) == set(range(g.n))
     for u, v in g.edges:
-        assert (u in p1) != (v in p1)
-    assert p1 | p2 == set(range(g.n))
+        assert forest[u][1] & 1 != forest[v][1] & 1
 
 
 @pytest.mark.parametrize("g", [gr.cycle(4), gr.cycle(6), gr.path(4), gr.cycle(5),
@@ -313,10 +326,10 @@ def test_bipartition_has_no_intra_part_edges(g):
 def test_double_cover_component_count(g):
     # Secondary cross-check: for connected g, the direct product with a
     # single edge doubles the component count exactly when g is bipartite.
-    assert len(gr.components(g)) == 1
+    assert len(gr.spanning_tree(g, range(g.n))) == g.n - 1
     cover = gr.product("direct", g, gr.complete(2))
-    expected = 2 if gr.is_bipartite(g) is not None else 1
-    assert len(gr.components(cover)) == expected
+    expected = 2 if gr.find_odd_cycle(g) is None else 1
+    assert len(nx_components(cover)) == expected
 
 
 def test_find_odd_cycle_shape():
@@ -348,7 +361,7 @@ def test_spanning_tree_examples():
     (gr.complete(5), [1, 2, 4]),
     (gr.hamming(3, 2), range(9)),
     (gr.product("strong", gr.cycle(5), gr.complete(2)), range(10)),
-] + [(g, comp) for g in PRODUCT_HOSTS for comp in gr.components(g)])
+] + [(g, comp) for g in PRODUCT_HOSTS for comp in nx_components(g)])
 def test_spanning_tree_is_spanning_acyclic_connected(g, verts):
     verts = list(verts)
     tree = gr.spanning_tree(g, verts)

@@ -1,8 +1,9 @@
 """Differential tests of `graphs` against networkx: the four products under
 the flattening a*|V(H)| + b, Hamming graphs against a test-local reference,
-and bipartiteness and components on the product hosts.  The canonical text
-of those graphs, of the named families and of random graphs is checked
-against a test-local reference renderer."""
+and bipartiteness (by `find_odd_cycle`) and connectivity (by
+`spanning_tree`) on the product hosts.  The canonical text of those graphs,
+of the named families and of random graphs is checked against a test-local
+reference renderer."""
 
 import itertools
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddminors import graphs as gr
+from oddminors.errors import StructureError
 
 NX_PRODUCTS = {
     "cartesian": nx.cartesian_product,
@@ -106,9 +108,13 @@ HOSTS = {f"{kind}-{a}-{b}": gr.product(kind, FACTORS[a], FACTORS[b])
 def test_structure_matches_networkx(name):
     g = HOSTS[name]
     theirs = to_nx(g)
-    assert (gr.is_bipartite(g) is not None) == nx.is_bipartite(theirs)
-    expected = sorted(tuple(sorted(c)) for c in nx.connected_components(theirs))
-    assert gr.components(g) == expected
+    assert (gr.find_odd_cycle(g) is None) == nx.is_bipartite(theirs)
+    comps = list(nx.connected_components(theirs))
+    for comp in comps:
+        assert len(gr.spanning_tree(g, comp)) == len(comp) - 1
+    if len(comps) > 1:
+        with pytest.raises(StructureError):
+            gr.spanning_tree(g, range(g.n))
 
 
 @pytest.mark.parametrize("g", [gr.Graph(0, frozenset()), gr.complete(1), gr.Graph(5, frozenset()),
