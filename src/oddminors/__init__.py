@@ -9,9 +9,9 @@ importing one module, such as `oddminors.oracle`, does not load the others.
 import importlib
 
 _HOMES = {
-    "graphs": ("Graph", "complete", "cycle", "find_odd_cycle", "flatten", "graph_from_edges",
-               "hamming", "make_named_graph", "path", "product", "read_graph_text",
-               "spanning_tree", "star", "write_graph_text"),
+    "graphs": ("Graph", "complete", "cycle", "find_odd_cycle", "flatten", "hamming",
+               "make_named_graph", "path", "product", "read_graph_text", "spanning_tree",
+               "star", "write_graph_text"),
     "expansion": ("BranchTree", "OddExpansionModel", "Verdict", "branch_tree",
                   "odd_cycle_model", "parse_model", "serialize_model",
                   "verify_odd_expansion"),
@@ -19,7 +19,7 @@ _HOMES = {
                       "cartesian_complete_model", "cartesian_lift", "direct_general_model",
                       "direct_k3_model", "direct_k3_upper_bound", "hamming_model",
                       "identity_model", "product_grid_forest", "star_model",
-                      "strong_model", "witness_product_coloring"),
+                      "strong_model"),
     "oracle": ("ExactResult", "SearchBudget", "has_odd_clique_minor", "odd_hadwiger"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}

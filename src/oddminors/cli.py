@@ -1,8 +1,9 @@
 """Command-line front end: products, certified constructions, certificate
 verification, exact search, and bound-family tables.
 
-Exit codes: 0 success or verification pass, 1 verification failure, 2 parse
-or parameter error, 3 search timeout, 4 certificate/graph hash mismatch.
+Exit codes: 0 success or verification pass, 1 verification failure, an
+`absent` table row or an internal error, 2 parse or parameter error, 3
+search timeout, 4 certificate/graph hash mismatch.
 
 Graph arguments are file paths in the canonical text format, or inline
 specs of the form 'complete:5', 'cycle:7', 'star:4', 'path:6',
@@ -19,8 +20,8 @@ import time
 from pathlib import Path
 from typing import Iterable
 
-from .errors import (ColoringMissingError, ConsistencyError, FactorModelError,
-                     ParameterError, ParseError, SearchTimeout, StructureError)
+from .errors import (ConsistencyError, FactorModelError, ParameterError, ParseError,
+                     SearchTimeout, StructureError)
 from .expansion import (OddExpansionModel, parse_model, serialize_pieces,
                         verify_odd_expansion)
 from .graphs import PRODUCT_KINDS, Graph, make_named_graph, product, read_graph_text
@@ -101,9 +102,11 @@ def _parse_range(text: str) -> range:
 
 
 def _budget_from_args(args):
+    """The `SearchBudget` of the limits given, with its own defaults for the
+    rest."""
     from .oracle import SearchBudget
-    return SearchBudget(max_vertices=args.max_n, time_limit=args.time,
-                        node_limit=args.nodes)
+    given = {"max_vertices": args.max_n, "time_limit": args.time, "node_limit": args.nodes}
+    return SearchBudget(**{k: v for k, v in given.items() if v is not None})
 
 
 def odd_hadwiger(g: Graph, budget):
@@ -304,6 +307,9 @@ def cmd_table(args) -> int:
         ranges.append(_parse_range(default if given is None else given))
     header = list(theorem.params) + ["order", "verdict"]
     if args.oracle:
+        # refused, if it is bad, before anything is printed; each search
+        # starts its own clock
+        budget = _budget_from_args(args)
         header.append("oracle")
     print(" ".join(header))
     any_fail = False
@@ -316,10 +322,9 @@ def cmd_table(args) -> int:
         if not verdict.passed:
             any_fail = True
         if args.oracle:
-            if host.n <= args.max_n:
+            if host.n <= budget.max_vertices:
                 try:
-                    found = has_odd_clique_minor(host, model.clique_order,
-                                                 _budget_from_args(args))
+                    found = has_odd_clique_minor(host, model.clique_order, budget)
                     cells.append("ok" if found is not None else "absent")
                     if found is None:
                         any_fail = True
@@ -341,6 +346,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certified lower bounds and exact search for odd clique "
                     "minors in graph products.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the search limits of `exact` and `table`, with no defaults here (see
+    # `_budget_from_args`)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--time", type=float)
+    budget.add_argument("--nodes", type=int)
+    budget.add_argument("--max-n", dest="max_n", type=int)
 
     p = sub.add_parser("product", help="write a product graph in canonical text form")
     p.add_argument("kind", choices=PRODUCT_KINDS)
@@ -375,16 +386,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ignore-hash", action="store_true", dest="ignore_hash")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("exact", help="exact odd clique minor number by search")
+    p = sub.add_parser("exact", parents=[budget],
+                       help="exact odd clique minor number by search")
     p.add_argument("graph")
     p.add_argument("--out")
-    p.add_argument("--time", type=float, default=60.0)
-    p.add_argument("--nodes", type=int, default=100_000_000)
-    p.add_argument("--max-n", dest="max_n", type=int, default=16)
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("table", help="reproduce a bound family as a text table")
+    p = sub.add_parser("table", parents=[budget],
+                       help="reproduce a bound family as a text table")
     p.add_argument("which", choices=_TheoremIds(tabled=True), metavar="which",
                    help="one of: %(choices)s")
     p.add_argument("--s")
@@ -392,9 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check each row by exhaustive search when small enough")
-    p.add_argument("--time", type=float, default=60.0)
-    p.add_argument("--nodes", type=int, default=100_000_000)
-    p.add_argument("--max-n", dest="max_n", type=int, default=16)
     p.set_defaults(func=cmd_table)
 
     return parser
@@ -408,7 +415,7 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (ParameterError, StructureError, ParseError, ColoringMissingError) as e:
+    except (ParameterError, StructureError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARAM
     except FactorModelError as e:
@@ -417,7 +424,3 @@ def main(argv=None) -> int:
     except ConsistencyError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

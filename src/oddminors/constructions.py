@@ -15,13 +15,12 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Mapping, Optional
 
-from .errors import (ColoringMissingError, ConsistencyError, FactorModelError,
-                     ParameterError)
-from .expansion import (BranchTree, OddExpansionModel, branch_tree,
-                        monochromatic_connector, odd_cycle_model, single_edge_model,
-                        singleton_model, verify_odd_expansion)
-from .graphs import (PRODUCT_KINDS, Edge, Frozen, Graph, complete, flatten,
-                     graph_from_edges, hamming, product, spanning_tree, star)
+from .errors import ConsistencyError, FactorModelError, ParameterError
+from .expansion import (BranchTree, OddExpansionModel, _alternate_path_coloring,
+                        branch_tree, monochromatic_connector, odd_cycle_model,
+                        single_edge_model, singleton_model, verify_odd_expansion)
+from .graphs import (PRODUCT_KINDS, Edge, Frozen, Graph, complete, flatten, hamming,
+                     product, spanning_tree, star)
 
 
 # ----------------------------------------------------------------------
@@ -40,28 +39,7 @@ def identity_model(g: Graph) -> OddExpansionModel:
 
 
 # ----------------------------------------------------------------------
-# Product colorings and the cell grid
-
-
-def witness_product_coloring(c_first: Mapping[int, int], c_second: Mapping[int, int],
-                             domain, n_second: int) -> dict[int, int]:
-    """Combine factor witness colorings over product vertices.
-
-    A pair (a, b) receives color 1 when the factor colors agree and 2 when
-    they differ.  `domain` iterates (a, b) pairs; the result is keyed by the
-    flattened product id.  Swapping both factor colorings leaves the result
-    unchanged; swapping exactly one flips it.
-    """
-    out = {}
-    for a, b in sorted(domain):
-        ca = c_first.get(a)
-        cb = c_second.get(b)
-        if ca is None:
-            raise ColoringMissingError(f"first-factor vertex {a} is uncolored")
-        if cb is None:
-            raise ColoringMissingError(f"second-factor vertex {b} is uncolored")
-        out[flatten(a, b, n_second)] = 1 if ca == cb else 2
-    return out
+# The cell grid of a product
 
 
 def _require_valid(g: Graph, model: OddExpansionModel, name: str):
@@ -90,7 +68,7 @@ def _ranked(tree: BranchTree) -> tuple[tuple[int, ...], Graph]:
     """The tree's vertices ascending, and the tree relabelled to their ranks."""
     verts = tree.sorted_vertices
     rank = {v: k for k, v in enumerate(verts)}
-    return verts, graph_from_edges(len(verts), ((rank[u], rank[v]) for u, v in tree.edges))
+    return verts, Graph(len(verts), ((rank[u], rank[v]) for u, v in tree.edges))
 
 
 def product_grid_forest(g: Graph, mg: OddExpansionModel, h: Graph, mh: OddExpansionModel
@@ -104,7 +82,9 @@ def product_grid_forest(g: Graph, mg: OddExpansionModel, h: Graph, mh: OddExpans
     tree of the box product of its two factor trees, built on the trees
     relabelled to ranks and mapped back to host ids.  Ranks keep the order
     of the flattened ids, so the BFS is the one the host would run on the
-    cell.  The coloring combines the two witness colorings.
+    cell.  The coloring gives vertex (a, b) color 1 when the factor colors
+    of a and b agree, else 2, so swapping every color of one factor's
+    certificate flips every cell color, and swapping both changes none.
 
     `cell_edge(a, b)` is the monochromatic host edge joining cell a to cell
     b, cell a's end first.  It pairs the joint of the cells' first-factor
@@ -128,8 +108,10 @@ def product_grid_forest(g: Graph, mg: OddExpansionModel, h: Graph, mh: OddExpans
             grid = product("cartesian", ta, tb)
             cells[i, j] = BranchTree(frozenset(ids), frozenset(
                 (ids[x], ids[y]) for x, y in spanning_tree(grid, range(grid.n))))
-    domain = [(a, b) for va, _ in rows for a in va for vb, _ in cols for b in vb]
-    coloring = witness_product_coloring(mg.coloring, mh.coloring, domain, nh)
+    cg, ch = mg.coloring, mh.coloring
+    seconds = sorted([b for vb, _ in cols for b in vb])
+    coloring = {flatten(a, b, nh): 1 if cg[a] == ch[b] else 2
+                for a in sorted([a for va, _ in rows for a in va]) for b in seconds}
     first, second = _joints(g, mg), _joints(h, mh)
 
     def cell_edge(a: tuple[int, int], b: tuple[int, int]) -> Edge:
@@ -422,11 +404,6 @@ def _k3_parity_tree(i: int, t: int):
     if i % 2 == 1:
         return ((i - 1, 2), (i - 3, 1), (i - 2, 3)), (i - 3, 1), 2
     return ((i - 1, 1), (i - 3, 2), (i - 2, 3)), (i - 3, 2), 2
-
-
-def _alternate_path_coloring(ids: list[int], anchor: int, color: int) -> dict[int, int]:
-    at = ids.index(anchor)
-    return {v: color if (k - at) % 2 == 0 else 3 - color for k, v in enumerate(ids)}
 
 
 def _path_model(host: Graph, specs, fixed: Mapping[tuple[int, int], Edge]) -> OddExpansionModel:

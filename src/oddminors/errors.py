@@ -13,10 +13,6 @@ class StructureError(ValueError):
     """An input graph or vertex set lacks required structure (e.g. connectivity)."""
 
 
-class ColoringMissingError(ValueError):
-    """A coloring does not cover a coordinate it is required to cover."""
-
-
 class ParseError(ValueError):
     """Malformed text input. Carries the field path, the 1-based line and the
     character offset of that line's start when known."""

@@ -218,25 +218,25 @@ class OddExpansionModel(Frozen):
 
 
 class Verdict(Frozen):
-    """Outcome of a verification run; failures carry a concrete witness."""
+    """Outcome of a verification run: a pass has no clause, and a failure
+    names the clause it breaks and carries a concrete witness."""
 
-    _fields = ("status", "clause", "trees", "vertices", "edges", "message")
-    status: str  # "pass" or "fail"
+    _fields = ("clause", "trees", "vertices", "edges", "message")
     clause: Optional[str]
     trees: tuple[int, ...]
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
     message: str
 
-    def __init__(self, status: str, clause: Optional[str] = None, trees: tuple[int, ...] = (),
+    def __init__(self, clause: Optional[str] = None, trees: tuple[int, ...] = (),
                  vertices: tuple[int, ...] = (), edges: tuple[Edge, ...] = (),
                  message: str = ""):
-        self.__dict__.update(status=status, clause=clause, trees=trees, vertices=vertices,
-                             edges=edges, message=message)
+        self.__dict__.update(clause=clause, trees=trees, vertices=vertices, edges=edges,
+                             message=message)
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.clause is None
 
     def summary(self) -> str:
         if self.passed:
@@ -254,7 +254,7 @@ class Verdict(Frozen):
 
 
 def _fail(clause, trees=(), vertices=(), edges=(), message=""):
-    return Verdict("fail", clause, tuple(trees), tuple(vertices), tuple(edges), message)
+    return Verdict(clause, tuple(trees), tuple(vertices), tuple(edges), message)
 
 
 # Colors must be plain ints.  True == 1 and 1.0 == 1 pass every check by
@@ -388,7 +388,7 @@ def verify_odd_expansion(g: Graph, model: OddExpansionModel, strict: bool = Fals
             return _fail("connector_missing", trees=(i, j), message=(
                 f"strict mode: no stored connector for pair ({i},{j})" if strict
                 else f"no monochromatic edge between trees {i} and {j}"))
-    return failure or Verdict("pass", message=f"order={r}")
+    return failure or Verdict(message=f"order={r}")
 
 
 def monochromatic_connector(g: Graph, model: OddExpansionModel) -> PairTable:
@@ -481,6 +481,13 @@ def single_edge_model(g: Graph) -> OddExpansionModel:
                              {u: 1, v: 1}, {(0, 1): (u, v)})
 
 
+def _alternate_path_coloring(ids: list[int], anchor: int, color: int) -> dict[int, int]:
+    """The coloring of the path `ids` that gives `anchor` `color` and
+    alternates along the path, keyed in path order."""
+    at = ids.index(anchor)
+    return {v: color if (k - at) % 2 == 0 else 3 - color for k, v in enumerate(ids)}
+
+
 def odd_cycle_model(g: Graph) -> Optional[OddExpansionModel]:
     """Order-3 certificate built on an odd cycle, or None if bipartite.
 
@@ -492,11 +499,8 @@ def odd_cycle_model(g: Graph) -> Optional[OddExpansionModel]:
         return None
     k = len(cyc) // 2
     anchor, left, right = cyc[0], cyc[1:k + 1], cyc[k + 1:]
-    coloring = {anchor: 1}
-    for pos, v in enumerate(left):
-        coloring[v] = 1 if pos % 2 == 0 else 2
-    for pos, v in enumerate(reversed(right)):
-        coloring[v] = 1 if pos % 2 == 0 else 2
+    coloring = {anchor: 1, **_alternate_path_coloring(left, left[0], 1),
+                **_alternate_path_coloring(right[::-1], right[-1], 1)}
     trees = (
         branch_tree([anchor]),
         branch_tree(left, zip(left, left[1:])),

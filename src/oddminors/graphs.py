@@ -60,7 +60,7 @@ def _require_size(count: int, what: str, unit: str = "edges"):
 
 
 def _bad_edge(e, n: int) -> ParameterError:
-    return ParameterError(f"bad edge {e!r} for n={n} (need ints 0 <= u < v < n)")
+    return ParameterError(f"bad edge {e!r} for n={n} (need two distinct ints in 0..n-1)")
 
 
 class Frozen:
@@ -116,7 +116,8 @@ class Graph(Frozen):
     pieces as they come, so the whole text need never exist.  `edges`, the
     frozenset of (u, v) pairs with u < v, is built from the rows when first
     asked for; no routine in this package asks for it, and `repr` builds it
-    without caching it.  A pair given twice counts once.
+    without caching it.  An edge may be given as (u, v) or (v, u), and one
+    given twice counts once; a loop is refused.
 
     The digest is taken with the interpreter's built-in SHA-256 (`_sha256`,
     or `_sha2` from 3.12 on), not `hashlib`, whose OpenSSL backend would
@@ -147,8 +148,10 @@ class Graph(Frozen):
                 u, v = e
             except (TypeError, ValueError):  # not a pair
                 raise _bad_edge(e, n) from None
-            if not (type(u) is type(v) is int and 0 <= u < v < n):
-                raise _bad_edge(e, n)
+            if not (type(u) is type(v) is int and 0 <= u < v < n):  # (v, u) is taken too
+                if not (type(u) is type(v) is int and 0 <= v < u < n):
+                    raise _bad_edge(e, n)
+                u, v = v, u
             if u in later:
                 later[u].append(v)
             else:
@@ -277,20 +280,6 @@ def _from_rows(n: int, m: int, rows: dict[int, tuple[int, ...]]) -> Graph:
     g = object.__new__(Graph)
     g.__dict__.update(n=n, m=m, _rows=rows)
     return g
-
-
-def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Build a Graph, normalizing edge orientation and rejecting loops."""
-    out = set()
-    for e in edges:
-        try:
-            u, v = e
-        except (TypeError, ValueError):  # not a pair
-            raise _bad_edge(e, n) from None
-        if u == v:
-            raise ParameterError(f"self-loop at vertex {u}")
-        out.add(norm_edge(u, v))
-    return Graph(n, out)
 
 
 # ----------------------------------------------------------------------

@@ -139,11 +139,11 @@ BIPARTITE_INSTANCES = [
     gr.cycle(4),
     gr.cycle(8),
     gr.star(5),
-    gr.graph_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),  # K_{2,3}
-    gr.graph_from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)]),   # K_{3,3}
+    gr.Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),  # K_{2,3}
+    gr.Graph(6, [(u, v) for u in range(3) for v in range(3, 6)]),   # K_{3,3}
     gr.product("cartesian", gr.path(2), gr.path(3)),                            # 2x3 grid
     gr.hamming(2, 3),                                                           # cube
-    gr.graph_from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]),  # binary tree
+    gr.Graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]),  # binary tree
 ]
 
 

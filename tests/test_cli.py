@@ -406,6 +406,36 @@ def test_table_oracle_cells_without_a_search_result(capsys, budget, cells):
     assert all(row[3] == "PASS" for row in rows[1:])
 
 
+@pytest.mark.parametrize("budget", [["--max-n", "0"], ["--time", "0"]], ids=["max-n", "time"])
+def test_table_oracle_refuses_a_bad_budget_before_its_header(capsys, budget):
+    # as `exact` does: not a `-` in every row, nor a header and then exit 2
+    code, stdout, stderr = run(capsys, "table", "stars", "--r", "1..2", "--t", "1..2",
+                               "--oracle", *budget)
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: all budget fields must be positive\n"
+    assert run(capsys, "exact", "cycle:5", *budget) == (2, "", stderr)
+
+
+def test_the_search_commands_pass_only_the_limits_given(tmp_path, capsys, monkeypatch):
+    # `SearchBudget` holds the defaults; `table` builds one budget for every row
+    budgets = []
+
+    def search(host, r, budget):
+        budgets.append(budget)
+        return singleton_model(host)
+    monkeypatch.setattr(oracle, "has_odd_clique_minor", search)
+    code, _, _ = run(capsys, "table", "stars", "--r", "1..2", "--t", "1", "--oracle",
+                     "--nodes", "5")
+    assert code == 0 and len(budgets) == 2 and budgets[0] is budgets[1]
+    assert budgets[0] == oracle.SearchBudget(node_limit=5)
+    result = oracle.ExactResult("exact", 3, odd_cycle_model(gr.cycle(3)), 4, 7, 2.5)
+    monkeypatch.setattr(oracle, "odd_hadwiger", lambda g, budget: budgets.append(budget) or result)
+    for argv, want in [([], oracle.SearchBudget()),
+                       (["--time", "2", "--max-n", "9"], oracle.SearchBudget(9, 2.0))]:
+        assert run(capsys, "exact", "cycle:3", "--out", str(tmp_path / "c3.cert"), *argv)[0] == 0
+        assert budgets[-1] == want
+
+
 class _Recording:
     """A text file that records the length of every write made on it."""
 

@@ -4,8 +4,7 @@ import pytest
 
 from oddminors import constructions as cons
 from oddminors import graphs as gr
-from oddminors.errors import (ColoringMissingError, ConsistencyError, FactorModelError,
-                              ParameterError)
+from oddminors.errors import ConsistencyError, FactorModelError, ParameterError
 from oddminors.expansion import (BranchTree, OddExpansionModel, branch_tree,
                                  odd_cycle_model, serialize_model, single_edge_model,
                                  singleton_model, verify_odd_expansion)
@@ -62,33 +61,35 @@ def test_odd_cycle_model_matches_hand_built_c5():
 # Combined coloring
 
 
+def _swapped(model):
+    """The certificate with every color swapped."""
+    return OddExpansionModel(model.trees, {v: 3 - c for v, c in model.coloring.items()})
+
+
 def test_witness_product_coloring_rule():
-    # agree -> 1, differ -> 2
-    out = cons.witness_product_coloring({0: 1}, {0: 1}, [(0, 0)], 1)
-    assert out == {0: 1}
-    out = cons.witness_product_coloring({0: 1}, {0: 2}, [(0, 0)], 1)
-    assert out == {0: 2}
-    grid = cons.witness_product_coloring({0: 1, 1: 2}, {0: 1, 1: 2},
-                                         [(0, 0), (0, 1), (1, 0), (1, 1)], 2)
+    # a cell vertex (a, b) takes 1 when the factor colors of a and b agree, 2 when they differ
+    k1, k2 = gr.complete(1), gr.complete(2)
+    one = OddExpansionModel((branch_tree([0]),), {0: 1})
+    assert cons.product_grid_forest(k1, one, k1, one)[1] == {0: 1}
+    assert cons.product_grid_forest(k1, one, k1, _swapped(one))[1] == {0: 2}
+    edge = OddExpansionModel((branch_tree([0, 1], [(0, 1)]),), {0: 1, 1: 2})
+    grid = cons.product_grid_forest(k2, edge, k2, edge)[1]
     assert [grid[i] for i in range(4)] == [1, 2, 2, 1]
 
 
 def test_witness_product_coloring_swap_parity():
-    dom = [(a, b) for a in range(2) for b in range(3)]
-    cg, ch = {0: 1, 1: 2}, {0: 2, 1: 1, 2: 2}
-    base = cons.witness_product_coloring(cg, ch, dom, 3)
-    both = cons.witness_product_coloring({v: 3 - c for v, c in cg.items()},
-                                         {v: 3 - c for v, c in ch.items()}, dom, 3)
-    assert both == base
-    one = cons.witness_product_coloring({v: 3 - c for v, c in cg.items()}, ch, dom, 3)
-    assert one == {v: 3 - c for v, c in base.items()}
+    g, h = gr.path(2), gr.path(3)
+    mg = OddExpansionModel((branch_tree([0, 1], [(0, 1)]),), {0: 1, 1: 2})
+    mh = OddExpansionModel((branch_tree([0, 1, 2], [(0, 1), (1, 2)]),), {0: 2, 1: 1, 2: 2})
 
+    def coloring(first, second):
+        return cons.product_grid_forest(g, first, h, second)[1]
 
-def test_witness_product_coloring_missing_coordinate():
-    with pytest.raises(ColoringMissingError):
-        cons.witness_product_coloring({}, {0: 1}, [(0, 0)], 1)
-    with pytest.raises(ColoringMissingError):
-        cons.witness_product_coloring({0: 1}, {}, [(0, 0)], 1)
+    base = coloring(mg, mh)
+    assert coloring(_swapped(mg), _swapped(mh)) == base
+    flipped = {v: 3 - c for v, c in base.items()}
+    assert coloring(_swapped(mg), mh) == flipped
+    assert coloring(mg, _swapped(mh)) == flipped
 
 
 # ----------------------------------------------------------------------

@@ -197,7 +197,7 @@ def test_color_swap_invariance():
 
 
 def test_monotone_embedding_into_supergraph():
-    bigger = gr.graph_from_edges(6, list(C5.edges) + [(0, 2), (1, 4), (2, 5)])
+    bigger = gr.Graph(6, list(C5.edges) + [(0, 2), (1, 4), (2, 5)])
     assert verify_odd_expansion(bigger, C5_MODEL).passed
 
 
@@ -898,7 +898,7 @@ def perturbed_certificates(draw):
     made."""
     n = draw(st.integers(3, 7))
     extra = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
-    g = gr.graph_from_edges(n, extra | {(0, 1), (1, 2), (0, 2)})
+    g = gr.Graph(n, extra | {(0, 1), (1, 2), (0, 2)})
     model = has_odd_clique_minor(g, draw(st.integers(1, 3)))
     r = model.clique_order
     coloring = dict(model.coloring)

@@ -51,8 +51,8 @@ def test_graph_validation():
     with pytest.raises(ParameterError):
         gr.Graph(3, frozenset({(0, 3)}))
     with pytest.raises(ParameterError):
-        gr.graph_from_edges(3, [(1, 1)])
-    g = gr.graph_from_edges(3, [(2, 0)])
+        gr.Graph(3, [(1, 1)])
+    g = gr.Graph(3, [(2, 0)])
     assert g.edges == frozenset({(0, 2)})
 
 
@@ -90,10 +90,10 @@ def test_graph_refuses_ids_that_are_not_ints(n, edges):
         gr.Graph(n, frozenset(edges))
 
 
-@pytest.mark.parametrize("build", [gr.Graph, gr.graph_from_edges])
-@pytest.mark.parametrize("edge", [(0, 1, 2), 5, (1,)])
+@pytest.mark.parametrize("build", [gr.Graph])
+@pytest.mark.parametrize("edge", [(0, 1, 2), 5, (1,), (1, 1)])
 def test_graph_refuses_an_edge_that_is_not_a_pair(build, edge):
-    with pytest.raises(ParameterError, match=r"bad edge .* \(need ints 0 <= u < v < n\)"):
+    with pytest.raises(ParameterError, match=r"bad edge .* \(need two distinct ints in 0\.\.n-1\)"):
         build(3, frozenset({edge}))
 
 
@@ -383,7 +383,7 @@ def test_spanning_tree_is_spanning_acyclic_connected(g, verts):
 
 
 def test_spanning_tree_disconnected_reports_separated_vertex():
-    g = gr.graph_from_edges(4, [(0, 1), (2, 3)])
+    g = gr.Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(StructureError) as exc:
         gr.spanning_tree(g, [0, 1, 2, 3])
     assert "2" in str(exc.value)

@@ -32,7 +32,7 @@ FACTORS = {
     "P4": gr.path(4),
     "C5": gr.cycle(5),
     "S3": gr.star(3),
-    "paw": gr.graph_from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    "paw": gr.Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
 }
 
 PAIRS = list(itertools.product(FACTORS, repeat=2))
@@ -44,7 +44,7 @@ LARGE_FACTORS = {
     "K17": gr.complete(17),
     "C17": gr.cycle(17),
     "S16": gr.star(16),
-    "paw+13": gr.graph_from_edges(17, [(0, 1), (1, 2), (0, 2), (2, 16)]),
+    "paw+13": gr.Graph(17, [(0, 1), (1, 2), (0, 2), (2, 16)]),
     "E150": gr.Graph(150, frozenset()),
     "P300": gr.path(300),
 }

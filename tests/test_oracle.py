@@ -79,7 +79,7 @@ def recursive_connected_subsets(adj, anchor, allowed, max_size):
 SUBSET_HOSTS = {
     "k4-direct-k4": gr.product("direct", gr.complete(4), gr.complete(4)),
     "c5-strong-c3": gr.product("strong", gr.cycle(5), gr.cycle(3)),
-    "petersen": gr.graph_from_edges(10, nx.petersen_graph().edges()),
+    "petersen": gr.Graph(10, nx.petersen_graph().edges()),
     "c7": gr.cycle(7),
     "s5": gr.star(5),
 }
@@ -256,7 +256,7 @@ def test_odd_hadwiger_timeout_keeps_its_node_count(limit):
 def random_graph(n, p, seed):
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return gr.graph_from_edges(n, edges)
+    return gr.Graph(n, edges)
 
 
 def test_anti_monotonicity_on_seeded_instances():
@@ -265,7 +265,7 @@ def test_anti_monotonicity_on_seeded_instances():
         value = odd_hadwiger(g).value
         rng = random.Random(100 + seed)
         sub_edges = [e for e in g.edges if rng.random() < 0.7]
-        sub = gr.graph_from_edges(g.n, sub_edges)
+        sub = gr.Graph(g.n, sub_edges)
         assert odd_hadwiger(sub).value <= value
 
 
@@ -331,7 +331,7 @@ ATLAS = nx.graph_atlas_g()
 
 
 def check_against_brute_force(atlas):
-    g = gr.graph_from_edges(len(atlas), atlas.edges)
+    g = gr.Graph(len(atlas), atlas.edges)
     if g.n == 0:
         with pytest.raises(ParameterError):
             odd_hadwiger(g)
@@ -368,7 +368,7 @@ def test_k4_box_k4_has_value_seven_under_the_default_budget():
 # orbit pruning
 
 # no automorphism but the identity
-RIGID = gr.graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
+RIGID = gr.Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
 
 
 def networkx_automorphism_count(g):
@@ -391,7 +391,7 @@ CHAIN_HOSTS = [
                  id="k4-direct-k3"),
     pytest.param(lambda: gr.product("strong", gr.path(4), gr.cycle(3)), 2592,
                  id="p4-strong-c3"),
-    pytest.param(lambda: gr.graph_from_edges(10, nx.petersen_graph().edges()), 120,
+    pytest.param(lambda: gr.Graph(10, nx.petersen_graph().edges()), 120,
                  id="petersen"),
     pytest.param(lambda: RIGID, 1, id="rigid"),
 ]
@@ -423,7 +423,7 @@ def test_stabilizer_chain_generates_the_automorphism_group(build, order):
 
 
 # a random cubic graph on 20 vertices with no automorphism but the identity
-CUBIC_20 = gr.graph_from_edges(20, [
+CUBIC_20 = gr.Graph(20, [
     (0, 2), (0, 5), (0, 18), (1, 4), (1, 14), (1, 16), (2, 5), (2, 7), (3, 9), (3, 11),
     (3, 18), (4, 8), (4, 14), (5, 17), (6, 7), (6, 13), (6, 19), (7, 16), (8, 10), (8, 16),
     (9, 15), (9, 17), (10, 12), (10, 19), (11, 14), (11, 15), (12, 13), (12, 19), (13, 18),

@@ -28,9 +28,9 @@ VALUES = {
         OddExpansionModel(EDGE.trees, EDGE.coloring),
         OddExpansionModel(EDGE.trees, {1: 1, 0: 1}, None, ()),
         OddExpansionModel(EDGE.trees, EDGE.coloring, connectors={(0, 1): (1, 0)})),
-    Verdict: lambda: (Verdict("pass", message="order=2"),
-                      Verdict("pass", None, (), (), (), "order=2"),
-                      Verdict("fail", "coloring", (0,), (1,), ((0, 1),), "")),
+    Verdict: lambda: (Verdict(message="order=2"),
+                      Verdict(None, (), (), (), "order=2"),
+                      Verdict("coloring", (0,), (1,), ((0, 1),), "")),
     SearchBudget: lambda: (SearchBudget(), SearchBudget(16, 60.0, 100_000_000),
                            SearchBudget(max_vertices=K2.n, time_limit=1.0, node_limit=10)),
     ExactResult: lambda: (ExactResult("exact", 2, EDGE),
