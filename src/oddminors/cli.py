@@ -158,8 +158,7 @@ def _refuse_unread(args, theorem: str, read) -> None:
 
 def _factor_inputs(args):
     for opt in _FACTOR_OPTIONS:
-        if getattr(args, opt) is None:
-            raise _CliError(f"theorem {args.theorem!r} needs --{opt.replace('_', '-')}")
+        _need(args, opt)
     inputs = []
     for side in "ab":
         g = _load_graph(getattr(args, f"factor_{side}"))
@@ -172,9 +171,11 @@ def _factor_inputs(args):
 
 
 def _need(args, name):
+    """The value of the option `name` (`factor_a` is --factor-a), which
+    the theorem needs: refused when not given."""
     value = getattr(args, name)
     if value is None:
-        raise _CliError(f"theorem {args.theorem!r} needs --{name}")
+        raise _CliError(f"theorem {args.theorem!r} needs --{name.replace('_', '-')}")
     return value
 
 
@@ -311,6 +312,8 @@ def cmd_table(args) -> int:
         # starts its own clock
         budget = _budget_from_args(args)
         header.append("oracle")
+    elif (args.time, args.nodes, args.max_n) != (None, None, None):
+        raise _CliError("--time, --nodes and --max-n apply only with --oracle")
     print(" ".join(header))
     any_fail = False
     for values in itertools.product(*ranges):

@@ -64,27 +64,23 @@ def _joints(g: Graph, model: OddExpansionModel) -> dict[tuple[int, int], Edge]:
     return joints
 
 
-def _ranked(tree: BranchTree) -> tuple[tuple[int, ...], Graph]:
-    """The tree's vertices ascending, and the tree relabelled to their ranks."""
-    verts = tree.sorted_vertices
-    rank = {v: k for k, v in enumerate(verts)}
-    return verts, Graph(len(verts), ((rank[u], rank[v]) for u, v in tree.edges))
-
-
 def product_grid_forest(g: Graph, mg: OddExpansionModel, h: Graph, mh: OddExpansionModel
                         ) -> tuple[dict[tuple[int, int], BranchTree], dict[int, int],
                                    Callable[..., Edge]]:
     """Build the cell grid shared by the box-product, strong-product and
-    lexicographic constructions: its cells, their coloring and `cell_edge`.
+    lexicographic constructions: its cells, in row-major order, their
+    coloring and `cell_edge`.
 
-    Cell (i, j) spans tree i of the first factor times tree j of the second,
-    connected through factor tree edges only: the deterministic BFS spanning
-    tree of the box product of its two factor trees, built on the trees
-    relabelled to ranks and mapped back to host ids.  Ranks keep the order
-    of the flattened ids, so the BFS is the one the host would run on the
-    cell.  The coloring gives vertex (a, b) color 1 when the factor colors
-    of a and b agree, else 2, so swapping every color of one factor's
-    certificate flips every cell color, and swapping both changes none.
+    The grid is the box product of the two factors' tree forests, the
+    factors' vertices with their certificates' tree edges only.  Each of
+    its edges stays inside one tree of each factor, so cell (i, j), tree i
+    of the first factor times tree j of the second, is one of its
+    components, spanned by the grid's deterministic BFS spanning tree of
+    the cell.  The coloring gives vertex (a, b) color 1 when the factor
+    colors of a and b agree, else 2, so swapping every color of one
+    factor's certificate flips every cell color, and swapping both changes
+    none.  The grid has the host's vertex count, so a product past
+    MAX_EDGES vertices is refused with ParameterError.
 
     `cell_edge(a, b)` is the monochromatic host edge joining cell a to cell
     b, cell a's end first.  It pairs the joint of the cells' first-factor
@@ -99,19 +95,19 @@ def product_grid_forest(g: Graph, mg: OddExpansionModel, h: Graph, mh: OddExpans
     _require_valid(g, mg, "first factor")
     _require_valid(h, mh, "second factor")
     nh = h.n
-    rows = [_ranked(tree) for tree in mg.trees]
-    cols = [_ranked(tree) for tree in mh.trees]
+    forest = lambda f, model: Graph(f.n, (e for tree in model.trees for e in tree.edges))
+    grid = product("cartesian", forest(g, mg), forest(h, mh))
+    rows = [tree.sorted_vertices for tree in mg.trees]
+    cols = [tree.sorted_vertices for tree in mh.trees]
     cells = {}
-    for i, (va, ta) in enumerate(rows):
-        for j, (vb, tb) in enumerate(cols):
+    for i, va in enumerate(rows):
+        for j, vb in enumerate(cols):
             ids = [flatten(a, b, nh) for a in va for b in vb]
-            grid = product("cartesian", ta, tb)
-            cells[i, j] = BranchTree(frozenset(ids), frozenset(
-                (ids[x], ids[y]) for x, y in spanning_tree(grid, range(grid.n))))
+            cells[i, j] = BranchTree(frozenset(ids), spanning_tree(grid, ids))
     cg, ch = mg.coloring, mh.coloring
-    seconds = sorted([b for vb, _ in cols for b in vb])
+    seconds = sorted([b for vb in cols for b in vb])
     coloring = {flatten(a, b, nh): 1 if cg[a] == ch[b] else 2
-                for a in sorted([a for va, _ in rows for a in va]) for b in seconds}
+                for a in sorted([a for va in rows for a in va]) for b in seconds}
     first, second = _joints(g, mg), _joints(h, mh)
 
     def cell_edge(a: tuple[int, int], b: tuple[int, int]) -> Edge:
@@ -257,23 +253,21 @@ def strong_model(g: Graph, mg: OddExpansionModel,
                  kind: str = "strong") -> OddExpansionModel:
     """Order s*t certificate on the strong (or lexicographic) product.
 
-    All s*t grid cells become trees under the combined coloring, in row-major
-    order, and every pair of cells is joined by the grid's `cell_edge`: a
-    same-row or same-column edge, or a diagonal one whose endpoints agree in
-    color.  The strong-product edge set is contained in the lexicographic
-    one, so the same certificate serves both.
+    All s*t grid cells become trees under the combined coloring, in the
+    grid's row-major order, and every pair of cells is joined by the grid's
+    `cell_edge`: a same-row or same-column edge, or a diagonal one whose
+    endpoints agree in color.  The strong-product edge set is contained in
+    the lexicographic one, so the same certificate serves both.
     """
     if kind not in ("strong", "lexicographic"):
         raise ParameterError(f"kind must be strong or lexicographic, got {kind!r}")
     cells, coloring, cell_edge = product_grid_forest(g, mg, h, mh)
-    order = sorted(cells)
-    trees = tuple(cells[c] for c in order)
     connectors = {(k1, k2): cell_edge(a, b)
-                  for (k1, a), (k2, b) in combinations(enumerate(order), 2)}
+                  for (k1, a), (k2, b) in combinations(enumerate(cells), 2)}
     notes = ()
     if mg.clique_order < 2 or mh.clique_order < 2:
         notes = ("degenerate factor: an input certificate has order below 2",)
-    return OddExpansionModel(trees, coloring, connectors, notes)
+    return OddExpansionModel(tuple(cells.values()), coloring, connectors, notes)
 
 
 def star_model(r: int, t: int) -> OddExpansionModel:

@@ -132,7 +132,6 @@ class Graph(Frozen):
     SHA-256 either way.
     """
 
-    _fields = ("n", "edges")  # what repr shows; equality and hash read the rows
     n: int
     m: int
     _rows: dict[int, tuple[int, ...]]

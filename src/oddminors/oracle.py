@@ -50,10 +50,14 @@ searched, in the same order.  Two colorings are compatible when the ones
 of one meet N(ones) of the other or likewise for twos; a coloring is
 therefore compatible with some member of a domain iff it meets the OR of
 the members' N(ones) with its ones or the OR of their N(twos) with its
-twos.  The domain filters test against those unions and keep exactly the
-colorings, in the order, that a pairwise test would keep.  Neither
-changes which families are searched or in what order, so neither can
-change the first model.
+twos.  One filter, `_filter`, tests against those unions and keeps exactly
+the colorings, in the order, that a pairwise test would keep.  It serves
+three uses.  It cuts a new domain by the placed ones.  It cuts each placed
+domain by the new one: N() comes from a symmetric adjacency, so
+compatibility is symmetric.  And at the leaf it gives the colorings of the
+next tree compatible with each chosen one, each chosen coloring a domain
+of one member.  Neither reformulation changes which families are searched
+or in what order, so neither can change the first model.
 
 Placed-tree budgets cut subsets before they are generated.  Each tree still
 to come needs its own vertex of N(P) among the free vertices above the
@@ -72,10 +76,10 @@ No domain runs empty, so none is tested for.  A subset generated is
 connected, so coloring a BFS tree of it by depth parity is usable, and it
 or its swap gives the largest vertex color 2; at the first tree the
 anchor's color keeps one of each swapped pair.  Compatibility is
-symmetric, as N() comes from a symmetric adjacency, and a new domain keeps
-only colorings with a compatible member in every placed domain; so once
-it is non-empty, each placed domain keeps that member when it is cut to
-the colorings compatible with some of the new one.
+symmetric, and a new domain keeps only colorings with a compatible member
+in every placed domain; so once it is non-empty, each placed domain keeps
+that member when it is cut to the colorings compatible with some of the
+new one.
 """
 
 from __future__ import annotations
@@ -315,7 +319,7 @@ class _Search:
             reach |= frontier
         return reach == mask
 
-    def _connected_subsets(self, anchor: int, allowed: int, max_size: int, budgets=()):
+    def _connected_subsets(self, anchor: int, allowed: int, max_size: int, budgets):
         """Connected subsets of `allowed` containing `anchor`, each exactly
         once, in a fixed depth-first order: after a subset come, for each of
         its candidates in ascending order, the subset with it added and then
@@ -372,12 +376,6 @@ class _Search:
     # -- compatibility ----------------------------------------------------
 
     @staticmethod
-    def _compatible(ca, cb) -> bool:
-        # A monochromatic cross edge exists iff some color-1 vertex of one
-        # side neighbors a color-1 vertex of the other, or likewise color-2.
-        return bool(ca[1] & cb[0]) or bool(ca[3] & cb[2])
-
-    @staticmethod
     def _unions(domains) -> list[tuple[int, int]]:
         """Per domain, the ORs of its colorings' N(ones) and N(twos): a
         coloring is compatible with some member of the domain iff its ones
@@ -392,11 +390,11 @@ class _Search:
         return out
 
     @staticmethod
-    def _filter_new(unions, new_dom):
-        """The colorings of new_dom compatible with some member of every
-        domain whose `_unions` are given."""
+    def _filter(unions, domain):
+        """The colorings of `domain` compatible with some member of every
+        domain whose `_unions` are given, in their order."""
         kept = []
-        for c in new_dom:
+        for c in domain:
             ones, twos = c[0], c[2]
             for ones_nbrs, twos_nbrs in unions:
                 if not (ones & ones_nbrs or twos & twos_nbrs):
@@ -404,16 +402,6 @@ class _Search:
             else:
                 kept.append(c)
         return tuple(kept)
-
-    @staticmethod
-    def _filter_old(domains, new_dom):
-        """Each domain cut to the colorings compatible with some member of
-        new_dom."""
-        ones = twos = 0
-        for c in new_dom:
-            ones |= c[0]
-            twos |= c[2]
-        return [tuple(ci for ci in d if ci[1] & ones or ci[3] & twos) for d in domains]
 
     # -- main recursion ----------------------------------------------------
 
@@ -465,10 +453,13 @@ class _Search:
                 if depth == 0:
                     # fix the anchor's color to 1: global color swap symmetry
                     dom = tuple(c for c in dom if c[0] & (1 << m))
-                dom = self._filter_new(unions, dom)
+                dom = self._filter(unions, dom)
                 if not dom:
                     continue
-                filtered = self._filter_old(domains, dom)
+                # compatibility is symmetric: each placed domain keeps the
+                # colorings compatible with some member of the new one
+                new = self._unions([dom])
+                filtered = [self._filter(new, d) for d in domains]
                 if k:
                     found = self._place(depth + 1, masks + [subset], filtered + [dom],
                                         nbrs + [nbr], common & nbr, unused & ~subset, m)
@@ -514,11 +505,12 @@ class _Search:
         def backtrack(k):
             if k == r:
                 return True
-            for c in domains[k]:
-                if all(self._compatible(chosen[i], c) for i in range(k)):
-                    chosen[k] = c
-                    if backtrack(k + 1):
-                        return True
+            # the colorings compatible with each chosen one: the unions of
+            # one-member domains
+            for c in self._filter([(ci[1], ci[3]) for ci in chosen[:k]], domains[k]):
+                chosen[k] = c
+                if backtrack(k + 1):
+                    return True
             return False
 
         if not backtrack(0):

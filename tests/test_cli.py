@@ -416,6 +416,16 @@ def test_table_oracle_refuses_a_bad_budget_before_its_header(capsys, budget):
     assert run(capsys, "exact", "cycle:5", *budget) == (2, "", stderr)
 
 
+@pytest.mark.parametrize("limit", [["--time", "-5"], ["--nodes", "3"], ["--max-n", "0"]],
+                         ids=["time", "nodes", "max-n"])
+def test_table_refuses_search_limits_without_oracle(capsys, limit):
+    # the limits bound the oracle's searches alone: without --oracle they
+    # would be read by nothing, so they are refused before the header
+    code, stdout, stderr = run(capsys, "table", "stars", "--r", "1", "--t", "1", *limit)
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: --time, --nodes and --max-n apply only with --oracle\n"
+
+
 def test_the_search_commands_pass_only_the_limits_given(tmp_path, capsys, monkeypatch):
     # `SearchBudget` holds the defaults; `table` builds one budget for every row
     budgets = []

@@ -98,7 +98,7 @@ def test_witness_product_coloring_swap_parity():
 
 def test_grid_forest_cells_and_cell_edges():
     cells, coloring, cell_edge = cons.product_grid_forest(C5, C5_K3, C5, C5_K3)
-    assert sorted(cells) == [(i, j) for i in range(3) for j in range(3)]
+    assert list(cells) == [(i, j) for i in range(3) for j in range(3)]  # row-major
     box, strong = gr.product("cartesian", C5, C5), gr.product("strong", C5, C5)
     for a in cells:
         for b in cells:
@@ -152,6 +152,35 @@ def test_grid_joints_put_each_trees_end_first(kind):
     rev = OddExpansionModel(identity.trees[::-1], identity.coloring)
     host = gr.product(kind, k3, k3)
     check_on(host, cons.strong_model(k3, rev, k3, identity, kind), 9)
+
+
+def test_grid_forest_builds_one_product(monkeypatch):
+    # every cell is a component of one box product of the factors' forests
+    products = []
+    product = cons.product
+
+    def counted(kind, g, h):
+        products.append((kind, g, h))
+        return product(kind, g, h)
+    monkeypatch.setattr(cons, "product", counted)
+    k8 = gr.complete(8)
+    identity = cons.identity_model(k8)
+    cells, _, _ = cons.product_grid_forest(k8, identity, k8, identity)
+    assert len(cells) == 64
+    assert products == [("cartesian", gr.Graph(8, ()), gr.Graph(8, ()))]
+
+
+def test_grid_forest_refuses_a_product_past_the_vertex_cap():
+    # the grid has the host's 3201^2 vertices, more than MAX_EDGES, though
+    # its four cells hold one vertex each: refused, as the host itself is
+    s = gr.star(3200)
+    edge = single_edge_model(s)
+    with pytest.raises(ParameterError, match="vertices"):
+        gr.product("strong", s, s)
+    with pytest.raises(ParameterError, match="vertices"):
+        cons.strong_model(s, edge, s, edge)
+    with pytest.raises(ParameterError, match="vertices"):
+        cons.cartesian_lift(s, edge, s, edge)
 
 
 def test_grid_forest_rejects_invalid_factor():
@@ -226,20 +255,24 @@ def test_hamming_model(n, d, order):
 def test_hamming_model_builds_each_lift_host_once(monkeypatch):
     """hamming_model(4, 4) lifts onto H(4, 2) and H(4, 3), each built once,
     from the one before.  The other products with K4 second are the hosts
-    K_s x K4 of the default bases, s = 4, 6, 8; the grid cells are products
-    with a one-vertex second factor."""
+    K_s x K4 of the default bases, s = 4, 6, 8, and one cell grid per lift,
+    whose second factor is the edgeless forest of K4's identity
+    certificate: told apart by the second factor's edge count."""
     products = []
     product = gr.product
 
     def counted(kind, g, h):
-        products.append((kind, g.n, h.n))
+        products.append((kind, g.n, h.n, g.m, h.m))
         return product(kind, g, h)
     monkeypatch.setattr(gr, "product", counted)  # what graphs.hamming calls
     monkeypatch.setattr(cons, "product", counted)
     cons.hamming_model(4, 4)
-    lift_hosts = [("cartesian", 4, 4), ("cartesian", 16, 4)]
-    bases = [("cartesian", s, 4) for s in (4, 6, 8)]
-    assert sorted(p for p in products if p[2] == 4) == sorted(lift_hosts + bases)
+    lift_hosts = [("cartesian", 4, 4, 6, 6), ("cartesian", 16, 4, 48, 6)]
+    bases = [("cartesian", s, 4, s * (s - 1) // 2, 6) for s in (4, 6, 8)]
+    assert sorted(p for p in products if p[2:5:2] == (4, 6)) == sorted(lift_hosts + bases)
+    grids = [("cartesian", n, 4) for n in (4, 16, 64)]
+    assert sorted(p[:3] for p in products if p[2:5:2] == (4, 0)) == grids
+    assert len(products) == len(lift_hosts + bases + grids)
 
 
 def test_hamming_model_params():

@@ -50,7 +50,7 @@ def test_connected_subset_enumeration_matches_brute_force(g):
         allowed = (1 << g.n) - 1 - 0b10 if anchor == 0 else (1 << g.n) - 2
         if not allowed >> anchor & 1:
             allowed |= 1 << anchor
-        got = list(search._connected_subsets(anchor, allowed, 4))
+        got = list(search._connected_subsets(anchor, allowed, 4, ()))
         assert len(got) == len(set(got))  # no duplicates
         assert set(got) == brute_connected_subsets(g, anchor, allowed, 4)
 
@@ -96,7 +96,7 @@ def test_connected_subsets_come_in_the_recursive_order(g):
             allowed = rng.getrandbits(g.n) | 1 << anchor
             for max_size in (0, 1, 2, 4, 6):
                 expected = list(recursive_connected_subsets(search.adj, anchor, allowed, max_size))
-                assert list(search._connected_subsets(anchor, allowed, max_size)) == expected
+                assert list(search._connected_subsets(anchor, allowed, max_size, ())) == expected
 
 
 @pytest.mark.parametrize("g", SUBSET_HOSTS.values(), ids=SUBSET_HOSTS)
@@ -111,7 +111,7 @@ def test_budgeted_subsets_are_the_unbudgeted_ones_filtered(g):
             budgets = [(rng.getrandbits(g.n), rng.randint(-1, 4))
                        for _ in range(rng.randint(1, 4))]
             for max_size in (1, 2, 4, 6):
-                expected = [s for s in search._connected_subsets(anchor, allowed, max_size)
+                expected = [s for s in search._connected_subsets(anchor, allowed, max_size, ())
                             if all((s & mask).bit_count() <= limit for mask, limit in budgets)]
                 got = list(search._connected_subsets(anchor, allowed, max_size, budgets))
                 assert got == expected, (anchor, allowed, budgets, max_size)
@@ -488,17 +488,22 @@ def test_tree_count_rule_keeps_node_counts_at_or_below_their_ceilings():
 colorings = st.tuples(*[st.integers(0, 63)] * 4)
 
 
+def compatible(ca, cb) -> bool:
+    """The pairwise reference: a monochromatic cross edge exists iff some
+    color-1 vertex of one side neighbors a color-1 vertex of the other, or
+    likewise color-2."""
+    return bool(ca[1] & cb[0]) or bool(ca[3] & cb[2])
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(colorings, min_size=1, max_size=4).map(tuple), max_size=4),
        st.lists(colorings, max_size=6).map(tuple))
 def test_union_filters_match_the_pairwise_forms(domains, new_dom):
-    compatible = _Search._compatible
+    # a new domain cut by the placed ones, and, with one-member domains,
+    # the leaf's candidates after the chosen colorings: any tuples will do
     kept_new = tuple(c for c in new_dom
                      if all(any(compatible(ci, c) for ci in d) for d in domains))
-    assert _Search._filter_new(_Search._unions(domains), new_dom) == kept_new
-    kept_old = [tuple(ci for ci in d if any(compatible(ci, c) for c in new_dom))
-                for d in domains]
-    assert _Search._filter_old(domains, new_dom) == kept_old
+    assert _Search._filter(_Search._unions(domains), new_dom) == kept_new
 
 
 @st.composite
@@ -512,7 +517,7 @@ def graphs_and_domains(draw):
     search = _Search(gr.Graph(n, frozenset(edges)), SearchBudget())
     # every connected subset once, anchored at its least vertex
     subsets = [s for anchor in range(n)
-               for s in search._connected_subsets(anchor, search.full >> anchor << anchor, n)]
+               for s in search._connected_subsets(anchor, search.full >> anchor << anchor, n, ())]
     domains = []
     used = 0
     for _ in range(draw(st.integers(1, 4))):
@@ -531,13 +536,19 @@ def graphs_and_domains(draw):
 @given(graphs_and_domains())
 def test_no_domain_runs_empty(case):
     # why `_place` need not test the domains of generated subsets or the
-    # placed domains after `_filter_old` for emptiness
+    # placed domains after they are cut for emptiness
     search, subsets, domains = case
     assert all(search._admissible_colorings(mask) for mask in subsets)
     *placed, new_dom = domains
-    kept = _Search._filter_new(_Search._unions(placed), new_dom)
+    kept = _Search._filter(_Search._unions(placed), new_dom)
+    # the placed domains cut by the new one, as `_place` cuts them: the
+    # pairwise form holds with the sides swapped, since these colorings'
+    # N() comes from a symmetric adjacency
+    cut = [_Search._filter(_Search._unions([kept]), d) for d in placed]
+    assert cut == [tuple(ci for ci in d if any(compatible(ci, c) for c in kept))
+                   for d in placed]
     if kept:
-        assert all(_Search._filter_old(placed, kept))
+        assert all(cut)
 
 
 def test_importing_the_oracle_leaves_the_constructions_unloaded():

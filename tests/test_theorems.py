@@ -180,13 +180,13 @@ def test_benchmark_tracer_sees_every_theorem(capsys, tmp_path, monkeypatch):
 
 
 def count_products(monkeypatch):
-    """The (kind, first order, second order) of each `product` call that
-    `constructions` makes from now on."""
+    """The (kind, first order, second order, first size, second size) of
+    each `product` call that `constructions` makes from now on."""
     products = []
     product = cons.product
 
     def counted_product(kind, g, h):
-        products.append((kind, g.n, h.n))
+        products.append((kind, g.n, h.n, g.m, h.m))
         return product(kind, g, h)
 
     monkeypatch.setattr(cons, "product", counted_product)
@@ -213,10 +213,15 @@ def test_construct_builds_and_renders_its_host_once(capsys, tmp_path, monkeypatc
                   ("complete:%d" % n, gr.complete(n), cons.identity_model(gr.complete(n)))
                   for n in (t, s))
         argv = argv + factor_argv(tmp_path, kt, ks)
-        t, s = kt[1].n, ks[1].n
+        first, second = kt[1], ks[1]
+    else:
+        first, second = gr.complete(t), gr.complete(s)
     # On K8, K8 the lift's default base certificate lies on K8 box K8 too,
     # the box product of the factor orders' cliques, and it builds that
-    # host itself: equal to the theorem's host, but built apart.
+    # host itself: equal to the theorem's host, but built apart.  The
+    # lift's cell grid is a box product on the host's vertices as well,
+    # told apart by its factors, the edgeless forests of the identity
+    # certificates.
     builds = 2 if kind == "cartesian" else 1
     products = count_products(monkeypatch)
     renders = []
@@ -232,8 +237,8 @@ def test_construct_builds_and_renders_its_host_once(capsys, tmp_path, monkeypatc
                      "--strict"])
     stdout = capsys.readouterr().out
     assert code == 0
-    assert products.count((kind, t, s)) == builds
-    assert renders.count(t * s) == 1
+    assert products.count((kind, first.n, second.n, first.m, second.m)) == builds
+    assert renders.count(first.n * second.n) == 1
     assert f"hash={hashlib.sha256(graph.read_bytes()).hexdigest()}" in stdout
 
 
@@ -244,7 +249,7 @@ def test_construct_builds_a_given_base_host_once(capsys, tmp_path, monkeypatch):
     products = count_products(monkeypatch)
     code, _, stderr, _ = construct(capsys, tmp_path, "cartesian-lift", *argv)
     assert code == 0, stderr
-    assert products.count(("cartesian", 3, 3)) == 1
+    assert products.count(("cartesian", 3, 3, 3, 3)) == 1
 
 
 @pytest.mark.parametrize("theorem, args", [
