@@ -50,6 +50,17 @@ class _CliError(Exception):
         self.code = code
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of the file at `path`, read as UTF-8; a file that cannot be
+    read or decoded is refused with the parameter exit code."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise _CliError(f"cannot read {what} {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise _CliError(f"{path}: {e}")
+
+
 def _load_graph(spec: str) -> Graph:
     if ":" in spec and not Path(spec).exists():
         family, _, rest = spec.partition(":")
@@ -58,10 +69,7 @@ def _load_graph(spec: str) -> Graph:
         except ValueError:
             raise _CliError(f"bad inline graph spec {spec!r}")
         return make_named_graph(family, params)
-    try:
-        text = Path(spec).read_text()
-    except OSError as e:
-        raise _CliError(f"cannot read graph file {spec}: {e}")
+    text = _read_text(spec, "graph file")
     try:
         return read_graph_text(text)
     except ParseError as e:
@@ -69,10 +77,7 @@ def _load_graph(spec: str) -> Graph:
 
 
 def _load_certificate(path: str) -> tuple[OddExpansionModel, str]:
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise _CliError(f"cannot read certificate {path}: {e}")
+    text = _read_text(path, "certificate")
     try:
         return parse_model(text)
     except ParseError as e:
@@ -83,7 +88,7 @@ def _write_text(path: str, pieces: Iterable[str]):
     """Write the pieces of one text to `path` as they come, through one
     open file, so that the whole text never exists."""
     try:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             for piece in pieces:
                 f.write(piece)
     except OSError as e:
@@ -249,7 +254,7 @@ def cmd_construct(args) -> int:
     # the self-verify reads the file back with the built model freed, so
     # that one certificate is alive at a time
     del model
-    reparsed, _ = parse_model(Path(args.out).read_text())
+    reparsed, _ = parse_model(_read_text(args.out, "certificate"))
     phases.end("reread")
     verdict = verify_odd_expansion(host, reparsed, strict=True)
     phases.end("verify")

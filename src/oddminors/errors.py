@@ -32,13 +32,13 @@ class ParseError(ValueError):
         self.line = line
 
     @classmethod
-    def at(cls, lines: Sequence[str], index: int, message: str,
+    def at(cls, starts: Sequence[int], index: int, message: str,
            field: str | None = None) -> ParseError:
-        """The error at `lines[index]`, where `lines` is a text's
-        `splitlines(keepends=True)` and `index` may be `len(lines)` (the end
-        of the text): line `index + 1`, offset the length of the lines before
-        it."""
-        return cls(message, field=field, line=index + 1, offset=sum(map(len, lines[:index])))
+        """The error at line `index` (0-based) of a text whose line starts,
+        then its length, are `starts` (see `graphs._line_starts`); `index`
+        may be the line count (the end of the text): line `index + 1`,
+        offset `starts[index]`, the length of the lines before it."""
+        return cls(message, field=field, line=index + 1, offset=starts[index])
 
 
 class FactorModelError(ValueError):

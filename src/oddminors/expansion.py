@@ -19,7 +19,8 @@ from operator import add, le, lt, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParameterError, ParseError
-from .graphs import Edge, Frozen, Graph, _decimal_chunks, find_odd_cycle, norm_edge
+from .graphs import (Edge, Frozen, Graph, _decimal_chunks, _line_starts, find_odd_cycle,
+                     norm_edge)
 
 
 class BranchTree(Frozen):
@@ -564,20 +565,26 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     the line found in place of an expected key, or the first non-blank
     trailing line.
 
-    A connector line as `serialize_model` writes it for a certificate
-    with a connector for every tree pair ('i,j=u-v' tokens joined by single
-    spaces, every pair 0 <= i < j < count ascending, and u < v) is read in
-    place, in chunks, by the scanner `_decimal_chunks`.  Any other
-    connector line, one that leaves a pair out among them, goes, whole, to
-    the token loop: the one that raises ParseError and keeps each pair's
-    key.  So the two read every line alike.
+    Lines are read by offset into `text`, from the table of where they
+    start (`graphs._line_starts`, the lines of `str.splitlines`), and no
+    copy of the text, whole or split into lines, is made.  Each key is
+    found by a search for its colon within its line, and only the short
+    lines' values are sliced out.  A connector line as `serialize_model`
+    writes it for a certificate with a connector for every tree pair
+    ('i,j=u-v' tokens joined by single spaces, every pair 0 <= i < j <
+    count ascending, and u < v) is read where it lies, in chunks, by the
+    scanner `_decimal_chunks`.  Any other connector line, one that leaves
+    a pair out among them, goes, whole, to the token loop: the one that
+    raises ParseError and keeps each pair's key.  So the two read every
+    line alike.
     """
-    lines = text.splitlines(keepends=True)
+    starts = _line_starts(text)
+    lines = len(starts) - 1  # the text's line count
     index = -1  # the line just read
     ids: dict[str, int] = {}  # token -> int, so that each id is one int object
 
     def error(message: str, field: str) -> ParseError:
-        return ParseError.at(lines, index, message, field)
+        return ParseError.at(starts, index, message, field)
 
     def number(token: str, field: str) -> int:
         v = ids.get(token)
@@ -602,30 +609,30 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     # certificate's connector line is most of its text
 
     def next_key() -> str | None:
-        if index + 1 < len(lines):
-            colon = lines[index + 1].find(":")
+        if index + 1 < lines:
+            colon = text.find(":", starts[index + 1], starts[index + 2])
             if colon >= 0:
-                return lines[index + 1][:colon].strip()
+                return text[starts[index + 1]:colon].strip()
         return None
 
     def take_line(key: str, field: str) -> int:
         """Move to the next line, which must be a `key:` line; returns where
-        its value starts."""
+        in `text` its value starts."""
         nonlocal index
         index += 1
-        if index == len(lines):
+        if index == lines:
             raise error(f"unexpected end of input, expected '{key}:'", field)
-        line = lines[index]
-        colon = line.find(":")
+        colon = text.find(":", starts[index], starts[index + 1])
         if colon < 0:
             raise error(f"expected '{key}:' line", field)
-        if line[:colon].strip() != key:
-            raise error(f"expected '{key}:' but found '{line[:colon].strip()}:'", field)
+        found = text[starts[index]:colon].strip()
+        if found != key:
+            raise error(f"expected '{key}:' but found '{found}:'", field)
         return colon + 1
 
     def take(key: str, field: str) -> str:
         start = take_line(key, field)
-        return lines[index][start:].strip()
+        return text[start:starts[index + 1]].strip()
 
     version = take("version", "version")
     if version != "1":
@@ -676,30 +683,41 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     connectors = None
     if next_key() == "connectors":
         start = take_line("connectors", "connectors")
-        keys, us, vs = None, [], []  # every pair, so no keys; the columns of ends
+        end = starts[index + 1]  # of the line, its line break included
+        keys = None  # every pair, so no keys
+        full = count * (count - 1) // 2  # that many pairs
         last = -1  # i * count + j of the last pair read
         try:
-            if lines[index][start:start + 1] != " ":
+            if not text.startswith(" ", start, end):
                 raise ValueError("no space after the key")
-            line = lines[index]
-            stop = len(line) - line.endswith("\n")
-            for ends in _decimal_chunks(line, start + 1, ",=- ", ids, stop):
+            stop = end - text.endswith("\n", start, end)
+            # a pair's token and the space before it take 8 characters at
+            # least, so a line too short for every pair is declined before
+            # the columns of ends are made at their full length.  They are
+            # filled in place: two lists grown in turn move each other in
+            # the heap and leave the old blocks behind (0.2 MB of
+            # construct's peak RSS on direct-general-30)
+            if 8 * full > stop - start:
+                raise ValueError("too short for a connector for every pair")
+            us, vs, filled = [None] * full, [None] * full, 0
+            for ends in _decimal_chunks(text, start + 1, ",=- ", ids, stop):
                 i, j, u, v = ends[0::4], ends[1::4], ends[2::4], ends[3::4]
                 # j < count, so the keys ascend as the pairs do
                 pairs = list(map(add, map(mul, i, repeat(count)), j))
                 if not (all(map(lt, i, j)) and max(j) < count and last < pairs[0]
                         and all(map(lt, pairs, pairs[1:])) and all(map(lt, u, v))):
                     raise ValueError("connectors out of order or out of range")
-                us.extend(u)
-                vs.extend(v)
+                us[filled:filled + len(u)] = u
+                vs[filled:filled + len(v)] = v
+                filled += len(u)
                 last = pairs[-1]
             # as many ascending pairs in range as there are pairs: all of them
-            if len(us) < count * (count - 1) // 2:
+            if filled < full:
                 raise ValueError("some pairs have no connector")
         except ValueError:  # not as `serialize_model` writes it: the token loop reads it all
             keys, us, vs = [], [], []
             seen = set()
-            for tok in lines[index][start:].split():
+            for tok in text[start:end].split():
                 parts = tok.split("=")
                 if len(parts) != 2:
                     raise error(f"expected 'i,j=u-v' token, found {tok!r}", "connectors")
@@ -723,9 +741,8 @@ def parse_model(text: str) -> tuple[OddExpansionModel, str]:
     notes = []
     while next_key() == "meta":
         notes.append(take("meta", "meta"))
-    for index in range(index + 1, len(lines)):
-        if lines[index].strip():
+    for index in range(index + 1, lines):
+        if text[starts[index]:starts[index + 1]].strip():
             raise error("unexpected trailing content", "trailer")
-    del lines  # the text's lines are not kept while the model is made
 
     return OddExpansionModel(tuple(trees), coloring, connectors, tuple(notes)), graph_hash

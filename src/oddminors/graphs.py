@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from itertools import chain, compress
+from itertools import accumulate, chain, compress, islice
 from operator import lt, ne, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -511,15 +511,15 @@ def write_graph_text(g: Graph) -> str:
 
 
 # Canonical number lists (the graph text, a certificate's connector line)
-# are read this many characters at a time, so that only one chunk's tokens
-# are alive at once, and a graph's text is rendered in pieces about this
-# long.  A chunk's tokens cost many times its length: reading
-# direct-general-24's 1.16 MB host text, whose rows take 1.27 MB, peaks
-# 2.69 MB above the text at 64K characters, 1.66 MB at 16K and 1.41 MB at
-# 4K (tracemalloc), and at 16K it takes a few percent longer than at 64K.
-# A canonical edge line is at most 16 characters (n <= MAX_EDGES) and a
-# connector token little more, so a stretch this long without a separator
-# is not canonical.
+# are read where they lie in the text, this many characters at a time, so
+# that only one chunk's tokens are alive at once and no reader copies the
+# text whole; a graph's text is rendered in pieces about this long.  A
+# chunk's tokens cost many times its length: reading direct-general-24's
+# 1.16 MB host text, whose rows take 1.27 MB, peaks 2.69 MB above the text
+# at 64K characters, 1.66 MB at 16K and 1.41 MB at 4K (tracemalloc), and at
+# 16K it takes a few percent longer than at 64K.  A canonical edge line is
+# at most 16 characters (n <= MAX_EDGES) and a connector token little more,
+# so a stretch this long without a separator is not canonical.
 _CHUNK = 1 << 14
 
 
@@ -573,6 +573,35 @@ def _decimal_chunks(text: str, start: int, unit: str, ids: dict[str, int],
         del chunk, tokens  # only the ints stay alive while the caller reads them
         yield ends
         start = end
+
+
+# `str.splitlines` breaks lines at each of these as well as at "\n" (and
+# at "\r\n" as one break)
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _line_starts(text: str) -> list[int]:
+    """Where each line of `text` starts, then len(text): line k (0-based),
+    its line break included, is text[starts[k]:starts[k + 1]], the lines
+    being those of `text.splitlines(keepends=True)`.  The two text readers
+    address their lines through it, and `ParseError.at` reads a line's
+    offset from it.
+
+    Text broken only at line feeds, which the writers of this package
+    produce, is searched for them in place, after one C-level search for
+    each of the other breaks finds none; any other text takes the lengths
+    of its `splitlines` lines, a copy that lives only while they are
+    summed."""
+    if any(map(text.__contains__, _OTHER_BREAKS)):
+        return list(accumulate(map(len, text.splitlines(keepends=True)), initial=0))
+    starts = [0]
+    at = text.find("\n") + 1
+    while at:
+        starts.append(at)
+        at = text.find("\n", at) + 1
+    if starts[-1] < len(text):  # a last line with no line break
+        starts.append(len(text))
+    return starts
 
 
 def read_graph_text(text: str) -> Graph:
@@ -639,39 +668,44 @@ def _canonical_graph(text: str) -> Graph:
 
 
 def _read_lines(text: str) -> Graph:
-    """The tolerant line loop behind `read_graph_text`."""
-    lines = text.splitlines(keepends=True)
-    if not lines or not lines[0].strip():
-        raise ParseError.at(lines, 0, "empty graph text")
-    head = lines[0].split()
+    """The tolerant line loop behind `read_graph_text`.  It reads each line
+    by offset, from the table of where the lines start (`_line_starts`), so
+    that no line-split copy of the text is held; only the line being read
+    is sliced out."""
+    starts = _line_starts(text)
+    lines = map(text.__getitem__, map(slice, starts, islice(starts, 1, None)))
+    first = next(lines, "")
+    if not first.strip():
+        raise ParseError.at(starts, 0, "empty graph text")
+    head = first.split()
     if len(head) != 2:
-        raise ParseError.at(lines, 0, "header must be 'n m'", "header")
+        raise ParseError.at(starts, 0, "header must be 'n m'", "header")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise ParseError.at(lines, 0, "header values must be integers", "header")
+        raise ParseError.at(starts, 0, "header values must be integers", "header")
     if n < 0:
-        raise ParseError.at(lines, 0, f"vertex count must be non-negative, got {n}", "header")
+        raise ParseError.at(starts, 0, f"vertex count must be non-negative, got {n}", "header")
     if n > MAX_EDGES:
-        raise ParseError.at(lines, 0, f"vertex count {n} is more than {MAX_EDGES}", "header")
-    body = [index for index in range(1, len(lines)) if lines[index].strip()]
+        raise ParseError.at(starts, 0, f"vertex count {n} is more than {MAX_EDGES}", "header")
+    body = [index for index, line in enumerate(lines, 1) if line.strip()]
     if len(body) != m:
-        raise ParseError.at(lines, 1, f"expected {m} edge lines, found {len(body)}", "edges")
+        raise ParseError.at(starts, 1, f"expected {m} edge lines, found {len(body)}", "edges")
     edges = set()
     for i, index in enumerate(body):
-        parts = lines[index].split()
+        parts = text[starts[index]:starts[index + 1]].split()
         if len(parts) != 2:
-            raise ParseError.at(lines, index, "edge line must be 'u v'", f"edges[{i}]")
+            raise ParseError.at(starts, index, "edge line must be 'u v'", f"edges[{i}]")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError.at(lines, index, "edge endpoints must be integers", f"edges[{i}]")
+            raise ParseError.at(starts, index, "edge endpoints must be integers", f"edges[{i}]")
         if u == v:
-            raise ParseError.at(lines, index, f"self-loop at {u}", f"edges[{i}]")
+            raise ParseError.at(starts, index, f"self-loop at {u}", f"edges[{i}]")
         if not (0 <= u < n and 0 <= v < n):
-            raise ParseError.at(lines, index, f"edge ({u},{v}) outside vertex range", f"edges[{i}]")
+            raise ParseError.at(starts, index, f"edge ({u},{v}) outside vertex range", f"edges[{i}]")
         e = norm_edge(u, v)
         if e in edges:
-            raise ParseError.at(lines, index, f"duplicate edge ({u},{v})", f"edges[{i}]")
+            raise ParseError.at(starts, index, f"duplicate edge ({u},{v})", f"edges[{i}]")
         edges.add(e)
     return Graph(n, edges)

@@ -542,6 +542,32 @@ def test_a_directory_is_neither_a_graph_nor_a_certificate(tmp_path, capsys, whic
     assert stderr.startswith(f"error: cannot read {noun} {tmp_path}: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "{bad}", "{cert}"],
+    ["verify", "{graph}", "{bad}"],
+    ["exact", "{bad}", "--out", "{out}"],
+    ["product", "strong", "{bad}", "complete:2", "--out", "{out}"],
+    ["construct", "strong", "--factor-a", "{bad}", "--model-a", "{cert}",
+     "--factor-b", "{graph}", "--model-b", "{cert}", "--out", "{out}"],
+    ["construct", "strong", "--factor-a", "{graph}", "--model-a", "{bad}",
+     "--factor-b", "{graph}", "--model-b", "{cert}", "--out", "{out}"],
+], ids=["verify-graph", "verify-certificate", "exact", "product", "construct-factor-a",
+        "construct-model-a"])
+def test_a_file_that_is_not_utf8_is_a_parameter_error(tmp_path, capsys, argv):
+    c5 = gr.cycle(5)
+    files = {"graph": tmp_path / "c5.graph", "cert": tmp_path / "c5.cert",
+             "bad": tmp_path / "bad", "out": tmp_path / "out"}
+    files["graph"].write_text(c5.canonical_text(), encoding="utf-8")
+    files["cert"].write_text(serialize_model(odd_cycle_model(c5), c5.content_hash()),
+                             encoding="utf-8")
+    files["bad"].write_bytes(b"5 5\n0 1\xff\n")  # 0xff starts no UTF-8 sequence
+    code, stdout, stderr = run(capsys, *[arg.format(**files) for arg in argv])
+    assert (code, stdout) == (2, "")
+    assert stderr == (f"error: {files['bad']}: 'utf-8' codec can't decode byte 0xff "
+                      "in position 7: invalid start byte\n")
+    assert not files["out"].exists()
+
+
 def test_exact_without_out_writes_exact_oh_cert(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, stdout, _ = run(capsys, "exact", "cycle:5", "--strict")

@@ -553,6 +553,21 @@ def test_parsed_direct_general_30_model_is_at_most_2_5_mb():
     assert kept <= 2_500_000
 
 
+def test_parse_model_makes_no_copy_of_its_text():
+    # 500 singleton trees and a connector for each of their 124,750 pairs:
+    # about 2 MB of text, nearly all of it one line.  Tracing starts after
+    # the text exists, so a copy of it, whole or split into lines, would
+    # put the working peak above half the text's length
+    r = 500
+    model = OddExpansionModel(tuple(branch_tree([v]) for v in range(r)), dict.fromkeys(range(r), 1),
+                              {pair: pair for pair in itertools.combinations(range(r), 2)})
+    text = serialize_model(model, "ab")
+    assert len(text) > 1_800_000
+    parsed, _, working = parsed_size(text)
+    assert parsed == model
+    assert working < len(text) // 2
+
+
 def test_connector_sweep_holds_about_one_table():
     # the sweep fills the returned table's columns in place: the working
     # peak above the table stays under the 589,912 bytes of the dict it

@@ -487,3 +487,110 @@ def test_the_connector_line_is_read_in_place(text, chunk):
     with mock.patch.object(gr, "_CHUNK", chunk):
         model = assert_the_scanner_reads_it(text)
     assert serialize_model(model, STRONG_K4.content_hash()) == text
+
+
+# ----------------------------------------------------------------------
+# Line breaks: both readers split lines exactly as `str.splitlines` does
+
+# every line break of `str.splitlines`, "\r\n" (one break) among them
+BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@st.composite
+def with_breaks(draw, texts):
+    """A text with a few line breaks of every kind put into it: inside
+    lines, between them, or in place of a line feed."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        feeds = [k for k, c in enumerate(text) if c == "\n"]
+        if feeds and draw(st.booleans()):
+            at = draw(st.sampled_from(feeds))
+            text = text[:at] + draw(st.sampled_from(BREAKS)) + text[at + 1:]
+        else:
+            text = text[:at] + draw(st.sampled_from(BREAKS)) + text[at:]
+    return text
+
+
+def as_line_feeds(text):
+    """`text` with each line break made spaces and one line feed, as long
+    as the break: the same lines, offsets and tokens, all broken at line
+    feeds alone."""
+    out = []
+    for line, bare in zip(text.splitlines(keepends=True), text.splitlines()):
+        cut = len(line) - len(bare)
+        out.append(bare + " " * (cut - 1) + "\n" if cut else bare)
+    return "".join(out)
+
+
+def outcome(read, text):
+    """What `read(text)` gives: its value, or its error's message, field,
+    line and offset, whose offset must count the characters of the lines
+    before its line."""
+    try:
+        return read(text)
+    except ParseError as e:
+        assert e.offset == sum(map(len, text.splitlines(keepends=True)[:e.line - 1]))
+        return str(e), e.field, e.line, e.offset
+
+
+def assert_breaks_read_as_line_feeds(read, text):
+    """Text with breaks other than line feeds is read through the lengths
+    of its `splitlines` lines, and text with line feeds alone by searching
+    for them in place; both must give the same outcome for the same
+    lines."""
+    plain = as_line_feeds(text)
+    assert gr._line_starts(text) == gr._line_starts(plain) == list(
+        itertools.accumulate(map(len, text.splitlines(keepends=True)), initial=0))
+    assert outcome(read, text) == outcome(read, plain)
+
+
+@settings(max_examples=300, deadline=None)
+@given(with_breaks(CERTIFICATE_TEXTS))
+def test_parse_model_reads_every_line_break_as_splitlines_does(text):
+    assert_breaks_read_as_line_feeds(parse_model, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(with_breaks(GRAPH_TEXTS))
+def test_read_graph_text_reads_every_line_break_as_splitlines_does(text):
+    assert_breaks_read_as_line_feeds(gr.read_graph_text, text)
+    assert_reads_like_reference(text)
+
+
+C5_CERTIFICATE = VALID_CERTIFICATES[0]
+
+
+# inputs broken at other line breaks, with the outcomes they have always had
+@pytest.mark.parametrize("read, text, expected", [
+    (parse_model, C5_CERTIFICATE.replace("\n", "\r\n").replace("tree: 0\r", "tree: 0 0\r"),
+     "duplicate vertex 0 field=tree[0] line=5 offset=117"),
+    (parse_model, C5_CERTIFICATE.replace("graph_hash: ", "graph_hash: \u2028"),
+     "graph_hash must be lowercase hex field=graph_hash line=2 offset=11"),
+    (parse_model, C5_CERTIFICATE.replace("coloring:", "coloring:\f"),
+     "unexpected trailing content field=trailer line=12 offset=180"),
+    (parse_model, C5_CERTIFICATE + "\x1emeta: late",
+     "unexpected trailing content field=trailer line=14 offset=237"),
+    (parse_model, C5_CERTIFICATE.replace("\n", "\v"), parse_model(C5_CERTIFICATE)),
+    (gr.read_graph_text, "5 5\x1c0 1\f0 4\x851 2\n2 3\u20283 4\n", C5),
+    (gr.read_graph_text, "3 2\r0 1\r1 1\r", "self-loop at 1 field=edges[1] line=3 offset=8"),
+    (gr.read_graph_text, "3 1\u20290 0\n", "self-loop at 0 field=edges[0] line=2 offset=4"),
+    (gr.read_graph_text, "3 1\x1d\x1d\n0 1 2\n",
+     "edge line must be 'u v' field=edges[0] line=4 offset=6"),
+    (gr.read_graph_text, "\f3 0\n", "empty graph text line=1 offset=0"),
+], ids=["crlf", "u2028-in-hash", "form-feed-after-key", "x1e-before-trailer", "vertical-tabs",
+        "graph-mixed", "graph-cr", "graph-u2029", "graph-x1d", "graph-leading-form-feed"])
+def test_other_line_breaks_keep_their_outcomes(read, text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as got:
+            read(text)
+        assert str(got.value) == expected
+    else:
+        assert read(text) == expected
+
+
+def test_a_line_of_the_shortest_tokens_is_read_in_place():
+    # every token takes 7 characters, so the line is as short as a line
+    # with a connector for every pair can be
+    assert C5_CERTIFICATE.endswith("\nconnectors: 0,1=0-1 0,2=0-4 1,2=2-3\n")
+    assert_the_scanner_reads_it(C5_CERTIFICATE)
